@@ -1,15 +1,28 @@
-"""Exact enumeration of the automorphism group of a sharing structure.
+"""Exact automorphism group of a sharing structure by stabilizer-chain search.
 
 An automorphism is a pair of permutations (pi_N, pi_M), one per node part,
 preserving the color set of every cell. Multi-edges are handled by treating
 the full color set of a cell (its merged label) as the atomic edge label.
 
-The search maps N-part nodes one at a time, in increasing refinement-class
-size, keeping a candidate set per M-part node; each N assignment filters the
-M candidates by cell-label consistency. Once pi_N is complete, the valid
-pi_M are exactly the bijections between equal-column groups of the label
-matrix, so they can be counted as a product of factorials without being
-materialized. That keeps exact order counting cheap past the element cap.
+The N nodes, in increasing refinement-class size, form a base b_0..b_{n-1}.
+Mapping N nodes one at a time keeps a candidate set per M node, and each N
+assignment filters those sets by cell-label consistency; a complete pi_N lifts
+to a pi_M exactly when the sets pair off. The levels are walked from the
+deepest to the shallowest. At level l, every same-class image gamma of b_l
+that is neither a fixed point b_0..b_{l-1} nor already in the orbit of b_l
+under the generators found so far (all of which fix b_0..b_{l-1}) gets one
+depth-first search for a single pi_N that fixes b_0..b_{l-1} and maps
+b_l -> gamma. Each hit is a strong generator. Since every coset of the
+stabilizer of b_0..b_l in the stabilizer of b_0..b_{l-1} is either found or
+ruled out exhaustively, the exact order is |K| * prod_l |Delta_l|, where
+Delta_l is the fundamental orbit of b_l and K is the kernel of automorphisms
+with pi_N = id (any bijection between equal rows), with no Schreier-Sims pass
+and no leaf counting.
+
+The elements are listed, as products of orbit transversals times K, only when
+the order is at most ``element_cap``; above it the result carries the kernel
+generators followed by the strong generators. ``search_cap`` bounds the
+search-tree nodes, i.e. the accepted N assignments.
 """
 
 from __future__ import annotations
@@ -19,6 +32,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from . import designs, permcore
 from .designs import SharingStructure
 from .permcore import JointAction, Permutation
@@ -26,6 +42,9 @@ from .permcore import JointAction, Permutation
 DEFAULT_NODE_BUDGET = 24
 DEFAULT_ELEMENT_CAP = 10_000
 DEFAULT_SEARCH_CAP = 1_000_000
+
+# cells per batch of the setwise check: bounds its scratch memory
+_CHECK_BATCH_CELLS = 1 << 16
 
 
 class AutSearchError(ValueError):
@@ -42,12 +61,24 @@ class ColorProfileTable:
 
 
 @dataclass(frozen=True)
+class SearchStats:
+    """Deterministic counters of one automorphism search."""
+
+    nodes: int  # accepted N assignments, the unit of ``search_cap``
+    leaves: int  # complete pi_N whose M lift was tested
+    orbit_pruned: int  # images of a base point skipped as already in its orbit
+    base_orbits: tuple[int, ...]  # |Delta_l| per base level
+    kernel_order: int  # automorphisms with pi_N = identity
+
+
+@dataclass(frozen=True)
 class AutomorphismResult:
     order: int
     elements: Optional[tuple[tuple[Permutation, Permutation], ...]]
     generators: Optional[tuple[tuple[Permutation, Permutation], ...]]
     verdict: Optional[str] = None  # equal | proper_supergroup | incomparable
     joint_order: Optional[int] = None
+    stats: Optional[SearchStats] = None
 
     def pair_set(self) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
         if self.elements is None:
@@ -87,38 +118,43 @@ def color_refine(s: SharingStructure) -> ColorProfileTable:
         nc, mc = new_nc, new_mc
 
 
-def _preserves_structure(s: SharingStructure, pn: Permutation, pm: Permutation) -> bool:
-    """Direct setwise check of relation preservation (independent of the grid)."""
-    for rel in s.relations:
-        if frozenset((pn(n), pm(m)) for n, m in rel.edges) != rel.edges:
-            return False
-    return True
+def _preserves_structure(s: SharingStructure, pns: ArrayLike, pms: ArrayLike) -> np.ndarray:
+    """Setwise relation preservation of every pair (pns[k], pms[k]) at once.
+
+    Built from the relation edge lists, independent of the grid: pair k maps
+    each edge set onto itself exactly when (pn(n), pm(m)) is an edge of a
+    relation iff (n, m) is, for every cell.
+    """
+    n_size, m_size = s.n_size, s.m_size
+    inc = np.zeros((len(s.relations), n_size, m_size), dtype=bool)
+    for r, rel in enumerate(s.relations):
+        if rel.edges:
+            ends = np.array(sorted(rel.edges))
+            inc[r, ends[:, 0], ends[:, 1]] = True
+    pns = np.asarray(pns, dtype=np.intp)
+    pms = np.asarray(pms, dtype=np.intp)
+    ok = np.ones(len(pns), dtype=bool)
+    batch = max(1, _CHECK_BATCH_CELLS // max(1, inc.size))
+    for lo in range(0, len(pns), batch):
+        moved = inc[:, pns[lo:lo + batch, :, None], pms[lo:lo + batch, None, :]]
+        ok[lo:lo + batch] = (moved == inc[:, None]).all(axis=(0, 2, 3))
+    return ok
 
 
-def _greedy_generators(elements: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """A generating subset of a permutation group given as a full element list."""
-    universe = set(elements)
-    degree = len(elements[0])
-    ident = tuple(range(degree))
-    closed = {ident}
-    gens: list[tuple[int, ...]] = []
-    for g in sorted(universe):
-        if g in closed:
-            continue
-        gens.append(g)
-        closed.add(g)
-        # re-close under the enlarged generator set
-        queue = list(closed)
-        while queue:
-            p = queue.pop()
-            for h in gens:
-                q = tuple(p[v] for v in h)
-                if q not in closed:
-                    closed.add(q)
-                    queue.append(q)
-        if len(closed) == len(universe):
-            break
-    return gens
+def _transversal(
+    point: int, gens: list[tuple[int, ...]], degree: int
+) -> dict[int, tuple[int, ...]]:
+    """Schreier tree of ``point``: one product of ``gens`` mapping it to each orbit point."""
+    reps = {point: tuple(range(degree))}
+    frontier = [point]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = g[p]
+            if q not in reps:
+                reps[q] = tuple(g[v] for v in reps[p])
+                frontier.append(q)
+    return reps
 
 
 def enumerate_automorphisms(
@@ -128,12 +164,14 @@ def enumerate_automorphisms(
     element_cap: int = DEFAULT_ELEMENT_CAP,
     search_cap: int = DEFAULT_SEARCH_CAP,
 ) -> AutomorphismResult:
-    """Enumerate aut(structure) exactly by backtracking.
+    """Compute aut(structure) exactly by a stabilizer-chain search.
 
     Returns the exact order always; the full element list when the order is at
-    most ``element_cap``, otherwise a generating set. With a ``reference``
-    joint action the verdict states whether aut equals it, strictly contains
-    it, or the reference does not even preserve the colors (incomparable).
+    most ``element_cap``, otherwise a generating set (kernel generators, then
+    strong generators). With a ``reference`` joint action the verdict states
+    whether aut equals it, strictly contains it, or the reference does not
+    even preserve the colors (incomparable). More than ``search_cap`` search
+    nodes (accepted N assignments) raise.
     """
     n_size, m_size = s.n_size, s.m_size
     if n_size + m_size > node_budget:
@@ -144,7 +182,7 @@ def enumerate_automorphisms(
     table = color_refine(s)
 
     class_size_n = {c: table.n_classes.count(c) for c in set(table.n_classes)}
-    order_n = sorted(range(n_size), key=lambda i: (class_size_n[table.n_classes[i]], i))
+    base = sorted(range(n_size), key=lambda i: (class_size_n[table.n_classes[i]], i))
     n_candidates = {
         i: [j for j in range(n_size) if table.n_classes[j] == table.n_classes[i]]
         for i in range(n_size)
@@ -154,23 +192,30 @@ def enumerate_automorphisms(
         for j in range(m_size)
     }
 
-    total = 0
-    completed_pi_n = 0
-    collecting = True
-    elements: list[tuple[Permutation, Permutation]] = []
-    pi_n_images: list[tuple[int, ...]] = []
-    first_lift: dict[tuple[int, ...], tuple[int, ...]] = {}
-    kernel_groups: Optional[list[list[int]]] = None
+    nodes = 0
+    leaves = 0
+    orbit_pruned = 0
 
-    pi_n = [-1] * n_size
-    used_n = [False] * n_size
+    def assign(i: int, j: int, cand_m: list[frozenset[int]]) -> Optional[list[frozenset[int]]]:
+        """M candidate sets after mapping N node i to j, or None if one empties."""
+        nonlocal nodes
+        new_cand = []
+        for mm in range(m_size):
+            label = grid[mm][i]
+            filtered = frozenset(m2 for m2 in cand_m[mm] if grid[m2][j] == label)
+            if not filtered:
+                return None
+            new_cand.append(filtered)
+        nodes += 1
+        if nodes > search_cap:
+            raise AutSearchError(f"search cap exceeded: more than {search_cap} search nodes")
+        return new_cand
 
-    def complete(cand_m: list[frozenset[int]]):
-        nonlocal total, collecting, completed_pi_n, kernel_groups
-        completed_pi_n += 1
-        if completed_pi_n > search_cap:
-            raise AutSearchError(f"search cap exceeded: more than {search_cap} N-side maps")
-        # group source M nodes by their candidate target set; a completion is a
+    def pairing(cand_m: list[frozenset[int]]) -> Optional[list[tuple[frozenset[int], list[int]]]]:
+        """(targets, sources) groups when the M candidate sets pair off, else None."""
+        nonlocal leaves
+        leaves += 1
+        # group source M nodes by their candidate target set; a lift is a
         # bijection inside each group, so they must pair off exactly
         groups: dict[frozenset[int], list[int]] = {}
         for mm in range(m_size):
@@ -178,78 +223,110 @@ def enumerate_automorphisms(
         covered: set[int] = set()
         for targets, sources in groups.items():
             if len(targets) != len(sources):
-                return
+                return None
             covered |= targets
         if len(covered) != m_size:
-            return
+            return None
+        return sorted(groups.items(), key=lambda kv: kv[1])
 
-        count_here = math.prod(math.factorial(len(g)) for g in groups.values())
-        pn_tuple = tuple(pi_n)
-        pi_n_images.append(pn_tuple)
-        sorted_groups = sorted(groups.items(), key=lambda kv: kv[1])
-        lift = [0] * m_size
-        for targets, sources in sorted_groups:
-            for src, dst in zip(sources, sorted(targets)):
-                lift[src] = dst
-        first_lift.setdefault(pn_tuple, tuple(lift))
-        if pn_tuple == tuple(range(n_size)):
-            kernel_groups = [sorted(g) for _, g in sorted_groups]
+    # the identity path: M candidates with b_0..b_{l-1} fixed, for every l
+    prefix_cand = [[m_class_members[j] for j in range(m_size)]]
+    for b in base:
+        cand = assign(b, b, prefix_cand[-1])
+        assert cand is not None, "the identity preserves every label"
+        prefix_cand.append(cand)
+    kernel_pairing = pairing(prefix_cand[-1])
+    assert kernel_pairing is not None, "the identity always lifts"
+    kernel_groups = [sources for _, sources in kernel_pairing]
+    kernel_order = math.prod(math.factorial(len(g)) for g in kernel_groups)
 
-        if collecting and total + count_here > element_cap:
-            collecting = False
-            elements.clear()
-        if collecting:
-            pn = Permutation(pn_tuple)
-            source_lists = [sources for _, sources in sorted_groups]
-            target_lists = [sorted(targets) for targets, _ in sorted_groups]
-            for combo in itertools.product(
-                *(itertools.permutations(t) for t in target_lists)
-            ):
-                pm = [0] * m_size
-                for sources, images in zip(source_lists, combo):
-                    for src, dst in zip(sources, images):
-                        pm[src] = dst
-                elements.append((pn, Permutation(tuple(pm))))
-        total += count_here
+    pi_n = list(range(n_size))
+    used_n = [False] * n_size
 
-    def recurse(level: int, cand_m: list[frozenset[int]]):
+    def search(level: int, cand_m: list[frozenset[int]]) -> Optional[tuple[int, ...]]:
+        """First lift of the current partial pi_N, as images on N then M."""
         if level == n_size:
-            complete(cand_m)
-            return
-        i = order_n[level]
-        row_i = [grid[j][i] for j in range(m_size)]
+            groups = pairing(cand_m)
+            if groups is None:
+                return None
+            lift = [0] * m_size
+            for targets, sources in groups:
+                for src, dst in zip(sources, sorted(targets)):
+                    lift[src] = dst
+            return tuple(pi_n) + tuple(n_size + v for v in lift)
+        i = base[level]
         for j in n_candidates[i]:
             if used_n[j]:
                 continue
-            new_cand = []
-            ok = True
-            for mm in range(m_size):
-                filtered = frozenset(m2 for m2 in cand_m[mm] if grid[m2][j] == row_i[mm])
-                if not filtered:
-                    ok = False
-                    break
-                new_cand.append(filtered)
-            if not ok:
+            new_cand = assign(i, j, cand_m)
+            if new_cand is None:
                 continue
             pi_n[i] = j
             used_n[j] = True
-            recurse(level + 1, new_cand)
-            pi_n[i] = -1
+            hit = search(level + 1, new_cand)
             used_n[j] = False
+            if hit is not None:
+                return hit
+        return None
 
-    recurse(0, [m_class_members[j] for j in range(m_size)])
+    # strong generators as permutations of N followed by M (M shifted by n_size);
+    # walking deepest first, every generator found so far fixes b_0..b_{level-1}
+    degree = n_size + m_size
+    strong: list[tuple[int, ...]] = []
+    transversals: list[dict[int, tuple[int, ...]]] = [{}] * n_size
+    for level in range(n_size - 1, -1, -1):
+        b = base[level]
+        for k in range(n_size):
+            used_n[k] = False
+            pi_n[k] = k
+        for k in range(level):
+            used_n[base[k]] = True
+        delta = _transversal(b, strong, degree)
+        for gamma in n_candidates[b]:
+            if used_n[gamma] or gamma == b:
+                continue
+            if gamma in delta:
+                orbit_pruned += 1
+                continue
+            cand = assign(b, gamma, prefix_cand[level])
+            if cand is None:
+                continue
+            pi_n[b] = gamma
+            used_n[gamma] = True
+            hit = search(level + 1, cand)
+            used_n[gamma] = False
+            if hit is not None:
+                strong.append(hit)
+                delta = _transversal(b, strong, degree)
+        transversals[level] = delta
+    base_orbits = tuple(len(delta) for delta in transversals)
 
-    if collecting:
-        elements.sort(key=lambda pair: (pair[0].images, pair[1].images))
-        for pn, pm in elements:
-            if not _preserves_structure(s, pn, pm):
-                raise AutSearchError("internal error: emitted pair fails the setwise check")
-        result_elements: Optional[tuple] = tuple(elements)
+    total = kernel_order * math.prod(base_orbits)
+    if total <= element_cap:
+        kernel = []
+        for combo in itertools.product(*(itertools.permutations(g) for g in kernel_groups)):
+            perm = list(range(degree))
+            for sources, images in zip(kernel_groups, combo):
+                for src, dst in zip(sources, images):
+                    perm[n_size + src] = n_size + dst
+            kernel.append(perm)
+        # every element is u_0 u_1 ... u_{n-1} k, one transversal element per level
+        listed = np.array(kernel, dtype=np.intp).reshape(-1, degree)
+        for delta in reversed(transversals):
+            reps = np.array(list(delta.values()), dtype=np.intp)
+            listed = reps[:, listed].reshape(-1, degree)
+        listed = listed[np.lexsort(listed.T[::-1])]
+        pns, pms = listed[:, :n_size], listed[:, n_size:] - n_size
+        if not _preserves_structure(s, pns, pms).all():
+            raise AutSearchError("internal error: emitted pair fails the setwise check")
+        result_elements: Optional[tuple] = tuple(
+            (Permutation(tuple(pn)), Permutation(tuple(pm)))
+            for pn, pm in zip(pns.tolist(), pms.tolist())
+        )
         result_generators = None
     else:
         gens: list[tuple[Permutation, Permutation]] = []
         ident_n = permcore.identity(n_size)
-        assert kernel_groups is not None
         for group_nodes in kernel_groups:
             if len(group_nodes) < 2:
                 continue
@@ -261,11 +338,13 @@ def enumerate_automorphisms(
                 for a, b in zip(group_nodes, group_nodes[1:] + group_nodes[:1]):
                     cyc[a] = b
                 gens.append((ident_n, Permutation(tuple(cyc))))
-        for pn_t in _greedy_generators(pi_n_images):
-            gens.append((Permutation(pn_t), Permutation(first_lift[pn_t])))
-        for pn, pm in gens:
-            if not _preserves_structure(s, pn, pm):
-                raise AutSearchError("internal error: emitted generator fails the setwise check")
+        for g in strong:
+            pm = tuple(v - n_size for v in g[n_size:])
+            gens.append((Permutation(g[:n_size]), Permutation(pm)))
+        if gens and not _preserves_structure(
+            s, [pn.images for pn, _ in gens], [pm.images for _, pm in gens]
+        ).all():
+            raise AutSearchError("internal error: emitted generator fails the setwise check")
         result_elements = None
         result_generators = tuple(gens)
 
@@ -273,9 +352,11 @@ def enumerate_automorphisms(
     joint_order = None
     if reference is not None:
         joint_order = reference.joint_order
-        preserved = all(
-            _preserves_structure(s, gn, gm) for gn, gm in reference.joint_elements
-        )
+        preserved = _preserves_structure(
+            s,
+            [gn.images for gn, _ in reference.joint_elements],
+            [gm.images for _, gm in reference.joint_elements],
+        ).all()
         if not preserved:
             verdict = "incomparable"
         elif total == joint_order:
@@ -289,6 +370,7 @@ def enumerate_automorphisms(
         generators=result_generators,
         verdict=verdict,
         joint_order=joint_order,
+        stats=SearchStats(nodes, leaves, orbit_pruned, base_orbits, kernel_order),
     )
 
 

@@ -1,3 +1,7 @@
+import itertools
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +224,120 @@ class TestOracleEquivalence:
 def test_backtracking_equals_brute_force_on_random_structures(s):
     res = autsearch.enumerate_automorphisms(s)
     assert res.pair_set() == set(oracles.brute_force_automorphisms(s))
+
+
+def closure(generators, n_size, m_size):
+    """Every product of the (pi_N, pi_M) generators, identity included."""
+    closed = {(tuple(range(n_size)), tuple(range(m_size)))}
+    frontier = list(closed)
+    gens = [(pn.images, pm.images) for pn, pm in generators]
+    while frontier:
+        nxt = []
+        for an, am in frontier:
+            for bn, bm in gens:
+                prod = (tuple(an[v] for v in bn), tuple(am[v] for v in bm))
+                if prod not in closed:
+                    closed.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return closed
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_structures())
+def test_generator_path_equals_brute_force_on_random_structures(s):
+    res = autsearch.enumerate_automorphisms(s, element_cap=1)
+    brute = set(oracles.brute_force_automorphisms(s))
+    assert res.order == len(brute)
+    assert res.stats.kernel_order * math.prod(res.stats.base_orbits) == res.order
+    if res.order > 1:
+        assert res.elements is None
+        assert closure(res.generators, s.n_size, s.m_size) == brute
+    else:
+        assert res.pair_set() == brute
+
+
+def setwise_reference(s, pn, pm):
+    """The per-pair predicate the batched check replaces."""
+    return all(frozenset((pn[n], pm[m]) for n, m in rel.edges) == rel.edges for rel in s.relations)
+
+
+def all_pairs(s):
+    return list(itertools.product(
+        itertools.permutations(range(s.n_size)), itertools.permutations(range(s.m_size))
+    ))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_structures())
+def test_batched_setwise_check_matches_per_pair_predicate(s):
+    pairs = all_pairs(s)
+    got = autsearch._preserves_structure(s, [pn for pn, _ in pairs], [pm for _, pm in pairs])
+    assert got.tolist() == [setwise_reference(s, pn, pm) for pn, pm in pairs]
+
+
+def test_batched_setwise_check_across_batches(reverse_conv_structure, monkeypatch):
+    # one pair per batch: the batch boundaries must not shift any verdict
+    monkeypatch.setattr(autsearch, "_CHECK_BATCH_CELLS", 1)
+    s = reverse_conv_structure
+    pairs = all_pairs(s)[::7]
+    got = autsearch._preserves_structure(s, [pn for pn, _ in pairs], [pm for _, pm in pairs])
+    assert got.tolist() == [setwise_reference(s, pn, pm) for pn, pm in pairs]
+    assert 0 < sum(got) < len(pairs)
+
+
+class TestSearchStats:
+    def test_deterministic(self, reverse_conv_structure, rot90_structure):
+        for s in (reverse_conv_structure, rot90_structure, complete_bipartite(5, 5)):
+            a = autsearch.enumerate_automorphisms(s, element_cap=10)
+            b = autsearch.enumerate_automorphisms(s, element_cap=10)
+            assert a.stats == b.stats
+            assert a.stats.kernel_order * math.prod(a.stats.base_orbits) == a.order
+
+    def test_complete_bipartite_node_count(self):
+        # one search per base level, each a single greedy descent: O(k^2) nodes
+        k = 8
+        res = autsearch.enumerate_automorphisms(complete_bipartite(k, k))
+        assert res.order == math.factorial(k) ** 2
+        assert res.stats.nodes <= 2 * k * k
+        assert res.stats.kernel_order == math.factorial(k)
+        assert sorted(res.stats.base_orbits) == list(range(1, k + 1))
+
+
+class TestSympyOracle:
+    """Orders beyond brute force, checked against sympy's Schreier-Sims."""
+
+    @staticmethod
+    def sympy_order(res, n_size, m_size):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        gens = [
+            combinatorics.Permutation(list(pn.images) + [n_size + v for v in pm.images])
+            for pn, pm in res.generators
+        ]
+        return combinatorics.PermutationGroup(gens).order()
+
+    @staticmethod
+    def timed_search(s):
+        start = time.perf_counter()
+        res = autsearch.enumerate_automorphisms(s)
+        return res, time.perf_counter() - start
+
+    @pytest.mark.parametrize("k", [9, 12])
+    def test_complete_bipartite(self, k):
+        res, elapsed = self.timed_search(complete_bipartite(k, k))
+        assert res.order == math.factorial(k) ** 2
+        assert self.sympy_order(res, k, k) == res.order
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_complete_graph_conv(self, n):
+        # K_n plus the identity relation: the diagonal S_n, 2n nodes
+        s = layer.graph_conv_structure(np.ones((n, n), dtype=int) - np.eye(n, dtype=int))
+        res, elapsed = self.timed_search(s)
+        assert res.order == math.factorial(n)
+        assert all(pn == pm for pn, pm in res.generators)
+        assert self.sympy_order(res, n, n) == res.order
+        assert elapsed < 1.0
 
 
 class TestContainmentAndEquality:
