@@ -1,12 +1,15 @@
 """Tied neural layers: materialize weights, evaluate, and verify equivariance.
 
-Verification runs two routes. The float route evaluates the layer on random
+Verification runs two routes, in one helper shared by ``check_equivariance``
+and ``compose_layers``. The float route evaluates the layer on random
 integer-valued inputs and compares output-side and input-side permutation to a
-tolerance. The exact route is the authority: it materializes the weight matrix
-with the first C primes as parameters (pairwise distinct, exact in int64) and
-checks the commutation P_gM @ W == W @ P_gN elementwise for every joint
-element. Permuting rows/columns replaces the matrix products, so the check is
-pure integer arithmetic.
+tolerance; each joint element's trials are drawn as one block from the seeded
+stream (the same values as drawing them one input at a time) and evaluated as
+the columns of one n x trials matrix. The exact route is the authority: it
+materializes the weight matrix with the first C primes as parameters (pairwise
+distinct, exact in int64) and checks the commutation P_gM @ W == W @ P_gN
+elementwise for every joint element. Permuting rows/columns replaces the
+matrix products, so the check is pure integer arithmetic.
 """
 
 from __future__ import annotations
@@ -82,17 +85,18 @@ def materialize(cm: ColorMatrix, theta) -> np.ndarray:
 
 
 class TiedLayer:
-    """A layer y = sigma(W x) with W generated from theta by the color matrix."""
+    """A layer y = sigma(W x) with W generated from theta by the color matrix.
+
+    theta is kept as a read-only copy, so the float W, materialized once here,
+    cannot go stale.
+    """
 
     def __init__(self, color_matrix: ColorMatrix, theta, nonlinearity: Nonlinearity = IDENTITY):
         self.color_matrix = color_matrix
-        self.theta = np.asarray(theta)
+        self.theta = np.array(theta)
+        self.theta.flags.writeable = False
         self.nonlinearity = nonlinearity
-        if self.theta.shape != (color_matrix.base_color_count,):
-            raise LayerError(
-                f"theta length {self.theta.shape} does not match base color count "
-                f"{color_matrix.base_color_count}"
-            )
+        self._w = materialize(color_matrix, self.theta).astype(float)
 
     @property
     def n_size(self) -> int:
@@ -109,6 +113,10 @@ class TiedLayer:
         if len(set(self.theta.tolist())) != len(self.theta):
             raise LayerError("theta entries must be pairwise distinct for uniqueness claims")
 
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """sigma(W x) for one input vector or an n x k matrix of input columns."""
+        return self.nonlinearity.apply(self._w @ x)
+
 
 def tied_layer_from_structure(
     s: SharingStructure, theta=None, nonlinearity: Nonlinearity = IDENTITY
@@ -124,7 +132,7 @@ def forward(layer: TiedLayer, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (layer.n_size,):
         raise LayerError(f"input length {x.shape} != n_size {layer.n_size}")
-    return layer.nonlinearity.apply(layer.weights().astype(float) @ x)
+    return layer._apply(x)
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,35 @@ def matrix_commutes(w: np.ndarray, gn: Permutation, gm: Permutation) -> bool:
     return bool(np.array_equal(lhs, rhs))
 
 
+def _verify(
+    w_exact: np.ndarray, apply, pairs, trials: int, tolerance: float, seed: int
+) -> EquivarianceReport:
+    """Exact commutation of ``w_exact`` and the float replay of ``apply`` on ``pairs``.
+
+    ``apply`` maps an n x k matrix of input columns to the m x k outputs.
+    """
+    if trials < 0:
+        raise LayerError("trials must be >= 0")
+    exact_pass = all(matrix_commutes(w_exact, gn, gm) for gn, gm in pairs)
+
+    rng = np.random.default_rng(seed)
+    max_residual = 0.0
+    for gn, gm in pairs:
+        x = rng.integers(-9, 10, size=(trials, w_exact.shape[1])).T.astype(float)
+        lhs = permcore.act_on_vector(gm, apply(x))
+        rhs = apply(permcore.act_on_vector(gn, x))
+        max_residual = max(max_residual, float(np.max(np.abs(lhs - rhs), initial=0.0)))
+    return EquivarianceReport(
+        tested_elements=len(pairs),
+        trials=trials,
+        max_residual=max_residual,
+        exact_pass=exact_pass,
+        tolerance=tolerance,
+        seed=seed,
+        passed=exact_pass and max_residual <= tolerance,
+    )
+
+
 def check_equivariance(
     layer: TiedLayer,
     joint: JointAction,
@@ -163,26 +200,7 @@ def check_equivariance(
             f"{joint.m_size} x {joint.n_size}"
         )
     w_exact = materialize(layer.color_matrix, first_primes(layer.color_matrix.base_color_count))
-    exact_pass = all(matrix_commutes(w_exact, gn, gm) for gn, gm in joint.joint_elements)
-
-    w = layer.weights().astype(float)
-    rng = np.random.default_rng(seed)
-    max_residual = 0.0
-    for gn, gm in joint.joint_elements:
-        for _ in range(trials):
-            x = rng.integers(-9, 10, size=layer.n_size).astype(float)
-            lhs = permcore.act_on_vector(gm, layer.nonlinearity.apply(w @ x))
-            rhs = layer.nonlinearity.apply(w @ permcore.act_on_vector(gn, x))
-            max_residual = max(max_residual, float(np.max(np.abs(lhs - rhs))))
-    return EquivarianceReport(
-        tested_elements=joint.joint_order,
-        trials=trials,
-        max_residual=max_residual,
-        exact_pass=exact_pass,
-        tolerance=tolerance,
-        seed=seed,
-        passed=exact_pass and max_residual <= tolerance,
-    )
+    return _verify(w_exact, layer._apply, joint.joint_elements, trials, tolerance, seed)
 
 
 def check_subgroup_monotonicity(
@@ -222,32 +240,9 @@ def compose_layers(
 
     w1 = materialize(first.color_matrix, first_primes(first.color_matrix.base_color_count))
     w2 = materialize(second.color_matrix, first_primes(second.color_matrix.base_color_count))
-    prod = w2 @ w1
-    seen = set()
-    pairs = []
-    for gn, go in zip(joint_nm.n_action.images, joint_mo.m_action.images):
-        key = (gn.images, go.images)
-        if key not in seen:
-            seen.add(key)
-            pairs.append((gn, go))
-    exact_pass = all(matrix_commutes(prod, gn, go) for gn, go in pairs)
-
-    rng = np.random.default_rng(seed)
-    max_residual = 0.0
-    for gn, go in pairs:
-        for _ in range(trials):
-            x = rng.integers(-9, 10, size=first.n_size).astype(float)
-            lhs = permcore.act_on_vector(go, forward(second, forward(first, x)))
-            rhs = forward(second, forward(first, permcore.act_on_vector(gn, x)))
-            max_residual = max(max_residual, float(np.max(np.abs(lhs - rhs))))
-    return EquivarianceReport(
-        tested_elements=len(pairs),
-        trials=trials,
-        max_residual=max_residual,
-        exact_pass=exact_pass,
-        tolerance=tolerance,
-        seed=seed,
-        passed=exact_pass and max_residual <= tolerance,
+    pairs = permcore.joint_action(joint_nm.n_action, joint_mo.m_action).joint_elements
+    return _verify(
+        w2 @ w1, lambda x: second._apply(first._apply(x)), pairs, trials, tolerance, seed
     )
 
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from . import designs, permcore
+from . import designs, layer, permcore
 from .designs import ChannelSpec, SharingStructure
 from .permcore import GroupAction, JointAction, Permutation, PermutationGroup
 
@@ -257,8 +257,6 @@ def build_structure(spec: ProblemSpec) -> SharingStructure:
     if spec.design == "dense":
         s = designs.dense_design(joint)
     elif spec.tie_across_orbits:
-        from . import layer
-
         s = layer.group_conv_structure(joint, spec.genset_ids, tie_across_orbits=True)
     else:
         s = designs.sparse_design(joint, spec.genset_ids)

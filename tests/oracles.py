@@ -88,3 +88,37 @@ def orbit_stabilizer_counts(image_perms, point):
 
 def wreath_order(d, blocks):
     return math.factorial(d) ** blocks * math.factorial(blocks)
+
+
+def float_residual_per_trial(apply, pairs, n_size, trials, seed):
+    """Max |g^M . f(x) - f(g^N . x)|, one input vector per (element, trial).
+
+    The reference for the float route: ``pairs`` are (g^N, g^M) image tuples,
+    ``apply`` maps one input vector to one output vector, and the inputs are
+    drawn one at a time from ``default_rng(seed)`` in pair-major order.
+    """
+
+    def act(images, v):
+        out = np.empty_like(v)
+        for i, image in enumerate(images):
+            out[image] = v[i]
+        return out
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for gn, gm in pairs:
+        for _ in range(trials):
+            x = rng.integers(-9, 10, size=n_size).astype(float)
+            lhs = act(gm, apply(x))
+            rhs = apply(act(gn, x))
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def distinct_pairs(n_images, m_images):
+    """(g^N, g^M) image tuples in first-occurrence order, duplicates dropped."""
+    pairs = []
+    for gn, gm in zip(n_images, m_images):
+        if (gn, gm) not in pairs:
+            pairs.append((gn, gm))
+    return pairs

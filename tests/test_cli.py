@@ -100,6 +100,21 @@ class TestCheck:
                        "--trials", "2"])
         assert rc == 0
 
+    def test_zero_trials(self, tmp_path, capsys):
+        rc = cli.main(["check", "equivariance", "--spec", write_spec(tmp_path, REVERSE_CONV),
+                       "--trials", "0"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["trials"] == 0 and doc["max_residual"] == 0.0 and doc["passed"]
+
+    def test_negative_trials_exit_two(self, tmp_path, capsys):
+        rc = cli.main(["check", "equivariance", "--spec", write_spec(tmp_path, REVERSE_CONV),
+                       "--trials", "-3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trials must be >= 0\n"
+
 
 class TestCertify:
     def test_mirror_unique_exit_zero(self, tmp_path, capsys):
@@ -193,6 +208,16 @@ class TestErrors:
         rc = cli.main(["design", "--spec", str(path)])
         assert rc == 2
         assert "offset 0" in capsys.readouterr().err
+
+    def test_tied_group_conv_needs_regular_output(self, tmp_path, capsys):
+        # |G| = m_size = 6, but the output action is Z6 -> Z3 on {0, 1, 2}
+        doc = dict(REVERSE_CONV, m_action={"size": 6, "generator_images": ["(0 1 2)"]},
+                   tie_across_orbits=True)
+        rc = cli.main(["design", "--spec", write_spec(tmp_path, doc)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: group convolution needs the output action to be regular over G\n"
+        )
 
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:

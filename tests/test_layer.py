@@ -22,6 +22,15 @@ def perturbed_reverse_conv(reverse_conv_structure):
     return SharingStructure(3, 6, reverse_conv_structure.relations + (extra,))
 
 
+def reverse_stack_second(reverse_conv, nonlinearity=layer.IDENTITY):
+    """The joint and layer that map reverse conv's outputs back onto its inputs."""
+    swapped = pc.joint_action(reverse_conv.m_action, reverse_conv.n_action)
+    second = layer.tied_layer_from_structure(
+        designs.sparse_design(swapped, [1, 5]), nonlinearity=nonlinearity
+    )
+    return swapped, second
+
+
 class TestMaterializeForward:
     def test_reference_weight_matrix(self, reverse_conv_structure):
         cm = designs.merge_colors(reverse_conv_structure)
@@ -133,6 +142,124 @@ class TestCheckEquivariance:
             )
             assert layer.matrix_commutes(w, gn, gm) == literal
             assert oracles.commutes_exactly(w, gn.images, gm.images) == literal
+
+
+class TestFloatRouteOracle:
+    """The batched float route against the per-(element, trial) reference loop."""
+
+    @staticmethod
+    def images(joint):
+        return [(gn.images, gm.images) for gn, gm in joint.joint_elements]
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("sigma", [layer.IDENTITY, layer.leaky(0.5)])
+    @pytest.mark.parametrize("seed", [0, 5, 301])
+    def test_check_equivariance_residual(
+        self, reverse_conv_structure, reverse_conv, perturbed, sigma, seed
+    ):
+        s = reverse_conv_structure
+        if perturbed:
+            s = perturbed_reverse_conv(s)
+        tied = layer.tied_layer_from_structure(s, nonlinearity=sigma)
+        rep = layer.check_equivariance(tied, reverse_conv, trials=5, seed=seed)
+        expected = oracles.float_residual_per_trial(
+            lambda x: layer.forward(tied, x), self.images(reverse_conv), 3, 5, seed
+        )
+        assert rep.max_residual == expected
+        assert (expected > 0) == perturbed
+
+    @pytest.mark.parametrize("sigma", [layer.IDENTITY, layer.leaky(0.5)])
+    @pytest.mark.parametrize("seed", [0, 5, 301])
+    def test_compose_layers_residual(self, reverse_conv_structure, reverse_conv, sigma, seed):
+        swapped, second = reverse_stack_second(reverse_conv, sigma)
+        first = layer.tied_layer_from_structure(
+            perturbed_reverse_conv(reverse_conv_structure), nonlinearity=sigma
+        )
+        rep = layer.compose_layers(first, second, reverse_conv, swapped, trials=4, seed=seed)
+        pairs = oracles.distinct_pairs(
+            [g.images for g in reverse_conv.n_action.images],
+            [g.images for g in swapped.m_action.images],
+        )
+        expected = oracles.float_residual_per_trial(
+            lambda x: layer.forward(second, layer.forward(first, x)), pairs, 3, 4, seed
+        )
+        assert rep.tested_elements == len(pairs)
+        assert rep.max_residual == expected > 0
+        assert not rep.passed and not rep.exact_pass
+
+    def test_wide_group_residual(self):
+        joint = diagonal_symmetric_joint(4)
+        s = designs.dense_design(joint)
+        extra = Relation(
+            s.base_color_count + 1, frozenset({(0, 1)}), {"kind": "dense", "representative": (0, 1)}
+        )
+        tied = layer.tied_layer_from_structure(
+            SharingStructure(4, 4, s.relations + (extra,)), nonlinearity=layer.leaky(0.5)
+        )
+        rep = layer.check_equivariance(tied, joint, trials=3, seed=11)
+        expected = oracles.float_residual_per_trial(
+            lambda x: layer.forward(tied, x), self.images(joint), 4, 3, 11
+        )
+        assert rep.max_residual == expected > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_non_integer_theta_within_rounding(self, seed):
+        # a matrix product may sum in another order than n matrix-vector
+        # products; each output entry is within n * eps * sum_j |W_ij x_j| of
+        # the exact value, whose residual is 0, so the two residuals differ by
+        # at most four such bounds
+        joint = diagonal_symmetric_joint(4)
+        s = designs.dense_design(joint)
+        theta = np.random.default_rng(seed).normal(size=s.base_color_count)
+        tied = layer.tied_layer_from_structure(s, theta, layer.leaky(0.5))
+        rep = layer.check_equivariance(tied, joint, trials=4, seed=seed)
+        expected = oracles.float_residual_per_trial(
+            lambda x: layer.forward(tied, x), self.images(joint), 4, 4, seed
+        )
+        bound = 4 * 4 * np.finfo(float).eps * 9 * np.abs(tied.weights()).sum(axis=1).max()
+        assert abs(rep.max_residual - expected) <= bound
+        assert rep.passed
+
+    def test_zero_trials(self, reverse_conv_structure, reverse_conv):
+        tied = layer.tied_layer_from_structure(perturbed_reverse_conv(reverse_conv_structure))
+        rep = layer.check_equivariance(tied, reverse_conv, trials=0)
+        assert rep.trials == 0 and rep.max_residual == 0.0
+        assert not rep.exact_pass and not rep.passed
+        swapped, second = reverse_stack_second(reverse_conv)
+        rep = layer.compose_layers(tied, second, reverse_conv, swapped, trials=0)
+        assert rep.trials == 0 and rep.max_residual == 0.0
+
+    def test_negative_trials_rejected(self, rc_layer, reverse_conv):
+        with pytest.raises(LayerError, match="trials must be >= 0"):
+            layer.check_equivariance(rc_layer, reverse_conv, trials=-3)
+        swapped, second = reverse_stack_second(reverse_conv)
+        with pytest.raises(LayerError, match="trials must be >= 0"):
+            layer.compose_layers(rc_layer, second, reverse_conv, swapped, trials=-1)
+
+
+class TestWeightCache:
+    def test_theta_is_a_read_only_copy(self, reverse_conv_structure):
+        theta = np.array([1.0, 2.0])
+        tied = layer.tied_layer_from_structure(reverse_conv_structure, theta)
+        with pytest.raises(ValueError):
+            tied.theta[0] = 5.0
+        theta[0] = 5.0
+        assert tied.theta.tolist() == [1.0, 2.0]
+        assert layer.forward(tied, np.array([1.0, 0.0, 0.0])).tolist() == [0, 1, 2, 0, 1, 2]
+
+    def test_edited_weights_do_not_reach_forward(self, reverse_conv_structure):
+        tied = layer.tied_layer_from_structure(reverse_conv_structure, np.array([1.0, 2.0]))
+        x = np.array([1.0, -2.0, 3.0])
+        before = layer.forward(tied, x)
+        w = tied.weights()
+        w[:] = 0
+        assert np.array_equal(layer.forward(tied, x), before)
+        assert tied.weights().any()
+
+    def test_theta_length_checked_at_construction(self, reverse_conv_structure):
+        cm = designs.merge_colors(reverse_conv_structure)
+        with pytest.raises(LayerError, match="theta length"):
+            layer.TiedLayer(cm, np.ones(3))
 
 
 class TestSubgroupMonotonicity:
