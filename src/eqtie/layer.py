@@ -88,13 +88,15 @@ class TiedLayer:
     """A layer y = sigma(W x) with W generated from theta by the color matrix.
 
     theta is kept as a read-only copy, so the float W, materialized once here,
-    cannot go stale.
+    cannot go stale. Non-finite theta (NaN, +-inf) is rejected.
     """
 
     def __init__(self, color_matrix: ColorMatrix, theta, nonlinearity: Nonlinearity = IDENTITY):
         self.color_matrix = color_matrix
         self.theta = np.array(theta)
         self.theta.flags.writeable = False
+        if not np.isfinite(self.theta).all():
+            raise LayerError("theta entries must be finite")
         self.nonlinearity = nonlinearity
         self._w = materialize(color_matrix, self.theta).astype(float)
 
@@ -159,19 +161,21 @@ def _verify(
 ) -> EquivarianceReport:
     """Exact commutation of ``w_exact`` and the float replay of ``apply`` on ``pairs``.
 
-    ``apply`` maps an n x k matrix of input columns to the m x k outputs.
+    ``apply`` maps an n x k matrix of input columns to the m x k outputs. A
+    non-finite residual (overflow in W x) is kept as the maximum and fails.
     """
     if trials < 0:
         raise LayerError("trials must be >= 0")
     exact_pass = all(matrix_commutes(w_exact, gn, gm) for gn, gm in pairs)
 
     rng = np.random.default_rng(seed)
-    max_residual = 0.0
+    residuals = [0.0]
     for gn, gm in pairs:
         x = rng.integers(-9, 10, size=(trials, w_exact.shape[1])).T.astype(float)
         lhs = permcore.act_on_vector(gm, apply(x))
         rhs = apply(permcore.act_on_vector(gn, x))
-        max_residual = max(max_residual, float(np.max(np.abs(lhs - rhs), initial=0.0)))
+        residuals.append(float(np.max(np.abs(lhs - rhs), initial=0.0)))
+    max_residual = float(np.max(residuals))  # np.max keeps NaN, Python max drops it
     return EquivarianceReport(
         tested_elements=len(pairs),
         trials=trials,

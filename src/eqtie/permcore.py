@@ -13,6 +13,18 @@ Conventions used across the package:
 Group elements are enumerated breadth-first from the generating set, layers
 sorted lexicographically by image array, so every construction downstream
 (orbit ids, colors, exports) is reproducible.
+
+Closure and action building run on integer image tables rather than one
+``Permutation`` per product. ``close_generators`` closes an (order x degree)
+array, one fancy index of the frontier by all generators per layer, and
+records the Cayley right-multiplication table ``right[i, s]`` = index of
+``elements[i]`` composed with generator s. ``build_action`` walks that table
+one breadth-first layer at a time and tests the homomorphism on all
+|G| x |S| Cayley edges in one batched comparison. The element order, the
+images and the error texts are unchanged from a closure with one ``compose``
+per product and a per-edge action walk (``tests/oracles.py`` keeps both as
+references); the ``Permutation`` values are built once, from the finished
+tables.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 DEFAULT_ORDER_CAP = 10_000
+_EDGE_BATCH = 1 << 18  # cells per batched homomorphism comparison
 
 
 class GroupError(ValueError):
@@ -163,6 +176,7 @@ class PermutationGroup:
         self.generator_ids = tuple(generator_ids)
         self.order = len(self.elements)
         self._index = {p.images: i for i, p in enumerate(self.elements)}
+        self._right: np.ndarray | None = None  # Cayley table, see _cayley_right
         if not self.elements or not self.elements[0].is_identity():
             raise GroupError("element 0 must be the identity")
         if len(self._index) != self.order:
@@ -180,6 +194,19 @@ class PermutationGroup:
 
     def inv(self, i: int) -> int:
         return self.index_of(inverse(self.elements[i]))
+
+    def _cayley_right(self) -> np.ndarray:
+        """right[i, t] = index of elements[i] composed with generators[t] (generator first).
+
+        ``close_generators`` records it while closing; a group built from an
+        explicit element list gets it here, once.
+        """
+        if self._right is None:
+            self._right = np.array(
+                [[self.mul(i, g) for g in self.generator_ids] for i in range(self.order)],
+                dtype=np.intp,
+            ).reshape(self.order, len(self.generator_ids))
+        return self._right
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
@@ -199,8 +226,22 @@ class PermutationGroup:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
 
 
+def _row_keys(table: np.ndarray) -> list[bytes]:
+    """One hashable key per row of an image table; keys sort as the rows do.
+
+    Big-endian bytes compare in value order, so ``sorted`` on keys is the
+    lexicographic order of the image arrays.
+    """
+    return [row.tobytes() for row in table.astype(">u4")]
+
+
 def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
     """Close a generator list under composition, breadth-first.
+
+    Works on an (order x degree) image table: a layer's candidates are the
+    frontier rows composed with every generator in one fancy index, the new
+    ones are kept by row key and sorted by image array, and the index of each
+    candidate becomes its entry in the group's Cayley table.
 
     Raises GroupError when the closure grows past ``cap`` elements.
     """
@@ -213,33 +254,37 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
         if g.degree != degree:
             raise GroupError(f"degree mismatch among generators: {g.degree} != {degree}")
 
-    ident = identity(degree)
-    elements = [ident]
-    seen = {ident.images}
-    frontier = [ident]
-    while frontier:
-        layer = []
-        for p in frontier:
-            for g in gens:
-                q = compose(p, g)
-                if q.images not in seen:
-                    seen.add(q.images)
-                    layer.append(q)
-        layer.sort(key=lambda t: t.images)
-        elements.extend(layer)
-        if len(elements) > cap:
+    # repeated generators add no products; the first occurrence fixes the order
+    unique = list(dict.fromkeys(g.images for g in gens))
+    gen_table = np.array(unique, dtype=np.intp).reshape(len(unique), degree)
+    frontier = np.arange(degree, dtype=np.intp).reshape(1, degree)
+    index = {_row_keys(frontier)[0]: 0}
+    layers = [frontier]
+    right: list[int] = []
+    while len(frontier):
+        # row k * |S| + s is frontier[k] composed with generator s: p(g(i)) = p[g[i]]
+        cand = frontier[:, gen_table].reshape(-1, degree)
+        keys = _row_keys(cand)
+        fresh: dict[bytes, int] = {}
+        for pos, key in enumerate(keys):
+            if key not in index:
+                fresh.setdefault(key, pos)
+        layer = sorted(fresh)
+        for key in layer:
+            index[key] = len(index)
+        right.extend(index[key] for key in keys)
+        if len(index) > cap:
             raise GroupError(
                 f"order cap exceeded: closure has more than {cap} elements; raise the cap"
             )
-        frontier = layer
+        frontier = cand[[fresh[key] for key in layer]]
+        layers.append(frontier)
 
-    index = {p.images: i for i, p in enumerate(elements)}
-    gen_ids = []
-    for g in gens:
-        gid = index[g.images]
-        if gid not in gen_ids:
-            gen_ids.append(gid)
-    return PermutationGroup(degree, elements, gen_ids)
+    table = np.concatenate(layers).tolist()
+    gen_ids = [index[key] for key in _row_keys(gen_table)]
+    group = PermutationGroup(degree, [Permutation(tuple(row)) for row in table], gen_ids)
+    group._right = np.array(right, dtype=np.intp).reshape(group.order, len(unique))
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +443,15 @@ class GroupAction:
 def build_action(
     group: PermutationGroup, gen_images: Sequence[Permutation], target_size: int
 ) -> GroupAction:
-    """Extend generator images to the whole group by pair closure.
+    """Extend generator images to the whole group along the Cayley table.
 
-    Walks the Cayley graph from the identity, assigning each element the
-    product of its word's generator images; every edge is checked, so any
-    element that would receive two distinct images raises "inconsistent
-    action" (the assignment is a homomorphism iff no conflict appears).
+    Walks the Cayley graph from the identity one breadth-first layer at a
+    time; each newly reached element gets its parent's image composed with
+    the generator's image. The assignment is a homomorphism iff every edge
+    agrees, img(elements[i] . g_s) == img(elements[i]) . img(g_s), which is
+    tested on all |G| x |S| edges at once; the first failing edge in
+    (BFS position, generator) order names the element that would receive two
+    distinct images ("inconsistent action").
     """
     gen_ids = group.generator_ids
     if len(gen_images) != len(gen_ids):
@@ -412,27 +460,42 @@ def build_action(
         if m.degree != target_size:
             raise GroupError(f"generator image degree {m.degree} != target size {target_size}")
 
-    images: list[Permutation | None] = [None] * group.order
-    images[0] = identity(target_size)
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        i = queue[head]
-        head += 1
-        for gid, gimg in zip(gen_ids, gen_images):
-            k = group.mul(i, gid)
-            cand = compose(images[i], gimg)  # type: ignore[arg-type]
-            if images[k] is None:
-                images[k] = cand
-                queue.append(k)
-            elif images[k] != cand:
-                raise GroupError(
-                    "inconsistent action: element "
-                    f"{format_cycles(group.elements[k])} receives two distinct images"
-                )
-    if any(img is None for img in images):
+    right = group._cayley_right()
+    n_gens = len(gen_ids)
+    gen_table = np.array([m.images for m in gen_images], dtype=np.intp).reshape(
+        n_gens, target_size
+    )
+    img = np.empty((group.order, target_size), dtype=np.intp)
+    img[0] = np.arange(target_size)
+    reached = np.zeros(group.order, dtype=bool)
+    reached[0] = True
+    layer = np.zeros(1, dtype=np.intp)
+    layers = [layer]
+    while len(layer):
+        heads = right[layer].ravel()  # edge k * |S| + s leaves layer[k] by generator s
+        first = np.unique(heads, return_index=True)[1]
+        first = np.sort(first[~reached[heads[first]]])
+        parents = layer[first // n_gens]
+        layer = heads[first]
+        img[layer] = img[parents[:, None], gen_table[first % n_gens]]
+        reached[layer] = True
+        layers.append(layer)
+    queue = np.concatenate(layers)
+
+    # batches of rows keep the (rows, |S|, target_size) comparison small
+    step = max(1, _EDGE_BATCH // max(1, n_gens * target_size))
+    for start in range(0, len(queue), step):
+        rows = queue[start : start + step]
+        bad = (img[right[rows]] != img[rows][:, gen_table]).any(axis=2)
+        if bad.any():
+            k, s = divmod(int(np.flatnonzero(bad)[0]), n_gens)
+            raise GroupError(
+                "inconsistent action: element "
+                f"{format_cycles(group.elements[right[rows[k], s]])} receives two distinct images"
+            )
+    if not reached.all():
         raise GroupError("generators do not generate the reference group")
-    return GroupAction(group, target_size, images)  # type: ignore[arg-type]
+    return GroupAction(group, target_size, [Permutation(tuple(row)) for row in img.tolist()])
 
 
 def natural_action(group: PermutationGroup) -> GroupAction:

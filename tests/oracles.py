@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from eqtie.permcore import GroupError, compose, format_cycles, identity
+
 
 def structure_alpha(s):
     """Cell -> color-set table computed straight from the relation lists."""
@@ -122,3 +124,64 @@ def distinct_pairs(n_images, m_images):
         if (gn, gm) not in pairs:
             pairs.append((gn, gm))
     return pairs
+
+
+def closure_per_element(gens):
+    """(elements, generator ids) of a breadth-first closure, one ``compose`` per product.
+
+    The reference for ``permcore.close_generators``: element 0 is the identity,
+    each new layer is sorted by image tuple, and generator ids keep the first
+    occurrence of each generator.
+    """
+    ident = identity(gens[0].degree)
+    elements = [ident]
+    seen = {ident.images}
+    frontier = [ident]
+    while frontier:
+        layer = []
+        for p in frontier:
+            for g in gens:
+                q = compose(p, g)
+                if q.images not in seen:
+                    seen.add(q.images)
+                    layer.append(q)
+        layer.sort(key=lambda t: t.images)
+        elements.extend(layer)
+        frontier = layer
+    index = {p.images: i for i, p in enumerate(elements)}
+    gen_ids = []
+    for g in gens:
+        if index[g.images] not in gen_ids:
+            gen_ids.append(index[g.images])
+    return elements, gen_ids
+
+
+def action_per_edge(elements, generator_ids, gen_images, target_size):
+    """Element images by a per-edge walk of the Cayley graph; GroupError on a conflict.
+
+    The reference for ``permcore.build_action``: a FIFO queue from the
+    identity, each edge (element, generator) either assigns the product image
+    or compares against the one already assigned.
+    """
+    index = {p.images: i for i, p in enumerate(elements)}
+    images = [None] * len(elements)
+    images[0] = identity(target_size)
+    queue = [0]
+    head = 0
+    while head < len(queue):
+        i = queue[head]
+        head += 1
+        for gid, gimg in zip(generator_ids, gen_images):
+            k = index[compose(elements[i], elements[gid]).images]
+            cand = compose(images[i], gimg)
+            if images[k] is None:
+                images[k] = cand
+                queue.append(k)
+            elif images[k] != cand:
+                raise GroupError(
+                    "inconsistent action: element "
+                    f"{format_cycles(elements[k])} receives two distinct images"
+                )
+    if any(img is None for img in images):
+        raise GroupError("generators do not generate the reference group")
+    return images

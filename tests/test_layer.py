@@ -262,6 +262,32 @@ class TestWeightCache:
             layer.TiedLayer(cm, np.ones(3))
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, reverse_conv_structure, bad):
+        with pytest.raises(LayerError, match="theta entries must be finite"):
+            layer.tied_layer_from_structure(reverse_conv_structure, np.array([1.0, bad]))
+        cm = designs.merge_colors(reverse_conv_structure)
+        with pytest.raises(LayerError, match="theta entries must be finite"):
+            layer.TiedLayer(cm, np.array([bad, 2.0]))
+
+    def test_overflow_residual_fails_the_float_route(self):
+        # finite theta whose products overflow: W x holds inf and inf - inf is NaN
+        joint = diagonal_symmetric_joint(3)
+        s = designs.dense_design(joint)
+        tied = layer.tied_layer_from_structure(s, np.array([1e308, 1e308]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = layer.check_equivariance(tied, joint)
+            stacked = layer.compose_layers(tied, tied, joint, joint)
+        assert rep.exact_pass and stacked.exact_pass
+        assert np.isnan(rep.max_residual) and np.isnan(stacked.max_residual)
+        assert not rep.passed and not stacked.passed
+
+    def test_finite_residuals_unchanged(self, rc_layer, reverse_conv):
+        rep = layer.check_equivariance(rc_layer, reverse_conv)
+        assert rep.max_residual == 0.0 and rep.passed
+
+
 class TestSubgroupMonotonicity:
     def test_reverse_conv_even_subgroup(self, rc_layer, reverse_conv):
         # H: reference Z3, right-shift-2 on N paired with left-shift-2 on M

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -239,6 +239,139 @@ class TestBuildAction:
             assert action.images[g.mul(i, j)] == pc.compose(
                 action.images[int(i)], action.images[int(j)]
             )
+
+
+def generator_lists(max_degree=7, max_gens=3):
+    """Random generator lists on 1..max_degree points (duplicates and identities allowed)."""
+    return st.integers(1, max_degree).flatmap(
+        lambda n: st.lists(
+            st.permutations(list(range(n))).map(lambda xs: Permutation(tuple(xs))),
+            min_size=1,
+            max_size=max_gens,
+        )
+    )
+
+
+def reference_images(group, gen_images, target_size):
+    """``oracles.action_per_edge`` on a group: its images, or its GroupError text."""
+    try:
+        return oracles.action_per_edge(
+            group.elements, group.generator_ids, gen_images, target_size
+        )
+    except GroupError as exc:
+        return str(exc)
+
+
+def table_images(group, gen_images, target_size):
+    try:
+        return list(pc.build_action(group, gen_images, target_size).images)
+    except GroupError as exc:
+        return str(exc)
+
+
+class TestTableClosureAndAction:
+    """The table-based closure and action builder against the per-element references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_lists())
+    def test_closure_matches_per_element_reference(self, gens):
+        group = pc.close_generators(gens)
+        elements, gen_ids = oracles.closure_per_element(gens)
+        assert group.elements == tuple(elements)
+        assert group.generator_ids == tuple(gen_ids)
+
+    @settings(max_examples=150, deadline=None)
+    @given(generator_lists(max_degree=6), st.integers(1, 5), st.booleans(), st.data())
+    def test_action_matches_per_edge_reference(self, gens, target_size, relabel, data):
+        group = pc.close_generators(gens)
+        if relabel:
+            # conjugating the natural action by a relabelling is always consistent
+            sigma = Permutation(tuple(data.draw(st.permutations(list(range(group.degree))))))
+            sigma_inv = pc.inverse(sigma)
+            gen_images = [pc.compose(sigma, pc.compose(g, sigma_inv)) for g in group.generators]
+            target_size = group.degree
+        else:
+            gen_images = [
+                Permutation(tuple(data.draw(st.permutations(list(range(target_size))))))
+                for _ in group.generator_ids
+            ]
+        expected = reference_images(group, gen_images, target_size)
+        assert table_images(group, gen_images, target_size) == expected
+        if relabel:
+            assert not isinstance(expected, str)
+
+    def test_closure_order_with_images_past_255(self):
+        # one layer holds (0 1) and (0 256): their images differ first at 1 vs 256
+        gens = [pc.parse_cycles("(0 256)", 257), pc.parse_cycles("(0 1)", 257)]
+        group = pc.close_generators(gens)
+        elements, gen_ids = oracles.closure_per_element(gens)
+        assert group.order == 6
+        assert group.elements == tuple(elements)
+        assert group.generator_ids == tuple(gen_ids) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "gens, degree, images, target_size, element",
+        [
+            # S4 from (0 1) and (0 1 2 3)
+            (None, 4, ["(0 1)", "(0 1 2)"], 3, "(0 3 2)"),
+            # the conflict surfaces in a layer whose discovery order is not its index order
+            (["(0 1 4 2)", "(0 4 1 3 2)"], 5, ["(1 2)", "(0 2 1)"], 3, "(0 1)(2 3)"),
+        ],
+        ids=["s4", "discovery-order"],
+    )
+    def test_names_the_first_failing_edge(self, gens, degree, images, target_size, element):
+        gens = (
+            pc.symmetric_generators(degree)
+            if gens is None
+            else [pc.parse_cycles(g, degree) for g in gens]
+        )
+        group = pc.close_generators(gens)
+        gen_images = [pc.parse_cycles(m, target_size) for m in images]
+        message = f"inconsistent action: element {element} receives two distinct images"
+        assert reference_images(group, gen_images, target_size) == message
+        with pytest.raises(GroupError) as exc:
+            pc.build_action(group, gen_images, target_size)
+        assert str(exc.value) == message
+
+    def test_trivial_group(self):
+        trivial = pc.close_generators([pc.identity(3), pc.identity(3)])
+        assert trivial.order == 1
+        assert trivial.generator_ids == (0,)
+        assert trivial._cayley_right().tolist() == [[0]]
+        act = pc.build_action(trivial, [pc.identity(2)], 2)
+        assert act.images == (pc.identity(2),)
+        swap = [P(1, 0)]
+        message = "inconsistent action: element () receives two distinct images"
+        assert reference_images(trivial, swap, 2) == table_images(trivial, swap, 2) == message
+
+    def test_target_size_one(self, z6):
+        act = pc.build_action(z6, [pc.identity(1)], 1)
+        assert act.images == tuple(oracles.action_per_edge(z6.elements, z6.generator_ids,
+                                                           [pc.identity(1)], 1))
+        assert all(img == pc.identity(1) for img in act.images)
+
+    def test_non_generating_ids_raise(self):
+        # an explicit element list whose generator ids reach only a subgroup
+        z4 = pc.close_generators(pc.cyclic_generators(4))
+        sub = pc.PermutationGroup(4, z4.elements, [2])
+        message = "generators do not generate the reference group"
+        assert reference_images(sub, [P(1, 0)], 2) == table_images(sub, [P(1, 0)], 2) == message
+
+    @pytest.mark.parametrize(
+        "gens",
+        [pc.cyclic_generators(6), pc.symmetric_generators(4), pc.wreath_generators(3, 2)],
+        ids=["z6", "s4", "s3wrs2"],
+    )
+    def test_right_table_matches_compose(self, gens):
+        group = pc.close_generators(gens)
+        right = group._cayley_right()
+        assert right.shape == (group.order, len(group.generator_ids))
+        for i, p in enumerate(group.elements):
+            for s, g in enumerate(group.generators):
+                assert right[i, s] == group.index_of(pc.compose(p, g))
+        # an explicit element list derives the same table on first use
+        rebuilt = pc.PermutationGroup(group.degree, group.elements, group.generator_ids)
+        assert np.array_equal(rebuilt._cayley_right(), right)
 
 
 class TestFaithfulImage:
