@@ -352,10 +352,10 @@ def enumerate_automorphisms(
     joint_order = None
     if reference is not None:
         joint_order = reference.joint_order
+        # automorphisms form a group: the generator pairs decide it for all pairs
+        gens = list(reference.group.generator_ids)
         preserved = _preserves_structure(
-            s,
-            [gn.images for gn, _ in reference.joint_elements],
-            [gm.images for _, gm in reference.joint_elements],
+            s, reference.n_action._table[gens], reference.m_action._table[gens]
         ).all()
         if not preserved:
             verdict = "incomparable"

@@ -30,7 +30,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--tolerance", type=float, default=layer.DEFAULT_TOLERANCE,
                    help="max |residual| for the float check")
     p.add_argument("--cap", type=int, default=permcore.DEFAULT_ORDER_CAP,
-                   help="group-order and automorphism element cap")
+                   help="certify's automorphism element cap (the spec's order_cap caps |G|)")
     p.add_argument("--node-budget", type=int, default=autsearch.DEFAULT_NODE_BUDGET,
                    help="max n_size + m_size admitted to the automorphism search")
     p.add_argument("--out", help="write the JSON artifact here instead of stdout")

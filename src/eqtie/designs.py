@@ -8,7 +8,8 @@ groups cells by their full color set and sums the tied parameters.
 Color ids are 1-based and dense. Dense-design colors are numbered by
 first occurrence scanning the M x N grid row-major (m outer, n inner); sparse
 colors follow (n-orbit, m-orbit, generator) order. Both are deterministic
-because the group element order itself is.
+because the group element order itself is. Each edge set is one gather of
+the actions' image tables; no ``Permutation`` object is built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import permcore
-from .permcore import GroupAction, JointAction, Permutation
+from .permcore import GroupAction, JointAction
 
 
 class DesignError(ValueError):
@@ -91,27 +92,28 @@ class ChannelSpec:
             raise DesignError("channel counts must be positive")
 
 
+def _cell_orbit(joint: JointAction, n: int, m: int) -> frozenset[tuple[int, int]]:
+    """The orbit {(g.n, g.m) : g in G} of the cell (n, m)."""
+    n_table, m_table = joint.n_action._table, joint.m_action._table
+    return frozenset(zip(n_table[:, n].tolist(), m_table[:, m].tolist()))
+
+
 def dense_design(joint: JointAction) -> SharingStructure:
     """One color per orbit of the joint action on the edge set N x M.
 
     The orbits partition the complete bipartite edge set, so the structure
     covers every cell exactly once.
     """
-    n_size, m_size = joint.n_size, joint.m_size
-    assigned: dict[tuple[int, int], int] = {}
+    covered: set[tuple[int, int]] = set()
     relations = []
-    for m in range(m_size):
-        for n in range(n_size):
-            if (n, m) in assigned:
-                continue
-            color = len(relations) + 1
-            orbit = frozenset((gn(n), gm(m)) for gn, gm in joint.joint_elements)
-            for cell in orbit:
-                assigned[cell] = color
-            relations.append(
-                Relation(color, orbit, {"kind": "dense", "representative": (n, m)})
-            )
-    return SharingStructure(n_size, m_size, tuple(relations))
+    for m in range(joint.m_size):
+        for n in range(joint.n_size):
+            if (n, m) not in covered:
+                orbit = _cell_orbit(joint, n, m)
+                covered |= orbit
+                provenance = {"kind": "dense", "representative": (n, m)}
+                relations.append(Relation(len(relations) + 1, orbit, provenance))
+    return SharingStructure(joint.n_size, joint.m_size, tuple(relations))
 
 
 def sparse_design(joint: JointAction, genset: Sequence[int]) -> SharingStructure:
@@ -137,15 +139,11 @@ def sparse_design(joint: JointAction, genset: Sequence[int]) -> SharingStructure
     for p, n_rep in enumerate(n_orbits.representatives):
         for q, m_rep in enumerate(m_orbits.representatives):
             for a in ids:
-                start = joint.n_action.images[a](n_rep)
-                edges = frozenset(
-                    (gn(start), gm(m_rep))
-                    for gn, gm in zip(joint.n_action.images, joint.m_action.images)
-                )
+                start = int(joint.n_action._table[a, n_rep])
                 relations.append(
                     Relation(
                         len(relations) + 1,
-                        edges,
+                        _cell_orbit(joint, start, m_rep),
                         {"kind": "sparse", "n_orbit": p, "m_orbit": q, "generator": a},
                     )
                 )
@@ -219,14 +217,9 @@ def replicate_action(action: GroupAction, copies: int) -> GroupAction:
     if copies == 1:
         return action
     size = action.target_size
-    images = []
-    for p in action.images:
-        imgs = [0] * (size * copies)
-        for c in range(copies):
-            for i in range(size):
-                imgs[c * size + i] = c * size + p(i)
-        images.append(Permutation(tuple(imgs)))
-    return GroupAction(action.group, size * copies, images)
+    # copy c of point i is c * size + i, and g moves it to c * size + g(i)
+    table = np.hstack([action._table + c * size for c in range(copies)])
+    return GroupAction(action.group, size * copies, table)
 
 
 def with_identity_relation(s: SharingStructure) -> SharingStructure:

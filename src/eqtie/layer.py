@@ -2,14 +2,14 @@
 
 Verification runs two routes, in one helper shared by ``check_equivariance``
 and ``compose_layers``. The float route evaluates the layer on random
-integer-valued inputs and compares output-side and input-side permutation to a
-tolerance; each joint element's trials are drawn as one block from the seeded
-stream (the same values as drawing them one input at a time) and evaluated as
-the columns of one n x trials matrix. The exact route is the authority: it
-materializes the weight matrix with the first C primes as parameters (pairwise
-distinct, exact in int64) and checks the commutation P_gM @ W == W @ P_gN
-elementwise for every joint element. Permuting rows/columns replaces the
-matrix products, so the check is pure integer arithmetic.
+integer-valued inputs and compares output-side and input-side permutation, by
+rows of the two image tables, to a tolerance; each joint element's trials are
+drawn as one block from the seeded stream (the same values as drawing them one
+input at a time) and evaluated as the columns of one n x trials matrix. The
+exact route is the authority: it materializes W with the first C primes as
+parameters (pairwise distinct, exact in int64) and checks P_gM @ W == W @ P_gN
+by integer indexing for each generator g, which decides it for every element
+because the matrices commuting with W are closed under products.
 """
 
 from __future__ import annotations
@@ -149,35 +149,37 @@ class EquivarianceReport:
 
 
 def matrix_commutes(w: np.ndarray, gn: Permutation, gm: Permutation) -> bool:
-    """Exact check of P_gm @ W == W @ P_gn via row/column permutation."""
-    inv_m = permcore.inverse(gm)
-    lhs = w[list(inv_m.images), :]  # row i of P_gm @ W is row gm^-1(i) of W
-    rhs = w[:, list(gn.images)]  # column j of W @ P_gn is column gn(j) of W
-    return bool(np.array_equal(lhs, rhs))
+    """Exact check of P_gm @ W == W @ P_gn, i.e. W[gm(i), gn(j)] == W[i, j] for every cell."""
+    return bool(np.array_equal(w[np.ix_(gm.images, gn.images)], w))
 
 
 def _verify(
-    w_exact: np.ndarray, apply, pairs, trials: int, tolerance: float, seed: int
+    w_exact: np.ndarray, apply, joint: JointAction, trials: int, tolerance: float, seed: int
 ) -> EquivarianceReport:
-    """Exact commutation of ``w_exact`` and the float replay of ``apply`` on ``pairs``.
+    """Exact commutation of ``w_exact`` on the generators, float replay of ``apply``.
 
     ``apply`` maps an n x k matrix of input columns to the m x k outputs. A
     non-finite residual (overflow in W x) is kept as the maximum and fails.
     """
     if trials < 0:
         raise LayerError("trials must be >= 0")
-    exact_pass = all(matrix_commutes(w_exact, gn, gm) for gn, gm in pairs)
+    n_table, m_table = joint.n_action._table, joint.m_action._table
+    gens = list(joint.group.generator_ids)
+    exact_pass = all(
+        matrix_commutes(w_exact, permcore.perm(gn), permcore.perm(gm))
+        for gn, gm in zip(n_table[gens].tolist(), m_table[gens].tolist())
+    )
 
     rng = np.random.default_rng(seed)
     residuals = [0.0]
-    for gn, gm in pairs:
+    for g in joint._element_ids.tolist():
         x = rng.integers(-9, 10, size=(trials, w_exact.shape[1])).T.astype(float)
-        lhs = permcore.act_on_vector(gm, apply(x))
-        rhs = apply(permcore.act_on_vector(gn, x))
-        residuals.append(float(np.max(np.abs(lhs - rhs), initial=0.0)))
+        gx = np.empty_like(x)
+        gx[n_table[g]] = x  # (g . x)[g(i)] = x[i]; f(x)[i] is compared with f(g . x)[g(i)]
+        residuals.append(float(np.max(np.abs(apply(x) - apply(gx)[m_table[g]]), initial=0.0)))
     max_residual = float(np.max(residuals))  # np.max keeps NaN, Python max drops it
     return EquivarianceReport(
-        tested_elements=len(pairs),
+        tested_elements=joint.joint_order,
         trials=trials,
         max_residual=max_residual,
         exact_pass=exact_pass,
@@ -204,7 +206,7 @@ def check_equivariance(
             f"{joint.m_size} x {joint.n_size}"
         )
     w_exact = materialize(layer.color_matrix, first_primes(layer.color_matrix.base_color_count))
-    return _verify(w_exact, layer._apply, joint.joint_elements, trials, tolerance, seed)
+    return _verify(w_exact, layer._apply, joint, trials, tolerance, seed)
 
 
 def check_subgroup_monotonicity(
@@ -237,16 +239,16 @@ def compose_layers(
         )
     if joint_nm.group != joint_mo.group:
         raise LayerError("middle-action mismatch: joints use different reference groups")
-    if joint_nm.m_action.images != joint_mo.n_action.images:
+    if not np.array_equal(joint_nm.m_action._table, joint_mo.n_action._table):
         raise LayerError("middle-action mismatch: shared action on M differs between joints")
     if joint_nm.n_size != first.n_size or joint_mo.m_size != second.m_size:
         raise LayerError("layer sizes do not match the joint actions")
 
     w1 = materialize(first.color_matrix, first_primes(first.color_matrix.base_color_count))
     w2 = materialize(second.color_matrix, first_primes(second.color_matrix.base_color_count))
-    pairs = permcore.joint_action(joint_nm.n_action, joint_mo.m_action).joint_elements
+    joint = permcore.joint_action(joint_nm.n_action, joint_mo.m_action)
     return _verify(
-        w2 @ w1, lambda x: second._apply(first._apply(x)), pairs, trials, tolerance, seed
+        w2 @ w1, lambda x: second._apply(first._apply(x)), joint, trials, tolerance, seed
     )
 
 

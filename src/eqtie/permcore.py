@@ -14,28 +14,29 @@ Group elements are enumerated breadth-first from the generating set, layers
 sorted lexicographically by image array, so every construction downstream
 (orbit ids, colors, exports) is reproducible.
 
-Closure and action building run on integer image tables rather than one
+Closure and actions run on integer image tables rather than one
 ``Permutation`` per product. ``close_generators`` closes an (order x degree)
 array, one fancy index of the frontier by all generators per layer, and
 records the Cayley right-multiplication table ``right[i, s]`` = index of
-``elements[i]`` composed with generator s. ``build_action`` walks that table
-one breadth-first layer at a time and tests the homomorphism on all
-|G| x |S| Cayley edges in one batched comparison. The element order, the
-images and the error texts are unchanged from a closure with one ``compose``
-per product and a per-edge action walk (``tests/oracles.py`` keeps both as
-references); the ``Permutation`` values are built once, from the finished
-tables.
+``elements[i]`` composed with generator s. A ``GroupAction`` is one read-only
+(|G| x target_size) image table, checked when built to be a homomorphism on
+all |G| x |S| Cayley edges (one table-sized comparison per generator), so
+exact questions about it need only the generators' rows; its ``images``,
+like a joint action's ``joint_elements``, are ``Permutation`` views built
+on first use. The element order, images and error texts are those of a
+closure with one ``compose`` per product and a per-edge action walk
+(``tests/oracles.py`` keeps both as references).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 DEFAULT_ORDER_CAP = 10_000
-_EDGE_BATCH = 1 << 18  # cells per batched homomorphism comparison
 
 
 class GroupError(ValueError):
@@ -176,7 +177,6 @@ class PermutationGroup:
         self.generator_ids = tuple(generator_ids)
         self.order = len(self.elements)
         self._index = {p.images: i for i, p in enumerate(self.elements)}
-        self._right: np.ndarray | None = None  # Cayley table, see _cayley_right
         if not self.elements or not self.elements[0].is_identity():
             raise GroupError("element 0 must be the identity")
         if len(self._index) != self.order:
@@ -195,18 +195,38 @@ class PermutationGroup:
     def inv(self, i: int) -> int:
         return self.index_of(inverse(self.elements[i]))
 
+    @cached_property
     def _cayley_right(self) -> np.ndarray:
         """right[i, t] = index of elements[i] composed with generators[t] (generator first).
 
         ``close_generators`` records it while closing; a group built from an
         explicit element list gets it here, once.
         """
-        if self._right is None:
-            self._right = np.array(
-                [[self.mul(i, g) for g in self.generator_ids] for i in range(self.order)],
-                dtype=np.intp,
-            ).reshape(self.order, len(self.generator_ids))
-        return self._right
+        right = [[self.mul(i, g) for g in self.generator_ids] for i in range(self.order)]
+        return np.array(right, dtype=np.intp).reshape(self.order, len(self.generator_ids))
+
+    @cached_property
+    def _cayley_tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Breadth-first spanning tree of the Cayley graph from the identity.
+
+        Per layer, (elements, parents, generator columns); an element follows
+        the first edge reaching it in (parent position, generator) order.
+        """
+        right = self._cayley_right
+        reached = np.zeros(self.order, dtype=bool)
+        reached[0] = True
+        layer = np.zeros(1, dtype=np.intp)
+        tree = []
+        while True:
+            heads = right[layer].ravel()  # edge k * |S| + s leaves layer[k] by generator s
+            first = np.unique(heads, return_index=True)[1]
+            first = np.sort(first[~reached[heads[first]]])
+            if not len(first):
+                return tree
+            positions, columns = np.divmod(first, right.shape[1])
+            parents, layer = layer[positions], heads[first]
+            reached[layer] = True
+            tree.append((layer, parents, columns))
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
@@ -283,7 +303,7 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
     table = np.concatenate(layers).tolist()
     gen_ids = [index[key] for key in _row_keys(gen_table)]
     group = PermutationGroup(degree, [Permutation(tuple(row)) for row in table], gen_ids)
-    group._right = np.array(right, dtype=np.intp).reshape(group.order, len(unique))
+    group._cayley_right = np.array(right, dtype=np.intp).reshape(group.order, len(unique))
     return group
 
 
@@ -421,20 +441,44 @@ class ActionProfile:
 class GroupAction:
     """One permutation of the target set per group element, homomorphically.
 
-    images is indexed identically to group.elements; images[0] is the identity.
+    ``images`` holds the image of each of ``group.elements`` in turn, as
+    ``Permutation`` objects or int rows, kept as one read-only table that must
+    satisfy img(x . g_s) == img(x) . img(g_s) on every Cayley edge (the first
+    failing edge in breadth-first order names x . g_s); ``images`` is its
+    ``Permutation`` view, built on first use.
     """
 
-    def __init__(self, group: PermutationGroup, target_size: int, images: Sequence[Permutation]):
+    def __init__(self, group: PermutationGroup, target_size: int, images):
         self.group = group
         self.target_size = target_size
-        self.images = tuple(images)
-        if len(self.images) != group.order:
+        if len(images) != group.order:
             raise GroupError("need one image per group element")
-        for p in self.images:
-            if p.degree != target_size:
-                raise GroupError(f"image degree {p.degree} != target size {target_size}")
-        if not self.images[0].is_identity():
+        rows = images if isinstance(images, np.ndarray) else [p.images for p in images]
+        wrong = [len(row) for row in rows if len(row) != target_size]
+        if wrong:
+            raise GroupError(f"image degree {wrong[0]} != target size {target_size}")
+        table = np.array(rows, dtype=np.intp).reshape(group.order, target_size)
+        if (table[0] != np.arange(target_size)).any():
             raise GroupError("identity must act as the identity permutation")
+        right = group._cayley_right
+        queue = np.concatenate([[0]] + [layer for layer, _, _ in group._cayley_tree])
+        # bad[x, s]: the edge from element x by generator s fails (one table-sized test each)
+        bad = np.zeros((group.order, len(group.generator_ids)), dtype=bool)
+        for s, g in enumerate(table[list(group.generator_ids)]):
+            bad[:, s] = (table[right[:, s]] != table[:, g]).any(axis=1)
+        bad = bad[queue]
+        if bad.any():
+            k, s = divmod(int(np.flatnonzero(bad)[0]), bad.shape[1])
+            x = format_cycles(group.elements[right[queue[k], s]])
+            raise GroupError(f"inconsistent action: element {x} receives two distinct images")
+        if len(queue) != group.order:
+            raise GroupError("generators do not generate the reference group")
+        table.flags.writeable = False
+        self._table = table
+
+    @cached_property
+    def images(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(tuple(row)) for row in self._table.tolist())
 
     def __repr__(self):
         return f"GroupAction(|G|={self.group.order}, target_size={self.target_size})"
@@ -445,13 +489,10 @@ def build_action(
 ) -> GroupAction:
     """Extend generator images to the whole group along the Cayley table.
 
-    Walks the Cayley graph from the identity one breadth-first layer at a
-    time; each newly reached element gets its parent's image composed with
-    the generator's image. The assignment is a homomorphism iff every edge
-    agrees, img(elements[i] . g_s) == img(elements[i]) . img(g_s), which is
-    tested on all |G| x |S| edges at once; the first failing edge in
-    (BFS position, generator) order names the element that would receive two
-    distinct images ("inconsistent action").
+    Each element of the breadth-first spanning tree gets its parent's image
+    composed with the generator's image, and ``GroupAction`` checks every
+    edge. The tree does not reach an identity generator; its image is
+    compared here, on the edge the check would report first.
     """
     gen_ids = group.generator_ids
     if len(gen_images) != len(gen_ids):
@@ -460,42 +501,14 @@ def build_action(
         if m.degree != target_size:
             raise GroupError(f"generator image degree {m.degree} != target size {target_size}")
 
-    right = group._cayley_right()
-    n_gens = len(gen_ids)
-    gen_table = np.array([m.images for m in gen_images], dtype=np.intp).reshape(
-        n_gens, target_size
-    )
-    img = np.empty((group.order, target_size), dtype=np.intp)
+    gen_table = np.array([m.images for m in gen_images], np.intp).reshape(len(gen_ids), target_size)
+    img = np.zeros((group.order, target_size), dtype=np.intp)
     img[0] = np.arange(target_size)
-    reached = np.zeros(group.order, dtype=bool)
-    reached[0] = True
-    layer = np.zeros(1, dtype=np.intp)
-    layers = [layer]
-    while len(layer):
-        heads = right[layer].ravel()  # edge k * |S| + s leaves layer[k] by generator s
-        first = np.unique(heads, return_index=True)[1]
-        first = np.sort(first[~reached[heads[first]]])
-        parents = layer[first // n_gens]
-        layer = heads[first]
-        img[layer] = img[parents[:, None], gen_table[first % n_gens]]
-        reached[layer] = True
-        layers.append(layer)
-    queue = np.concatenate(layers)
-
-    # batches of rows keep the (rows, |S|, target_size) comparison small
-    step = max(1, _EDGE_BATCH // max(1, n_gens * target_size))
-    for start in range(0, len(queue), step):
-        rows = queue[start : start + step]
-        bad = (img[right[rows]] != img[rows][:, gen_table]).any(axis=2)
-        if bad.any():
-            k, s = divmod(int(np.flatnonzero(bad)[0]), n_gens)
-            raise GroupError(
-                "inconsistent action: element "
-                f"{format_cycles(group.elements[right[rows[k], s]])} receives two distinct images"
-            )
-    if not reached.all():
-        raise GroupError("generators do not generate the reference group")
-    return GroupAction(group, target_size, [Permutation(tuple(row)) for row in img.tolist()])
+    for layer, parents, columns in group._cayley_tree:
+        img[layer] = img[parents[:, None], gen_table[columns]]
+    if (img[list(gen_ids)] != gen_table).any():
+        raise GroupError("inconsistent action: element () receives two distinct images")
+    return GroupAction(group, target_size, img)
 
 
 def natural_action(group: PermutationGroup) -> GroupAction:
@@ -505,36 +518,32 @@ def natural_action(group: PermutationGroup) -> GroupAction:
 
 def regular_action(group: PermutationGroup) -> GroupAction:
     """The group acting on its own element indices by left multiplication."""
-    images = []
-    for i in range(group.order):
-        images.append(Permutation(tuple(group.mul(i, j) for j in range(group.order))))
-    return GroupAction(group, group.order, images)
+    table = [[group.mul(i, j) for j in range(group.order)] for i in range(group.order)]
+    return GroupAction(group, group.order, np.array(table, dtype=np.intp))
 
 
 def trivial_action(group: PermutationGroup, target_size: int) -> GroupAction:
-    return GroupAction(group, target_size, [identity(target_size)] * group.order)
+    return GroupAction(group, target_size, np.tile(np.arange(target_size), (group.order, 1)))
+
+
+def _first_rows(table: np.ndarray) -> np.ndarray:
+    """Ascending indices of each distinct row's first occurrence in an image table.
+
+    Rows agreeing on a base (points only the kernel fixes all of) agree everywhere.
+    """
+    moved = table != table[0]  # row 0 is the identity's
+    base, stabilizer = [], np.ones(len(table), dtype=bool)
+    while (where := moved[stabilizer].any(axis=0)).any():
+        base.append(int(np.argmax(where)))
+        stabilizer &= ~moved[:, base[-1]]
+    return np.sort(np.unique(table[:, base], axis=0, return_index=True)[1])
 
 
 def orbits(action: GroupAction) -> OrbitPartition:
     """Partition the target set into orbits; representative = smallest index."""
-    gen_images = [action.images[i] for i in action.group.generator_ids]
-    orbit_of = [-1] * action.target_size
-    reps = []
-    for start in range(action.target_size):
-        if orbit_of[start] >= 0:
-            continue
-        oid = len(reps)
-        reps.append(start)
-        stack = [start]
-        orbit_of[start] = oid
-        while stack:
-            x = stack.pop()
-            for g in gen_images:
-                y = g(x)
-                if orbit_of[y] < 0:
-                    orbit_of[y] = oid
-                    stack.append(y)
-    return OrbitPartition(tuple(orbit_of), tuple(reps))
+    low = action._table.min(axis=0)  # low[x]: the smallest g.x over all of G
+    reps = np.unique(low)
+    return OrbitPartition(tuple(np.searchsorted(reps, low).tolist()), tuple(reps.tolist()))
 
 
 def classify_action(action: GroupAction) -> ActionProfile:
@@ -545,15 +554,14 @@ def classify_action(action: GroupAction) -> ActionProfile:
     e fixes every point, so a non-faithful action is never semi-regular.
     Regular means transitive and semi-regular.
     """
-    distinct = {p.images for p in action.images}
-    kernel_size = sum(1 for p in action.images if p.is_identity())
-    image_order = len(distinct)
+    table = action._table
+    fixed = table == np.arange(action.target_size)  # fixed[g, x]: g.x = x
+    kernel_size = int(fixed.all(axis=1).sum())
+    image_order = action.group.order // kernel_size  # the image is G / kernel
     transitive = orbits(action).orbit_count == 1
-    # only images[0] (the identity element) may fix a point: the kernel must be
+    # only row 0 (the identity element) may fix a point: the kernel must be
     # trivial and every other image fixed-point free
-    semi_regular = kernel_size == 1 and all(
-        all(v != i for i, v in enumerate(p.images)) for p in action.images[1:]
-    )
+    semi_regular = kernel_size == 1 and not fixed[1:].any()
     return ActionProfile(
         faithful=kernel_size == 1,
         transitive=transitive,
@@ -566,14 +574,8 @@ def classify_action(action: GroupAction) -> ActionProfile:
 
 def faithful_image(action: GroupAction) -> tuple[PermutationGroup, ActionProfile]:
     """The deduplicated image group (the quotient by the kernel) plus the profile."""
-    gen_imgs = [action.images[i] for i in action.group.generator_ids]
-    seen = set()
-    unique = []
-    for g in gen_imgs:
-        if g.images not in seen:
-            seen.add(g.images)
-            unique.append(g)
-    image_group = close_generators(unique, cap=max(DEFAULT_ORDER_CAP, action.group.order))
+    gen_imgs = [perm(row) for row in action._table[list(action.group.generator_ids)].tolist()]
+    image_group = close_generators(gen_imgs, cap=max(DEFAULT_ORDER_CAP, action.group.order))
     profile = classify_action(action)
     if image_group.order * profile.kernel_size != action.group.order:
         raise GroupError("image order times kernel size must equal the group order")
@@ -589,15 +591,15 @@ class JointAction:
         self.group = n_action.group
         self.n_action = n_action
         self.m_action = m_action
-        seen = set()
-        pairs = []
-        for gn, gm in zip(n_action.images, m_action.images):
-            key = (gn.images, gm.images)
-            if key not in seen:
-                seen.add(key)
-                pairs.append((gn, gm))
-        self.joint_elements = tuple(pairs)
-        self.joint_order = len(pairs)
+        # element ids of the distinct (g^N, g^M) pairs, each at its first occurrence
+        self._element_ids = _first_rows(np.hstack([n_action._table, m_action._table]))
+        self.joint_order = len(self._element_ids)
+
+    @cached_property
+    def joint_elements(self) -> tuple[tuple[Permutation, Permutation], ...]:
+        ids = self._element_ids
+        pairs = zip(self.n_action._table[ids].tolist(), self.m_action._table[ids].tolist())
+        return tuple((perm(gn), perm(gm)) for gn, gm in pairs)
 
     @property
     def n_size(self) -> int:

@@ -157,7 +157,7 @@ def parse_spec(text: str) -> ProblemSpec:
     try:
         group = permcore.close_generators(generators, cap=order_cap)
     except permcore.GroupError as exc:
-        raise SpecError("$.group", str(exc)) from None
+        raise SpecError("$.group", str(exc).replace("the cap", "the spec's order_cap")) from None
 
     n_action = _parse_action(doc["n_action"], "$.n_action", group, generators)
     m_action = _parse_action(doc["m_action"], "$.m_action", group, generators)
@@ -173,19 +173,21 @@ def parse_spec(text: str) -> ProblemSpec:
         raw = doc["genset"]
         if not isinstance(raw, list) or not raw:
             raise SpecError("$.genset", "expected a non-empty list of generator words")
+        right = group._cayley_right  # a letter is a column; repeats share one
+        column = [group.generator_ids.index(group.index_of(g)) for g in generators]
         ids = set()
         for i, word in enumerate(raw):
             if not isinstance(word, list):
                 raise SpecError(f"$.genset[{i}]", "expected a list of generator indices")
-            element = permcore.identity(group.degree)
+            element = 0
             for j, g in enumerate(word):
                 if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < len(generators):
                     raise SpecError(
                         f"$.genset[{i}][{j}]",
                         f"expected a generator index in 0..{len(generators) - 1}",
                     )
-                element = permcore.compose(element, generators[g])
-            ids.add(group.index_of(element))
+                element = int(right[element, column[g]])
+            ids.add(element)
         try:
             symmetric = permcore.symmetrize_genset(group, ids)
         except permcore.GroupError as exc:

@@ -185,3 +185,74 @@ def action_per_edge(elements, generator_ids, gen_images, target_size):
     if any(img is None for img in images):
         raise GroupError("generators do not generate the reference group")
     return images
+
+
+def classify_per_image(images):
+    """(kernel size, image order, semi-regular) of an action from its image tuples.
+
+    The reference for ``permcore.classify_action``: one identity test and one
+    fixed-point test per image; images[0] belongs to the identity element.
+    """
+    ident = tuple(range(len(images[0])))
+    kernel_size = sum(1 for p in images if p == ident)
+    semi_regular = kernel_size == 1 and all(
+        all(v != i for i, v in enumerate(p)) for p in images[1:]
+    )
+    return kernel_size, len(set(images)), semi_regular
+
+
+def dense_design_per_element(pairs, n_size, m_size):
+    """(edges, provenance) per dense color, one orbit scan over ``pairs`` per color.
+
+    The reference for ``designs.dense_design``: ``pairs`` are the distinct
+    (g^N, g^M) image tuples, cells are visited row-major (m outer, n inner)
+    and each cell not yet colored starts a new color.
+    """
+    assigned = set()
+    colors = []
+    for m in range(m_size):
+        for n in range(n_size):
+            if (n, m) in assigned:
+                continue
+            orbit = frozenset((gn[n], gm[m]) for gn, gm in pairs)
+            assigned |= orbit
+            colors.append((orbit, {"kind": "dense", "representative": (n, m)}))
+    return colors
+
+
+def sparse_design_per_element(n_images, m_images, genset):
+    """(edges, provenance) per sparse color, one scan over all elements per color.
+
+    The reference for ``designs.sparse_design``: ``n_images`` and
+    ``m_images`` are image tuples indexed by element id, orbits are numbered
+    by their smallest point, and relation (p, q, a) holds
+    {(g(a(n_p)), g(m_q))} over every element g.
+    """
+
+    def representatives(images):
+        reps, seen = [], set()
+        for x in range(len(images[0])):
+            if x not in seen:
+                reps.append(x)
+                seen |= {p[x] for p in images}
+        return reps
+
+    colors = []
+    for p, n_rep in enumerate(representatives(n_images)):
+        for q, m_rep in enumerate(representatives(m_images)):
+            for a in sorted(set(genset)):
+                start = n_images[a][n_rep]
+                edges = frozenset((gn[start], gm[m_rep]) for gn, gm in zip(n_images, m_images))
+                colors.append(
+                    (edges, {"kind": "sparse", "n_orbit": p, "m_orbit": q, "generator": a})
+                )
+    return colors
+
+
+def exact_pass_all_pairs(w, pairs):
+    """P_gM @ W == W @ P_gN for every (g^N, g^M) image-tuple pair.
+
+    The reference for the exact route of ``layer.check_equivariance``, which
+    asks it of the group's generators alone.
+    """
+    return all(commutes_exactly(w, gn, gm) for gn, gm in pairs)

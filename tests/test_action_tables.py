@@ -1,0 +1,165 @@
+"""Table-based actions against the per-element references in ``oracles``.
+
+Random actions are restrictions of a direct product's natural action to a
+list of its orbits (repeats allowed), relabelled and optionally replicated
+per channel: restricting to one factor's points gives a non-faithful action,
+several orbits a multi-orbit one.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from eqtie import designs, layer, permcore as pc
+from eqtie.designs import Relation, SharingStructure
+from eqtie.permcore import GroupError, Permutation
+
+FACTORS = [
+    lambda: pc.cyclic_generators(1),
+    lambda: pc.cyclic_generators(2),
+    lambda: pc.cyclic_generators(3),
+    lambda: pc.cyclic_generators(4),
+    lambda: pc.dihedral_generators(4),
+    lambda: pc.symmetric_generators(3),
+]
+
+
+def restricted_action(draw, group):
+    """The natural action restricted to drawn orbits, relabelled, maybe replicated."""
+    natural = pc.orbits(pc.natural_action(group))
+    chosen = draw(st.lists(st.integers(0, natural.orbit_count - 1), min_size=1, max_size=3))
+    blocks = [natural.members(o) for o in chosen]
+    size = sum(len(b) for b in blocks)
+    sigma = draw(st.permutations(list(range(size))))
+    gen_images = []
+    for g in group.generators:
+        images, offset = [], 0
+        for members in blocks:
+            images += [offset + members.index(g(x)) for x in members]
+            offset += len(members)
+        relabelled = [0] * size
+        for i, v in enumerate(images):
+            relabelled[sigma[i]] = sigma[v]
+        gen_images.append(Permutation(tuple(relabelled)))
+    action = pc.build_action(group, gen_images, size)
+    return designs.replicate_action(action, draw(st.integers(1, 3)))
+
+
+@st.composite
+def random_joints(draw):
+    factors = draw(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=2))
+    group = pc.close_generators(pc.direct_product_generators(*[f() for f in factors]))
+    return pc.joint_action(restricted_action(draw, group), restricted_action(draw, group))
+
+
+def image_tuples(action):
+    return [p.images for p in action.images]
+
+
+def distinct_pairs(joint):
+    return oracles.distinct_pairs(image_tuples(joint.n_action), image_tuples(joint.m_action))
+
+
+def colors(structure):
+    assert [r.color_id for r in structure.relations] == list(
+        range(1, structure.base_color_count + 1)
+    )
+    return [(r.edges, dict(r.provenance)) for r in structure.relations]
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_joints())
+def test_joint_elements_match_tuple_dedup(joint):
+    pairs = distinct_pairs(joint)
+    assert [(gn.images, gm.images) for gn, gm in joint.joint_elements] == pairs
+    assert joint.joint_order == len(pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_joints())
+def test_classify_matches_per_image(joint):
+    for action in (joint.n_action, joint.m_action):
+        profile = pc.classify_action(action)
+        kernel_size, image_order, semi_regular = oracles.classify_per_image(image_tuples(action))
+        assert (profile.kernel_size, profile.image_order, profile.semi_regular) == (
+            kernel_size, image_order, semi_regular
+        )
+        assert profile.faithful == (kernel_size == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_joints())
+def test_dense_design_matches_per_element(joint):
+    expected = oracles.dense_design_per_element(distinct_pairs(joint), joint.n_size, joint.m_size)
+    assert colors(designs.dense_design(joint)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_joints())
+def test_sparse_design_matches_per_element(joint):
+    genset = pc.symmetrize_genset(joint.group, joint.group.generator_ids)
+    expected = oracles.sparse_design_per_element(
+        image_tuples(joint.n_action), image_tuples(joint.m_action), genset
+    )
+    assert colors(designs.sparse_design(joint, genset)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_joints(), st.booleans(), st.data())
+def test_exact_route_matches_all_pairs(joint, perturbed, data):
+    s = designs.dense_design(joint)
+    if perturbed:
+        # one more color on one cell: equivariant only when that cell's orbit is itself
+        cell = (
+            data.draw(st.integers(0, joint.n_size - 1)),
+            data.draw(st.integers(0, joint.m_size - 1)),
+        )
+        extra = Relation(s.base_color_count + 1, frozenset({cell}), {"kind": "extra"})
+        s = SharingStructure(s.n_size, s.m_size, s.relations + (extra,))
+    tied = layer.tied_layer_from_structure(s)
+    w = layer.materialize(tied.color_matrix, layer.first_primes(s.base_color_count))
+    report = layer.check_equivariance(tied, joint, trials=1)
+    assert report.exact_pass == oracles.exact_pass_all_pairs(w, distinct_pairs(joint))
+    assert report.tested_elements == joint.joint_order
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_joints(), st.integers(2, 3))
+def test_replicated_images_match_per_element(joint, copies):
+    action = joint.n_action
+    size = action.target_size
+    expected = [
+        tuple(c * size + p[i] for c in range(copies) for i in range(size))
+        for p in image_tuples(action)
+    ]
+    assert image_tuples(designs.replicate_action(action, copies)) == expected
+
+
+class TestHandBuiltActions:
+    def test_non_homomorphic_images_raise(self, z6):
+        # Z6 on itself with the images of elements 1 and 2 swapped
+        images = list(z6.elements)
+        images[1], images[2] = images[2], images[1]
+        with pytest.raises(GroupError, match="inconsistent action"):
+            pc.GroupAction(z6, 6, images)
+
+    def test_non_homomorphic_table_raises(self, z6):
+        table = np.array([p.images for p in z6.elements])
+        table[3] = table[0]
+        with pytest.raises(GroupError, match="inconsistent action"):
+            pc.GroupAction(z6, 6, table)
+
+    def test_hand_built_natural_images(self, z6):
+        action = pc.GroupAction(z6, 6, z6.elements)
+        assert action.images == z6.elements
+        assert pc.classify_action(action).regular
+
+    def test_table_is_read_only(self, z6):
+        table = np.array([p.images for p in z6.elements])
+        action = pc.GroupAction(z6, 6, table)
+        table[1] = table[0]  # the action keeps its own copy
+        assert action.images == z6.elements
+        with pytest.raises(ValueError):
+            action._table[1, 0] = 0

@@ -219,6 +219,25 @@ class TestErrors:
             "error: group convolution needs the output action to be regular over G\n"
         )
 
+    def test_order_cap_is_the_specs(self, tmp_path, capsys):
+        # --cap bounds certify's automorphism list, not the group closure
+        doc = {
+            "group": {"kind": "symmetric", "n": 8},
+            "n_action": {"size": 8, "generator_images": ["(0 1)", "(0 1 2 3 4 5 6 7)"]},
+            "m_action": {"size": 8, "generator_images": ["(0 1)", "(0 1 2 3 4 5 6 7)"]},
+            "design": "dense",
+        }
+        rc = cli.main(["group", "info", "--spec", write_spec(tmp_path, doc), "--cap", "50000"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: $.group: order cap exceeded: closure has more than 10000 elements; "
+            "raise the spec's order_cap\n"
+        )
+        doc["order_cap"] = 50000
+        rc = cli.main(["group", "info", "--spec", write_spec(tmp_path, doc)])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("group: order 40320, degree 8\n")
+
     def test_usage_error_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["design"])  # --spec is required

@@ -1,4 +1,5 @@
-"""Byte identity of `group info` and `design --dot` on the benchmark corpus.
+"""Byte identity of `group info`, `design --dot`, `check equivariance` and
+`certify unique` on the benchmark corpus.
 
 Each case hashes (sha256) the exit code, stdout, stderr and, for `design`, the
 DOT file of one CLI call on one `bench/corpus` spec, and compares the hash with
@@ -26,7 +27,7 @@ from eqtie import cli
 TESTS = Path(__file__).resolve().parent
 CORPUS = TESTS.parent / "bench" / "corpus"
 GOLDEN = TESTS / "golden_cli.json"
-COMMANDS = ("group_info", "design_dot")
+COMMANDS = ("group_info", "design_dot", "check", "certify")
 
 
 def cli_digest(spec: Path, command: str, work: Path) -> str:
@@ -36,6 +37,8 @@ def cli_digest(spec: Path, command: str, work: Path) -> str:
     argv = {
         "group_info": ["group", "info", "--spec", str(spec)],
         "design_dot": ["design", "--spec", str(spec), "--dot", str(dot)],
+        "check": ["check", "equivariance", "--spec", str(spec), "--seed", "0"],
+        "certify": ["certify", "unique", "--spec", str(spec)],
     }[command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

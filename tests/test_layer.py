@@ -126,6 +126,21 @@ class TestCheckEquivariance:
             )
             assert gen_ok and full_ok
 
+    def test_exact_route_asks_the_generators(self, monkeypatch):
+        joint = diagonal_symmetric_joint(5)
+        tied = layer.tied_layer_from_structure(designs.dense_design(joint))
+        calls = []
+        commutes = layer.matrix_commutes
+        monkeypatch.setattr(
+            layer, "matrix_commutes", lambda w, gn, gm: calls.append(gn) or commutes(w, gn, gm)
+        )
+        report = layer.check_equivariance(tied, joint, trials=1)
+        assert report.exact_pass and report.tested_elements == 120
+        assert calls == list(joint.group.generators)
+        calls.clear()
+        report = layer.compose_layers(tied, tied, joint, joint, trials=1)
+        assert report.exact_pass and len(calls) == len(joint.group.generator_ids) == 2
+
     def test_report_records_seed(self, rc_layer, reverse_conv):
         rep = layer.check_equivariance(rc_layer, reverse_conv, trials=2, seed=17)
         assert rep.seed == 17 and rep.trials == 2

@@ -337,7 +337,7 @@ class TestTableClosureAndAction:
         trivial = pc.close_generators([pc.identity(3), pc.identity(3)])
         assert trivial.order == 1
         assert trivial.generator_ids == (0,)
-        assert trivial._cayley_right().tolist() == [[0]]
+        assert trivial._cayley_right.tolist() == [[0]]
         act = pc.build_action(trivial, [pc.identity(2)], 2)
         assert act.images == (pc.identity(2),)
         swap = [P(1, 0)]
@@ -364,14 +364,14 @@ class TestTableClosureAndAction:
     )
     def test_right_table_matches_compose(self, gens):
         group = pc.close_generators(gens)
-        right = group._cayley_right()
+        right = group._cayley_right
         assert right.shape == (group.order, len(group.generator_ids))
         for i, p in enumerate(group.elements):
             for s, g in enumerate(group.generators):
                 assert right[i, s] == group.index_of(pc.compose(p, g))
         # an explicit element list derives the same table on first use
         rebuilt = pc.PermutationGroup(group.degree, group.elements, group.generator_ids)
-        assert np.array_equal(rebuilt._cayley_right(), right)
+        assert np.array_equal(rebuilt._cayley_right, right)
 
 
 class TestFaithfulImage:
