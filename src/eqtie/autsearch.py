@@ -21,7 +21,8 @@ and no leaf counting.
 
 The elements are listed, as products of orbit transversals times K, only when
 the order is at most ``element_cap``; above it the result carries the kernel
-generators followed by the strong generators. ``search_cap`` bounds the
+generators followed by the strong generators. A listing stays two int tables
+(pi_N and pi_M rows) until ``elements`` is read. ``search_cap`` bounds the
 search-tree nodes, i.e. the accepted N assignments.
 """
 
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -74,16 +76,25 @@ class SearchStats:
 @dataclass(frozen=True)
 class AutomorphismResult:
     order: int
-    elements: Optional[tuple[tuple[Permutation, Permutation], ...]]
     generators: Optional[tuple[tuple[Permutation, Permutation], ...]]
     verdict: Optional[str] = None  # equal | proper_supergroup | incomparable
     joint_order: Optional[int] = None
     stats: Optional[SearchStats] = None
+    _listed: Optional[tuple[np.ndarray, ...]] = field(default=None, repr=False, compare=False)
+
+    def _pairs(self):
+        if self._listed is None:
+            raise AutSearchError("elements were not materialized (order above cap)")
+        return zip(*(map(tuple, rows.tolist()) for rows in self._listed))
+
+    @cached_property
+    def elements(self) -> Optional[tuple[tuple[Permutation, Permutation], ...]]:
+        if self._listed is None:
+            return None
+        return tuple((Permutation(pn), Permutation(pm)) for pn, pm in self._pairs())
 
     def pair_set(self) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-        if self.elements is None:
-            raise AutSearchError("elements were not materialized (order above cap)")
-        return {(pn.images, pm.images) for pn, pm in self.elements}
+        return set(self._pairs())
 
 
 def _label_grid(s: SharingStructure) -> list[list[int]]:
@@ -319,10 +330,7 @@ def enumerate_automorphisms(
         pns, pms = listed[:, :n_size], listed[:, n_size:] - n_size
         if not _preserves_structure(s, pns, pms).all():
             raise AutSearchError("internal error: emitted pair fails the setwise check")
-        result_elements: Optional[tuple] = tuple(
-            (Permutation(tuple(pn)), Permutation(tuple(pm)))
-            for pn, pm in zip(pns.tolist(), pms.tolist())
-        )
+        listed_pairs: Optional[tuple[np.ndarray, ...]] = (pns, pms)
         result_generators = None
     else:
         gens: list[tuple[Permutation, Permutation]] = []
@@ -345,7 +353,7 @@ def enumerate_automorphisms(
             s, [pn.images for pn, _ in gens], [pm.images for _, pm in gens]
         ).all():
             raise AutSearchError("internal error: emitted generator fails the setwise check")
-        result_elements = None
+        listed_pairs = None
         result_generators = tuple(gens)
 
     verdict = None
@@ -366,11 +374,11 @@ def enumerate_automorphisms(
 
     return AutomorphismResult(
         order=total,
-        elements=result_elements,
         generators=result_generators,
         verdict=verdict,
         joint_order=joint_order,
         stats=SearchStats(nodes, leaves, orbit_pruned, base_orbits, kernel_order),
+        _listed=listed_pairs,
     )
 
 
@@ -407,10 +415,9 @@ def certify_unique(
         return Certification("unique", result.order, joint.joint_order, None)
 
     ref_pairs = joint.pair_set()
-    witness = None
-    candidates = result.elements if result.elements is not None else result.generators
-    for pn, pm in candidates or ():
-        if (pn.images, pm.images) not in ref_pairs:
-            witness = (pn, pm)
-            break
+    rows = result._pairs() if result.generators is None else (
+        (pn.images, pm.images) for pn, pm in result.generators
+    )
+    outside = ((pn, pm) for pn, pm in rows if (pn, pm) not in ref_pairs)
+    witness = next(((Permutation(pn), Permutation(pm)) for pn, pm in outside), None)
     return Certification("supergroup", result.order, joint.joint_order, witness)

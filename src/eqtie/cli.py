@@ -82,23 +82,15 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _disp(index: int, one_based: bool) -> int:
-    return index + 1 if one_based else index
-
-
-def _action_summary(name, action, one_based):
+def _action_summary(name, action):
     profile = permcore.classify_action(action)
     orbit_part = permcore.orbits(action)
-    members = [
-        [_disp(i, one_based) for i in orbit_part.members(o)]
-        for o in range(orbit_part.orbit_count)
-    ]
     return {
         "name": name,
         "size": action.target_size,
         "orbit_count": orbit_part.orbit_count,
-        "orbits": members,
-        "representatives": [_disp(r, one_based) for r in orbit_part.representatives],
+        "orbits": [orbit_part.members(o) for o in range(orbit_part.orbit_count)],
+        "representatives": list(orbit_part.representatives),
         "faithful": profile.faithful,
         "transitive": profile.transitive,
         "semi_regular": profile.semi_regular,
@@ -111,28 +103,30 @@ def _action_summary(name, action, one_based):
 def _run_group_info(args) -> int:
     spec = _load_spec(args)
     joint = spec.joint
+    summaries = [
+        _action_summary("n_action", spec.n_action),
+        _action_summary("m_action", spec.m_action),
+    ]
     doc = {
         "schema": REPORT_SCHEMA,
         "kind": "group_info",
         "group_order": spec.group.order,
         "group_degree": spec.group.degree,
         "joint_order": joint.joint_order,
-        "actions": [
-            _action_summary("n_action", spec.n_action, False),
-            _action_summary("m_action", spec.m_action, False),
-        ],
+        "actions": summaries,
     }
     lines = [
         f"group: order {spec.group.order}, degree {spec.group.degree}",
         f"joint pairing: order {joint.joint_order}",
     ]
-    for name, action in (("n_action", spec.n_action), ("m_action", spec.m_action)):
-        s = _action_summary(name, action, args.one_based)
+    off = 1 if args.one_based else 0
+    for s in summaries:
+        orbits = [[i + off for i in members] for members in s["orbits"]]
         flags = ", ".join(
             k for k in ("faithful", "transitive", "semi_regular", "regular") if s[k]
         ) or "none of faithful/transitive/semi-regular"
         lines.append(
-            f"{name}: size {s['size']}, {s['orbit_count']} orbit(s) {s['orbits']}, "
+            f"{s['name']}: size {s['size']}, {s['orbit_count']} orbit(s) {orbits}, "
             f"kernel {s['kernel_size']}, image order {s['image_order']} [{flags}]"
         )
     if args.one_based:

@@ -14,18 +14,18 @@ Group elements are enumerated breadth-first from the generating set, layers
 sorted lexicographically by image array, so every construction downstream
 (orbit ids, colors, exports) is reproducible.
 
-Closure and actions run on integer image tables rather than one
-``Permutation`` per product. ``close_generators`` closes an (order x degree)
-array, one fancy index of the frontier by all generators per layer, and
+Groups and actions are read-only integer image tables, each row checked once
+to be a permutation. ``close_generators`` builds a group's (order x degree)
+table, one fancy index of the frontier by all generators per layer, and
 records the Cayley right-multiplication table ``right[i, s]`` = index of
-``elements[i]`` composed with generator s. A ``GroupAction`` is one read-only
-(|G| x target_size) image table, checked when built to be a homomorphism on
-all |G| x |S| Cayley edges (one table-sized comparison per generator), so
-exact questions about it need only the generators' rows; its ``images``,
-like a joint action's ``joint_elements``, are ``Permutation`` views built
-on first use. The element order, images and error texts are those of a
-closure with one ``compose`` per product and a per-edge action walk
-(``tests/oracles.py`` keeps both as references).
+``elements[i]`` composed with generator s. A ``GroupAction``'s (|G| x
+target_size) table is checked when built to be a homomorphism on all
+|G| x |S| Cayley edges (one table-sized comparison per generator), so exact
+questions about it need only the generators' rows. A group's ``elements``, an
+action's ``images`` and a joint action's ``joint_elements`` are
+``Permutation`` views built on first use. The element order, images and error
+texts are those of a closure with one ``compose`` per product and a per-edge
+action walk (``tests/oracles.py`` keeps both as references).
 """
 
 from __future__ import annotations
@@ -163,24 +163,54 @@ def parse_cycles(text: str, degree: int, one_based: bool = False) -> Permutation
 # groups
 
 
+def _image_table(rows, size: int, what: str) -> np.ndarray:
+    """Check rows as permutations of 0..size-1; return them as one read-only int table.
+
+    ``rows`` holds ``Permutation`` objects or int sequences, or is an int
+    array. A row of another length, a non-integer entry, an entry out of
+    range or a repeated entry raises GroupError naming ``what`` the rows are.
+    """
+    if not isinstance(rows, np.ndarray):
+        rows = [getattr(row, "images", row) for row in rows]
+    wrong = [len(row) for row in rows if len(row) != size]
+    if wrong:
+        raise GroupError(f"{what} degree {wrong[0]} != {size}")
+    table = np.array(rows).reshape(len(rows), size)
+    if table.size and not np.issubdtype(table.dtype, np.integer):
+        raise GroupError(f"{what} table must hold integers, not {table.dtype}")
+    table = table.astype(np.intp, copy=False)
+    bad = np.flatnonzero((np.sort(table, axis=1) != np.arange(size)).any(axis=1))
+    if len(bad):
+        raise GroupError(
+            f"{what} {bad[0]} is not a permutation of 0..{size - 1}: {table[bad[0]].tolist()}"
+        )
+    table.flags.writeable = False
+    return table
+
+
 class PermutationGroup:
-    """An explicit element list closed under composition.
+    """A finite permutation group, kept as one read-only (order x degree) image table.
 
     elements[0] is the identity; the rest follow breadth-first layers over the
     generators, each layer sorted by image array, so the element order is a
-    deterministic function of the generator list.
+    deterministic function of the generator list. Elements are given as
+    ``Permutation`` objects or int rows; ``elements`` is a view built on first use.
     """
 
-    def __init__(self, degree: int, elements: Sequence[Permutation], generator_ids: Sequence[int]):
+    def __init__(self, degree: int, elements, generator_ids: Sequence[int]):
         self.degree = degree
-        self.elements = tuple(elements)
+        self._table = _image_table(elements, degree, "element")
         self.generator_ids = tuple(generator_ids)
-        self.order = len(self.elements)
-        self._index = {p.images: i for i, p in enumerate(self.elements)}
-        if not self.elements or not self.elements[0].is_identity():
+        self.order = len(self._table)
+        self._index = {row: i for i, row in enumerate(map(tuple, self._table.tolist()))}
+        if not self.order or (self._table[0] != np.arange(degree)).any():
             raise GroupError("element 0 must be the identity")
         if len(self._index) != self.order:
             raise GroupError("duplicate elements")
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation(tuple(row)) for row in self._table.tolist())
 
     def index_of(self, p: Permutation) -> int:
         try:
@@ -193,7 +223,7 @@ class PermutationGroup:
         return self.index_of(compose(self.elements[i], self.elements[j]))
 
     def inv(self, i: int) -> int:
-        return self.index_of(inverse(self.elements[i]))
+        return self._index[tuple(np.argsort(self._table[i]).tolist())]
 
     @cached_property
     def _cayley_right(self) -> np.ndarray:
@@ -230,17 +260,17 @@ class PermutationGroup:
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
-        return tuple(self.elements[i] for i in self.generator_ids)
+        return tuple(perm(row) for row in self._table[list(self.generator_ids)].tolist())
 
     def __eq__(self, other):
         return (
             isinstance(other, PermutationGroup)
             and self.degree == other.degree
-            and self.elements == other.elements
+            and np.array_equal(self._table, other._table)
         )
 
     def __hash__(self):
-        return hash((self.degree, self.elements))
+        return hash((self.degree, self._table.tobytes()))
 
     def __repr__(self):
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
@@ -300,9 +330,8 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
         frontier = cand[[fresh[key] for key in layer]]
         layers.append(frontier)
 
-    table = np.concatenate(layers).tolist()
     gen_ids = [index[key] for key in _row_keys(gen_table)]
-    group = PermutationGroup(degree, [Permutation(tuple(row)) for row in table], gen_ids)
+    group = PermutationGroup(degree, np.concatenate(layers), gen_ids)
     group._cayley_right = np.array(right, dtype=np.intp).reshape(group.order, len(unique))
     return group
 
@@ -453,11 +482,7 @@ class GroupAction:
         self.target_size = target_size
         if len(images) != group.order:
             raise GroupError("need one image per group element")
-        rows = images if isinstance(images, np.ndarray) else [p.images for p in images]
-        wrong = [len(row) for row in rows if len(row) != target_size]
-        if wrong:
-            raise GroupError(f"image degree {wrong[0]} != target size {target_size}")
-        table = np.array(rows, dtype=np.intp).reshape(group.order, target_size)
+        table = _image_table(images, target_size, "image")
         if (table[0] != np.arange(target_size)).any():
             raise GroupError("identity must act as the identity permutation")
         right = group._cayley_right
@@ -469,11 +494,10 @@ class GroupAction:
         bad = bad[queue]
         if bad.any():
             k, s = divmod(int(np.flatnonzero(bad)[0]), bad.shape[1])
-            x = format_cycles(group.elements[right[queue[k], s]])
+            x = format_cycles(perm(group._table[right[queue[k], s]].tolist()))
             raise GroupError(f"inconsistent action: element {x} receives two distinct images")
         if len(queue) != group.order:
             raise GroupError("generators do not generate the reference group")
-        table.flags.writeable = False
         self._table = table
 
     @cached_property
@@ -497,13 +521,9 @@ def build_action(
     gen_ids = group.generator_ids
     if len(gen_images) != len(gen_ids):
         raise GroupError(f"need {len(gen_ids)} generator images, got {len(gen_images)}")
-    for m in gen_images:
-        if m.degree != target_size:
-            raise GroupError(f"generator image degree {m.degree} != target size {target_size}")
-
-    gen_table = np.array([m.images for m in gen_images], np.intp).reshape(len(gen_ids), target_size)
-    img = np.zeros((group.order, target_size), dtype=np.intp)
-    img[0] = np.arange(target_size)
+    gen_table = _image_table(gen_images, target_size, "generator image")
+    # rows the tree never reaches (non-generating ids) stay identities for the table check
+    img = np.tile(np.arange(target_size, dtype=np.intp), (group.order, 1))
     for layer, parents, columns in group._cayley_tree:
         img[layer] = img[parents[:, None], gen_table[columns]]
     if (img[list(gen_ids)] != gen_table).any():
@@ -513,7 +533,7 @@ def build_action(
 
 def natural_action(group: PermutationGroup) -> GroupAction:
     """Each element acting by itself on {0..degree-1}."""
-    return GroupAction(group, group.degree, group.elements)
+    return GroupAction(group, group.degree, group._table)
 
 
 def regular_action(group: PermutationGroup) -> GroupAction:
@@ -536,6 +556,8 @@ def _first_rows(table: np.ndarray) -> np.ndarray:
     while (where := moved[stabilizer].any(axis=0)).any():
         base.append(int(np.argmax(where)))
         stabilizer &= ~moved[:, base[-1]]
+    if stabilizer.sum() == 1:  # a trivial kernel: every row is distinct
+        return np.arange(len(table))
     return np.sort(np.unique(table[:, base], axis=0, return_index=True)[1])
 
 
@@ -595,11 +617,13 @@ class JointAction:
         self._element_ids = _first_rows(np.hstack([n_action._table, m_action._table]))
         self.joint_order = len(self._element_ids)
 
+    def _pairs(self):
+        ids = self._element_ids
+        return zip(*(map(tuple, a._table[ids].tolist()) for a in (self.n_action, self.m_action)))
+
     @cached_property
     def joint_elements(self) -> tuple[tuple[Permutation, Permutation], ...]:
-        ids = self._element_ids
-        pairs = zip(self.n_action._table[ids].tolist(), self.m_action._table[ids].tolist())
-        return tuple((perm(gn), perm(gm)) for gn, gm in pairs)
+        return tuple((Permutation(gn), Permutation(gm)) for gn, gm in self._pairs())
 
     @property
     def n_size(self) -> int:
@@ -610,7 +634,7 @@ class JointAction:
         return self.m_action.target_size
 
     def pair_set(self) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return {(gn.images, gm.images) for gn, gm in self.joint_elements}
+        return set(self._pairs())
 
     def __repr__(self):
         return (
@@ -630,7 +654,7 @@ def symmetrize_genset(group: PermutationGroup, element_ids: Iterable[int]) -> tu
         if not 0 <= i < group.order:
             raise GroupError(f"element id {i} out of range for a group of order {group.order}")
     ids |= {group.inv(i) for i in set(ids)}
-    sub = close_generators([group.elements[i] for i in sorted(ids)], cap=group.order)
+    sub = close_generators([perm(r) for r in group._table[sorted(ids)].tolist()], cap=group.order)
     if sub.order != group.order:
         raise GroupError(
             f"A does not generate G: closure of A union A^-1 has order {sub.order} "

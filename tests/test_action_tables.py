@@ -1,4 +1,4 @@
-"""Table-based actions against the per-element references in ``oracles``.
+"""Table-based groups and actions against the per-element references in ``oracles``.
 
 Random actions are restrictions of a direct product's natural action to a
 list of its orbits (repeats allowed), relabelled and optionally replicated
@@ -6,15 +6,22 @@ per channel: restricting to one factor's points gives a non-faithful action,
 several orbits a multi-orbit one.
 """
 
+import contextlib
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from eqtie import designs, layer, permcore as pc
+from conftest import diagonal_symmetric_joint
+from eqtie import autsearch, cli, designs, layer, permcore as pc
 from eqtie.designs import Relation, SharingStructure
 from eqtie.permcore import GroupError, Permutation
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 FACTORS = [
     lambda: pc.cyclic_generators(1),
@@ -62,6 +69,13 @@ def distinct_pairs(joint):
     return oracles.distinct_pairs(image_tuples(joint.n_action), image_tuples(joint.m_action))
 
 
+def z6_on_three_points():
+    """Z6 acting through its Z3 quotient on both sides: a joint with a kernel of order 2."""
+    z6 = pc.close_generators(pc.cyclic_generators(6))
+    action = pc.build_action(z6, [pc.parse_cycles("(0 1 2)", 3)], 3)
+    return pc.joint_action(action, action)
+
+
 def colors(structure):
     assert [r.color_id for r in structure.relations] == list(
         range(1, structure.base_color_count + 1)
@@ -71,9 +85,11 @@ def colors(structure):
 
 @settings(max_examples=60, deadline=None)
 @given(random_joints())
+@example(z6_on_three_points())  # a non-faithful joint takes the row de-dup branch
 def test_joint_elements_match_tuple_dedup(joint):
     pairs = distinct_pairs(joint)
     assert [(gn.images, gm.images) for gn, gm in joint.joint_elements] == pairs
+    assert joint.pair_set() == set(pairs)
     assert joint.joint_order == len(pairs)
 
 
@@ -163,3 +179,80 @@ class TestHandBuiltActions:
         assert action.images == z6.elements
         with pytest.raises(ValueError):
             action._table[1, 0] = 0
+
+
+class TestImageTableCheck:
+    BAD_ROWS = {
+        "float": ([[0, 1, 2], [1.7, 0, 2]], "must hold integers"),
+        "out-of-range": ([[0, 1, 2], [0, 1, 3]], "not a permutation of 0..2"),
+        "repeated": ([[0, 1, 2], [0, 0, 2]], "not a permutation of 0..2"),
+    }
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["rows", "array"])
+    @pytest.mark.parametrize("rows, message", BAD_ROWS.values(), ids=list(BAD_ROWS))
+    def test_bad_rows_raise_in_both_constructors(self, rows, message, as_array):
+        z2 = pc.close_generators(pc.cyclic_generators(2))
+        table = np.array(rows) if as_array else rows
+        with pytest.raises(GroupError, match=message):
+            pc.GroupAction(z2, 3, table)
+        with pytest.raises(GroupError, match=message):
+            pc.PermutationGroup(3, table, [1])
+
+    def test_group_from_int_rows(self):
+        rows = [[0, 1, 2], [1, 0, 2]]
+        group = pc.PermutationGroup(3, rows, [1])
+        assert group == pc.PermutationGroup(3, np.array(rows), [1])
+        assert group == pc.close_generators([Permutation((1, 0, 2))])
+        assert group.elements == (pc.identity(3), Permutation((1, 0, 2)))
+
+
+def test_table_views_match_per_element_references(
+    reverse_conv, reverse_conv_structure, mirror_conv
+):
+    """Group elements, listings, pair sets and the witness, as the per-element code built them."""
+    s4 = diagonal_symmetric_joint(4)
+    cases = [
+        (s4, designs.dense_design(s4)),
+        (mirror_conv, designs.dense_design(mirror_conv)),
+        (reverse_conv, reverse_conv_structure),
+    ]
+    for joint, s in cases:
+        group = joint.group
+        elements, generator_ids = oracles.closure_per_element(list(group.generators))
+        assert group.elements == tuple(elements)
+        assert group.generator_ids == tuple(generator_ids)
+        assert [group.inv(i) for i in range(group.order)] == [
+            elements.index(pc.inverse(p)) for p in elements
+        ]
+        assert joint.pair_set() == set(distinct_pairs(joint))
+        brute = oracles.brute_force_automorphisms(s)
+        result = autsearch.enumerate_automorphisms(s, reference=joint)
+        assert [(pn.images, pm.images) for pn, pm in result.elements] == brute
+        assert result.pair_set() == set(brute)
+        witness = autsearch.certify_unique(s, joint).witness
+        outside = [pair for pair in brute if pair not in joint.pair_set()]
+        if outside:
+            assert (witness[0].images, witness[1].images) == outside[0]
+        else:
+            assert witness is None
+
+
+@pytest.mark.parametrize("spec", ["sym7", "agl1-7"])
+@pytest.mark.parametrize(
+    "command", [["design"], ["check", "equivariance"], ["certify", "unique"]],
+    ids=["design", "check", "certify"],
+)
+def test_cli_builds_no_permutation_per_element(spec, command, monkeypatch):
+    """|G| = 5040 on sym7, 5040 listed automorphisms on agl1-7: neither is built per element."""
+    built = []
+    post_init = Permutation.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(command + ["--spec", str(CORPUS / f"{spec}.json")])
+    assert code in (0, 1)
+    assert len(built) < 100

@@ -1,11 +1,11 @@
 """Byte identity of `group info`, `design --dot`, `check equivariance` and
 `certify unique` on the benchmark corpus.
 
-Each case hashes (sha256) the exit code, stdout, stderr and, for `design`, the
-DOT file of one CLI call on one `bench/corpus` spec, and compares the hash with
-the committed table `golden_cli.json`. A refactor that changes any byte of
-these outputs fails here. After an intended output change, regenerate the
-table with
+Each case hashes (sha256) the exit code, stdout, stderr and the file written
+(the DOT of `design --dot`, the JSON of `group info --out`) of one CLI call on
+one `bench/corpus` spec, and compares the hash with the committed table
+`golden_cli.json`. A refactor that changes any byte of these outputs fails
+here. After an intended output change, regenerate the table with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 """
@@ -27,24 +27,29 @@ from eqtie import cli
 TESTS = Path(__file__).resolve().parent
 CORPUS = TESTS.parent / "bench" / "corpus"
 GOLDEN = TESTS / "golden_cli.json"
-COMMANDS = ("group_info", "design_dot", "check", "certify")
+COMMANDS = (
+    "group_info", "group_info_out", "design_dot", "check", "certify", "certify_one_based",
+)
 
 
 def cli_digest(spec: Path, command: str, work: Path) -> str:
-    """sha256 of [exit code, stdout, stderr, DOT text or None] for one CLI call."""
-    dot = work / "mask.dot"
-    dot.unlink(missing_ok=True)
+    """sha256 of [exit code, stdout, stderr, written file text or None] for one CLI call."""
+    written = work / "written"
+    written.unlink(missing_ok=True)
     argv = {
         "group_info": ["group", "info", "--spec", str(spec)],
-        "design_dot": ["design", "--spec", str(spec), "--dot", str(dot)],
+        "group_info_out": ["group", "info", "--spec", str(spec), "--one-based",
+                           "--out", str(written)],
+        "design_dot": ["design", "--spec", str(spec), "--dot", str(written)],
         "check": ["check", "equivariance", "--spec", str(spec), "--seed", "0"],
         "certify": ["certify", "unique", "--spec", str(spec)],
+        "certify_one_based": ["certify", "unique", "--spec", str(spec), "--one-based"],
     }[command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    dot_text = dot.read_text() if dot.exists() else None
-    blob = json.dumps([code, out.getvalue(), err.getvalue(), dot_text])
+    text = written.read_text() if written.exists() else None
+    blob = json.dumps([code, out.getvalue(), err.getvalue(), text])
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
