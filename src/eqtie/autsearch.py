@@ -19,10 +19,13 @@ Delta_l is the fundamental orbit of b_l and K is the kernel of automorphisms
 with pi_N = id (any bijection between equal rows), with no Schreier-Sims pass
 and no leaf counting.
 
-The elements are listed, as products of orbit transversals times K, only when
+Every strong generator passes the setwise check as soon as it is found. The
+elements are listed, as products of orbit transversals times K, only when
 the order is at most ``element_cap``; above it the result carries the kernel
-generators followed by the strong generators. A listing stays two int tables
-(pi_N and pi_M rows) until ``elements`` is read. ``search_cap`` bounds the
+generators followed by the strong generators. A listing is built, sorted and
+checked on the first read of ``_listed``, ``elements`` or ``pair_set()``, so
+a verdict that needs only |Aut| never lists; it stays two int tables (pi_N
+and pi_M rows) until ``elements`` is read. ``search_cap`` bounds the
 search-tree nodes, i.e. the accepted N assignments.
 """
 
@@ -31,8 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -80,7 +83,14 @@ class AutomorphismResult:
     verdict: Optional[str] = None  # equal | proper_supergroup | incomparable
     joint_order: Optional[int] = None
     stats: Optional[SearchStats] = None
-    _listed: Optional[tuple[np.ndarray, ...]] = field(default=None, repr=False, compare=False)
+    _lister: Optional[Callable[[], tuple[np.ndarray, ...]]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def _listed(self) -> Optional[tuple[np.ndarray, ...]]:
+        """(pi_N rows, pi_M rows) of every automorphism, built on first read."""
+        return None if self._lister is None else self._lister()
 
     def _pairs(self):
         if self._listed is None:
@@ -104,8 +114,11 @@ def _label_grid(s: SharingStructure) -> list[list[int]]:
 
 def color_refine(s: SharingStructure) -> ColorProfileTable:
     """Refine node classes by multisets of (cell label, opposite class) to a fixed point."""
-    grid = _label_grid(s)
-    n_size, m_size = s.n_size, s.m_size
+    return _refine(_label_grid(s), s.n_size, s.m_size)
+
+
+def _refine(grid: list[list[int]], n_size: int, m_size: int) -> ColorProfileTable:
+    """``color_refine`` on an already merged label grid (rows M, columns N)."""
     nc = [0] * n_size
     mc = [0] * m_size
     rounds = 0
@@ -177,12 +190,13 @@ def enumerate_automorphisms(
 ) -> AutomorphismResult:
     """Compute aut(structure) exactly by a stabilizer-chain search.
 
-    Returns the exact order always; the full element list when the order is at
-    most ``element_cap``, otherwise a generating set (kernel generators, then
-    strong generators). With a ``reference`` joint action the verdict states
-    whether aut equals it, strictly contains it, or the reference does not
-    even preserve the colors (incomparable). More than ``search_cap`` search
-    nodes (accepted N assignments) raise.
+    Returns the exact order always; the full element list, built and checked
+    on first read, when the order is at most ``element_cap``, otherwise a
+    generating set (kernel generators, then strong generators). With a
+    ``reference`` joint action the verdict states whether aut equals it,
+    strictly contains it, or the reference does not even preserve the colors
+    (incomparable). More than ``search_cap`` search nodes (accepted N
+    assignments) raise.
     """
     n_size, m_size = s.n_size, s.m_size
     if n_size + m_size > node_budget:
@@ -190,7 +204,7 @@ def enumerate_automorphisms(
             f"node budget exceeded: {n_size} + {m_size} > {node_budget}; raise node_budget"
         )
     grid = _label_grid(s)
-    table = color_refine(s)
+    table = _refine(grid, n_size, m_size)
 
     class_size_n = {c: table.n_classes.count(c) for c in set(table.n_classes)}
     base = sorted(range(n_size), key=lambda i: (class_size_n[table.n_classes[i]], i))
@@ -314,23 +328,10 @@ def enumerate_automorphisms(
 
     total = kernel_order * math.prod(base_orbits)
     if total <= element_cap:
-        kernel = []
-        for combo in itertools.product(*(itertools.permutations(g) for g in kernel_groups)):
-            perm = list(range(degree))
-            for sources, images in zip(kernel_groups, combo):
-                for src, dst in zip(sources, images):
-                    perm[n_size + src] = n_size + dst
-            kernel.append(perm)
-        # every element is u_0 u_1 ... u_{n-1} k, one transversal element per level
-        listed = np.array(kernel, dtype=np.intp).reshape(-1, degree)
-        for delta in reversed(transversals):
-            reps = np.array(list(delta.values()), dtype=np.intp)
-            listed = reps[:, listed].reshape(-1, degree)
-        listed = listed[np.lexsort(listed.T[::-1])]
-        pns, pms = listed[:, :n_size], listed[:, n_size:] - n_size
-        if not _preserves_structure(s, pns, pms).all():
+        rows = np.array(strong, dtype=np.intp).reshape(-1, degree)
+        if not _preserves_structure(s, rows[:, :n_size], rows[:, n_size:] - n_size).all():
             raise AutSearchError("internal error: emitted pair fails the setwise check")
-        listed_pairs: Optional[tuple[np.ndarray, ...]] = (pns, pms)
+        lister = partial(_listing, s, kernel_groups, transversals)
         result_generators = None
     else:
         gens: list[tuple[Permutation, Permutation]] = []
@@ -353,7 +354,7 @@ def enumerate_automorphisms(
             s, [pn.images for pn, _ in gens], [pm.images for _, pm in gens]
         ).all():
             raise AutSearchError("internal error: emitted generator fails the setwise check")
-        listed_pairs = None
+        lister = None
         result_generators = tuple(gens)
 
     verdict = None
@@ -378,8 +379,34 @@ def enumerate_automorphisms(
         verdict=verdict,
         joint_order=joint_order,
         stats=SearchStats(nodes, leaves, orbit_pruned, base_orbits, kernel_order),
-        _listed=listed_pairs,
+        _lister=lister,
     )
+
+
+def _listing(
+    s: SharingStructure,
+    kernel_groups: list[list[int]],
+    transversals: list[dict[int, tuple[int, ...]]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every automorphism as sorted (pi_N rows, pi_M rows), each pair setwise checked."""
+    n_size, degree = s.n_size, s.n_size + s.m_size
+    kernel = []
+    for combo in itertools.product(*(itertools.permutations(g) for g in kernel_groups)):
+        perm = list(range(degree))
+        for sources, images in zip(kernel_groups, combo):
+            for src, dst in zip(sources, images):
+                perm[n_size + src] = n_size + dst
+        kernel.append(perm)
+    # every element is u_0 u_1 ... u_{n-1} k, one transversal element per level
+    listed = np.array(kernel, dtype=np.intp).reshape(-1, degree)
+    for delta in reversed(transversals):
+        reps = np.array(list(delta.values()), dtype=np.intp)
+        listed = reps[:, listed].reshape(-1, degree)
+    listed = listed[np.lexsort(listed.T[::-1])]
+    pns, pms = listed[:, :n_size], listed[:, n_size:] - n_size
+    if not _preserves_structure(s, pns, pms).all():
+        raise AutSearchError("internal error: emitted pair fails the setwise check")
+    return pns, pms
 
 
 @dataclass(frozen=True)

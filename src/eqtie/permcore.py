@@ -18,14 +18,19 @@ Groups and actions are read-only integer image tables, each row checked once
 to be a permutation. ``close_generators`` builds a group's (order x degree)
 table, one fancy index of the frontier by all generators per layer, and
 records the Cayley right-multiplication table ``right[i, s]`` = index of
-``elements[i]`` composed with generator s. A ``GroupAction``'s (|G| x
-target_size) table is checked when built to be a homomorphism on all
-|G| x |S| Cayley edges (one table-sized comparison per generator), so exact
-questions about it need only the generators' rows. A group's ``elements``, an
-action's ``images`` and a joint action's ``joint_elements`` are
-``Permutation`` views built on first use. The element order, images and error
-texts are those of a closure with one ``compose`` per product and a per-edge
-action walk (``tests/oracles.py`` keeps both as references).
+``elements[i]`` composed with generator s. It keys each candidate row by one
+vectorised code: up to degree 15 the row read as a base-degree numeral (one
+int64, ordered as the rows are), above it the row's big-endian bytes. A
+group checks its rows for duplicates by the same keys and builds the tuple
+index behind ``index_of``, ``inv`` and ``mul`` on first use. A
+``GroupAction``'s (|G| x target_size) table is checked when built to be a
+homomorphism on all |G| x |S| Cayley edges (one table-sized comparison per
+generator), so exact questions about it need only the generators' rows. A
+group's ``elements``, an action's ``images`` and a joint action's
+``joint_elements`` are ``Permutation`` views built on first use. The element
+order, images and error texts are those of a closure with one ``compose`` per
+product and a per-edge action walk (``tests/oracles.py`` keeps both as
+references).
 """
 
 from __future__ import annotations
@@ -170,11 +175,14 @@ def _image_table(rows, size: int, what: str) -> np.ndarray:
     array. A row of another length, a non-integer entry, an entry out of
     range or a repeated entry raises GroupError naming ``what`` the rows are.
     """
-    if not isinstance(rows, np.ndarray):
+    if isinstance(rows, np.ndarray):
+        if len(rows) and rows.shape[1:] != (size,):
+            raise GroupError(f"{what} degree {len(rows[0])} != {size}")
+    else:
         rows = [getattr(row, "images", row) for row in rows]
-    wrong = [len(row) for row in rows if len(row) != size]
-    if wrong:
-        raise GroupError(f"{what} degree {wrong[0]} != {size}")
+        wrong = [len(row) for row in rows if len(row) != size]
+        if wrong:
+            raise GroupError(f"{what} degree {wrong[0]} != {size}")
     table = np.array(rows).reshape(len(rows), size)
     if table.size and not np.issubdtype(table.dtype, np.integer):
         raise GroupError(f"{what} table must hold integers, not {table.dtype}")
@@ -194,7 +202,8 @@ class PermutationGroup:
     elements[0] is the identity; the rest follow breadth-first layers over the
     generators, each layer sorted by image array, so the element order is a
     deterministic function of the generator list. Elements are given as
-    ``Permutation`` objects or int rows; ``elements`` is a view built on first use.
+    ``Permutation`` objects or int rows; ``elements`` and the element index
+    are built on first use.
     """
 
     def __init__(self, degree: int, elements, generator_ids: Sequence[int]):
@@ -202,15 +211,18 @@ class PermutationGroup:
         self._table = _image_table(elements, degree, "element")
         self.generator_ids = tuple(generator_ids)
         self.order = len(self._table)
-        self._index = {row: i for i, row in enumerate(map(tuple, self._table.tolist()))}
         if not self.order or (self._table[0] != np.arange(degree)).any():
             raise GroupError("element 0 must be the identity")
-        if len(self._index) != self.order:
+        if len(set(_row_keys(self._table))) != self.order:
             raise GroupError("duplicate elements")
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
         return tuple(Permutation(tuple(row)) for row in self._table.tolist())
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
+        return {row: i for i, row in enumerate(map(tuple, self._table.tolist()))}
 
     def index_of(self, p: Permutation) -> int:
         try:
@@ -276,12 +288,21 @@ class PermutationGroup:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
 
 
-def _row_keys(table: np.ndarray) -> list[bytes]:
+# rows up to this degree are keyed by one int64: 15 ** 15 < 2 ** 63
+_INT_KEY_DEGREE = 15
+
+
+def _row_keys(table: np.ndarray) -> list[int] | list[bytes]:
     """One hashable key per row of an image table; keys sort as the rows do.
 
-    Big-endian bytes compare in value order, so ``sorted`` on keys is the
-    lexicographic order of the image arrays.
+    Up to degree 15 a row is read as a base-degree numeral, first entry most
+    significant: one int, exact in int64. Wider rows are keyed by their
+    big-endian bytes, which compare in value order. Either way ``sorted`` on
+    keys is the lexicographic order of the image arrays.
     """
+    degree = table.shape[1]
+    if degree <= _INT_KEY_DEGREE:
+        return (table @ degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)).tolist()
     return [row.tobytes() for row in table.astype(">u4")]
 
 
@@ -315,14 +336,14 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
         # row k * |S| + s is frontier[k] composed with generator s: p(g(i)) = p[g[i]]
         cand = frontier[:, gen_table].reshape(-1, degree)
         keys = _row_keys(cand)
-        fresh: dict[bytes, int] = {}
+        fresh: dict[int | bytes, int] = {}
         for pos, key in enumerate(keys):
             if key not in index:
                 fresh.setdefault(key, pos)
         layer = sorted(fresh)
         for key in layer:
             index[key] = len(index)
-        right.extend(index[key] for key in keys)
+        right.extend(map(index.__getitem__, keys))
         if len(index) > cap:
             raise GroupError(
                 f"order cap exceeded: closure has more than {cap} elements; raise the cap"

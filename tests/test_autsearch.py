@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from eqtie import autsearch, designs, layer, permcore as pc
+from eqtie import autsearch, designs, layer, permcore as pc, specio
 from eqtie.autsearch import AutSearchError
 from eqtie.designs import Relation, SharingStructure
 
 from conftest import cyclic_group_conv_joint, diagonal_symmetric_joint
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 
 @st.composite
@@ -414,3 +417,74 @@ class TestGraphEquivalences:
         res = autsearch.enumerate_automorphisms(s)
         assert res.order == 24
         assert all(pn == pm for pn, pm in res.elements)
+
+
+def rejecting(target):
+    """A ``_preserves_structure`` that also fails the pair ``target`` = (pi_N, pi_M) rows."""
+    preserves = autsearch._preserves_structure
+
+    def check(s, pns, pms):
+        pns, pms = np.asarray(pns), np.asarray(pms)
+        ok = preserves(s, pns, pms)
+        hit = (pns == target[0]).all(axis=1) & (pms == target[1]).all(axis=1)
+        return ok & ~hit
+
+    return check
+
+
+class TestLazyListing:
+    """The listing is built and checked on first read; strong generators are checked at once."""
+
+    def test_certify_unique_on_sym7_lists_nothing(self, monkeypatch):
+        spec = specio.parse_spec((CORPUS / "sym7.json").read_text())
+        s, joint = specio.build_structure(spec), specio.expanded_joint(spec)
+        generators = autsearch.enumerate_automorphisms(s, element_cap=1).generators
+        checked = []
+        preserves = autsearch._preserves_structure
+
+        def counting(s, pns, pms):
+            checked.append(len(pns))
+            return preserves(s, pns, pms)
+
+        monkeypatch.setattr(autsearch, "_preserves_structure", counting)
+        cert = autsearch.certify_unique(s, joint)
+        assert (cert.verdict, cert.aut_order) == ("unique", 5040)
+        # strong and kernel generators, plus the reference's generator pairs
+        assert 0 < sum(checked) <= len(generators) + len(joint.group.generator_ids)
+
+    def test_first_read_matches_brute_force(self, reverse_conv, reverse_conv_structure, mirror_conv):
+        s4 = diagonal_symmetric_joint(4)
+        cases = [
+            (s4, designs.dense_design(s4)),
+            (mirror_conv, designs.dense_design(mirror_conv)),
+            (reverse_conv, reverse_conv_structure),
+        ]
+        for joint, s in cases:
+            brute = oracles.brute_force_automorphisms(s)
+            result = autsearch.enumerate_automorphisms(s, reference=joint)
+            assert "_listed" not in vars(result)
+            assert result.order == len(brute)
+            assert [(pn.images, pm.images) for pn, pm in result.elements] == brute
+            assert result.pair_set() == set(brute)
+            again = autsearch.enumerate_automorphisms(s, reference=joint)
+            assert again.pair_set() == set(brute)
+            assert [(pn.images, pm.images) for pn, pm in again.elements] == brute
+
+    def test_strong_generator_is_checked_eagerly(self, monkeypatch):
+        s = designs.dense_design(diagonal_symmetric_joint(4))
+        pn, pm = autsearch.enumerate_automorphisms(s, element_cap=1).generators[-1]
+        monkeypatch.setattr(autsearch, "_preserves_structure", rejecting((pn.images, pm.images)))
+        with pytest.raises(AutSearchError) as info:
+            autsearch.enumerate_automorphisms(s)
+        assert str(info.value) == "internal error: emitted pair fails the setwise check"
+
+    def test_listed_row_is_checked_on_first_read(self, monkeypatch):
+        s = designs.dense_design(diagonal_symmetric_joint(4))
+        identity = (tuple(range(4)), tuple(range(4)))
+        monkeypatch.setattr(autsearch, "_preserves_structure", rejecting(identity))
+        result = autsearch.enumerate_automorphisms(s)
+        assert result.order == 24
+        for read in (lambda: result.elements, result.pair_set, lambda: result._listed):
+            with pytest.raises(AutSearchError) as info:
+                read()
+            assert str(info.value) == "internal error: emitted pair fails the setwise check"

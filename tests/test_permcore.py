@@ -374,6 +374,40 @@ class TestTableClosureAndAction:
         assert np.array_equal(rebuilt._cayley_right, right)
 
 
+class TestRowKeyBoundary:
+    """Closure keys switch from one int64 code (degree <= 15) to bytes (degree >= 16)."""
+
+    # layer 1 holds (0 10)(1 13) and (0 11): their rows first differ at 10 vs 11,
+    # while the next entry (13 vs 1) would reverse the order under a too-small base
+    CYCLES = ["(0 10)(1 13)", "(0 11)", "(3 12)", "(0 11)"]
+
+    @pytest.mark.parametrize("degree", [14, 15, 16, 17])
+    def test_closure_matches_per_element_reference(self, degree):
+        gens = [pc.parse_cycles(c, degree) for c in self.CYCLES]
+        group = pc.close_generators(gens)
+        elements, gen_ids = oracles.closure_per_element(gens)
+        assert 1 < group.order < 200
+        assert group.elements == tuple(elements)
+        assert group.generator_ids == tuple(gen_ids)
+        index = {p: i for i, p in enumerate(elements)}
+        distinct = list(dict.fromkeys(gens))
+        assert group._cayley_right.tolist() == [
+            [index[pc.compose(p, g)] for g in distinct] for p in elements
+        ]
+        # layer 1, sorted by image array: (3 12), then (0 10)(1 13) before (0 11)
+        assert group.elements[1:4] == (gens[2], gens[0], gens[1])
+
+    @pytest.mark.parametrize("degree", [14, 15, 16, 17])
+    def test_constructor_rejects_duplicates_and_non_identity_first_row(self, degree):
+        swap = pc.parse_cycles("(0 13)", degree)
+        ident = pc.identity(degree)
+        with pytest.raises(GroupError, match="duplicate elements"):
+            pc.PermutationGroup(degree, [ident, swap, swap], [1])
+        with pytest.raises(GroupError, match="element 0 must be the identity"):
+            pc.PermutationGroup(degree, [swap, ident], [0])
+        assert pc.PermutationGroup(degree, [ident, swap], [1]).order == 2
+
+
 class TestFaithfulImage:
     def test_z6_quotient(self, z6):
         act = pc.build_action(z6, [P(1, 2, 0)], 3)
