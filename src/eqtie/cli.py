@@ -1,10 +1,19 @@
 """Command-line entry point.
 
-Subcommands: ``group info``, ``design``, ``check equivariance``,
-``certify unique``, ``export dot``. Exit codes: 0 success / check passed,
-1 check failed (non-equivariant, or certification found a supergroup),
-2 usage or spec errors. Machine outputs are always 0-based; --one-based only
-changes the human-readable summary.
+Subcommands and the options each one reads:
+
+- ``group info``: ``--spec``, ``--one-based``, ``--out``
+- ``design``: ``--spec``, ``--out``, ``--dot``
+- ``check equivariance``: ``--spec``, ``--seed``, ``--trials``, ``--tolerance``, ``--out``
+- ``certify unique``: ``--spec``, ``--seed``, ``--cap``, ``--node-budget``, ``--one-based``,
+  ``--out``
+- ``export dot``: ``--spec``, ``--dot``
+
+An option the chosen subcommand does not read is a usage error. The parser is
+built once, at import. Exit codes: 0 success / check passed, 1 check failed
+(non-equivariant, or certification found a supergroup), 2 usage or spec
+errors. Machine outputs are always 0-based; --one-based only changes the
+human-readable summary.
 """
 
 from __future__ import annotations
@@ -22,21 +31,35 @@ from .permcore import GroupError, format_cycles
 from .specio import REPORT_SCHEMA, SpecError
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--spec", required=True, help="path to a problem-spec JSON document")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for randomized checks")
-    p.add_argument("--trials", type=int, default=layer.DEFAULT_TRIALS,
-                   help="random inputs per group element")
-    p.add_argument("--tolerance", type=float, default=layer.DEFAULT_TOLERANCE,
-                   help="max |residual| for the float check")
-    p.add_argument("--cap", type=int, default=permcore.DEFAULT_ORDER_CAP,
-                   help="certify's automorphism element cap (the spec's order_cap caps |G|)")
-    p.add_argument("--node-budget", type=int, default=autsearch.DEFAULT_NODE_BUDGET,
-                   help="max n_size + m_size admitted to the automorphism search")
-    p.add_argument("--out", help="write the JSON artifact here instead of stdout")
-    p.add_argument("--dot", help="also write a DOT rendering here")
-    p.add_argument("--one-based", action="store_true",
-                   help="display indices 1-based (files stay 0-based)")
+_OPTIONS = {
+    "--spec": {"required": True, "help": "path to a problem-spec JSON document"},
+    "--seed": {"type": int, "default": 0, "help": "RNG seed for randomized checks"},
+    "--trials": {"type": int, "default": layer.DEFAULT_TRIALS,
+                 "help": "random inputs per group element"},
+    "--tolerance": {"type": float, "default": layer.DEFAULT_TOLERANCE,
+                    "help": "max |residual| for the float check"},
+    "--cap": {"type": int, "default": autsearch.DEFAULT_ELEMENT_CAP,
+              "help": "certify's automorphism element cap (the spec's order_cap caps |G|)"},
+    "--node-budget": {"type": int, "default": autsearch.DEFAULT_NODE_BUDGET,
+                      "help": "max n_size + m_size admitted to the automorphism search"},
+    "--out": {"help": "write the JSON document to this file"},
+    "--dot": {"help": "write the DOT rendering to this file"},
+    "--one-based": {"action": "store_true",
+                    "help": "display indices 1-based (files stay 0-based)"},
+}
+
+
+def _command(sub, name: str, summary: str, run: str, flags: tuple[str, ...]):
+    p = sub.add_parser(name, help=summary)
+    for flag in flags:
+        p.add_argument(flag, **_OPTIONS[flag])
+    # main looks the runner up by name, so a wrapper set on the module attribute
+    # (bench/run.py --trace 1) is the one called
+    p.set_defaults(run=run)
+
+
+def _family(sub, name: str, summary: str):
+    return sub.add_parser(name, help=summary).add_subparsers(dest="subcommand", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,24 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
         "for group-equivariant layers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    group_cmd = sub.add_parser("group", help="group and action diagnostics")
-    group_sub = group_cmd.add_subparsers(dest="subcommand", required=True)
-    _add_common(group_sub.add_parser("info", help="order, orbits, and action profiles"))
-
-    _add_common(sub.add_parser("design", help="compile the sharing structure to a mask export"))
-
-    check_cmd = sub.add_parser("check", help="verification commands")
-    check_sub = check_cmd.add_subparsers(dest="subcommand", required=True)
-    _add_common(check_sub.add_parser("equivariance", help="replay the commutation checks"))
-
-    certify_cmd = sub.add_parser("certify", help="certification commands")
-    certify_sub = certify_cmd.add_subparsers(dest="subcommand", required=True)
-    _add_common(certify_sub.add_parser("unique", help="enumerate aut and compare to the joint group"))
-
-    export_cmd = sub.add_parser("export", help="diagram exports")
-    export_sub = export_cmd.add_subparsers(dest="subcommand", required=True)
-    _add_common(export_sub.add_parser("dot", help="graphviz rendering of the structure"))
+    _command(_family(sub, "group", "group and action diagnostics"), "info",
+             "order, orbits, and action profiles", "_run_group_info",
+             ("--spec", "--one-based", "--out"))
+    _command(sub, "design", "compile the sharing structure to a mask export", "_run_design",
+             ("--spec", "--out", "--dot"))
+    _command(_family(sub, "check", "verification commands"), "equivariance",
+             "replay the commutation checks", "_run_check",
+             ("--spec", "--seed", "--trials", "--tolerance", "--out"))
+    _command(_family(sub, "certify", "certification commands"), "unique",
+             "enumerate aut and compare to the joint group", "_run_certify",
+             ("--spec", "--seed", "--cap", "--node-budget", "--one-based", "--out"))
+    _command(_family(sub, "export", "diagram exports"), "dot",
+             "graphviz rendering of the structure", "_run_export_dot", ("--spec", "--dot"))
     return parser
 
 
@@ -212,26 +230,18 @@ def _run_export_dot(args) -> int:
     if args.dot:
         Path(args.dot).write_text(text)
     else:
-        _emit(args, text)
+        sys.stdout.write(text)
     return 0
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    key = (args.command, getattr(args, "subcommand", None))
-    runners = {
-        ("group", "info"): _run_group_info,
-        ("design", None): _run_design,
-        ("check", "equivariance"): _run_check,
-        ("certify", "unique"): _run_certify,
-        ("export", "dot"): _run_export_dot,
-    }
+    args = _PARSER.parse_args(argv)
     try:
-        return runners[key](args)
-    except (SpecError, GroupError, DesignError, LayerError, AutSearchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return globals()[args.run](args)
+    except (SpecError, GroupError, DesignError, LayerError, AutSearchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -163,6 +163,8 @@ def _verify(
     """
     if trials < 0:
         raise LayerError("trials must be >= 0")
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise LayerError("tolerance must be finite and >= 0")
     n_table, m_table = joint.n_action._table, joint.m_action._table
     gens = list(joint.group.generator_ids)
     exact_pass = all(

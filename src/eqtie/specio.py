@@ -332,11 +332,12 @@ def parse_mask(text: str) -> dict:
     for key in ("n_size", "m_size", "grid", "merged_to_base", "base_colors"):
         if key not in doc:
             raise SpecError("$", f"missing required field {key!r}")
-    if len(doc["grid"]) != doc["n_size"] * doc["m_size"]:
+    n_size, m_size = _get_int(doc, "n_size", "$"), _get_int(doc, "m_size", "$")
+    if not isinstance(doc["grid"], list):
+        raise SpecError("$.grid", "expected a list")
+    if len(doc["grid"]) != n_size * m_size:
         raise SpecError(
-            "$.grid",
-            f"grid length {len(doc['grid'])} != n_size*m_size "
-            f"({doc['n_size']}*{doc['m_size']})",
+            "$.grid", f"grid length {len(doc['grid'])} != n_size*m_size ({n_size}*{m_size})"
         )
     return doc
 

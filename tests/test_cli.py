@@ -115,6 +115,22 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: trials must be >= 0\n"
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exit_two(self, tmp_path, capsys, tolerance):
+        rc = cli.main(["check", "equivariance", "--spec", write_spec(tmp_path, REVERSE_CONV),
+                       "--tolerance", tolerance])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tolerance must be finite and >= 0\n"
+
+    def test_zero_tolerance_passes_exactly(self, tmp_path, capsys):
+        rc = cli.main(["check", "equivariance", "--spec", write_spec(tmp_path, REVERSE_CONV),
+                       "--tolerance", "0"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tolerance"] == 0.0 and doc["max_residual"] == 0.0 and doc["passed"]
+
 
 class TestCertify:
     def test_mirror_unique_exit_zero(self, tmp_path, capsys):
@@ -227,12 +243,16 @@ class TestErrors:
             "m_action": {"size": 8, "generator_images": ["(0 1)", "(0 1 2 3 4 5 6 7)"]},
             "design": "dense",
         }
-        rc = cli.main(["group", "info", "--spec", write_spec(tmp_path, doc), "--cap", "50000"])
+        spec = write_spec(tmp_path, doc)
+        rc = cli.main(["certify", "unique", "--spec", spec, "--cap", "50000"])
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: $.group: order cap exceeded: closure has more than 10000 elements; "
             "raise the spec's order_cap\n"
         )
+        with pytest.raises(SystemExit) as exc:  # group info does not read --cap
+            cli.main(["group", "info", "--spec", spec, "--cap", "1"])
+        assert exc.value.code == 2
         doc["order_cap"] = 50000
         rc = cli.main(["group", "info", "--spec", write_spec(tmp_path, doc)])
         assert rc == 0
@@ -242,3 +262,48 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["design"])  # --spec is required
         assert exc.value.code == 2
+
+
+SUBCOMMANDS = {
+    "group info": ("--spec", "--one-based", "--out"),
+    "design": ("--spec", "--out", "--dot"),
+    "check equivariance": ("--spec", "--seed", "--trials", "--tolerance", "--out"),
+    "certify unique": ("--spec", "--seed", "--cap", "--node-budget", "--one-based", "--out"),
+    "export dot": ("--spec", "--dot"),
+}
+OPTION_VALUES = {  # flag -> (argv tail, parsed attribute, parsed value)
+    "--spec": (["--spec", "s.json"], "spec", "s.json"),
+    "--seed": (["--seed", "7"], "seed", 7),
+    "--trials": (["--trials", "3"], "trials", 3),
+    "--tolerance": (["--tolerance", "0.5"], "tolerance", 0.5),
+    "--cap": (["--cap", "9"], "cap", 9),
+    "--node-budget": (["--node-budget", "11"], "node_budget", 11),
+    "--one-based": (["--one-based"], "one_based", True),
+    "--out": (["--out", "o.json"], "out", "o.json"),
+    "--dot": (["--dot", "o.dot"], "dot", "o.dot"),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("flag", OPTION_VALUES)
+    def test_each_subcommand_takes_only_its_options(self, command, flag, capsys):
+        tail, attr, value = OPTION_VALUES[flag]
+        argv = command.split() + (tail if flag == "--spec" else ["--spec", "s.json", *tail])
+        if flag in SUBCOMMANDS[command]:
+            assert getattr(cli.build_parser().parse_args(argv), attr) == value
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(tail)}" in capsys.readouterr().err
+
+    def test_main_does_not_rebuild_the_parser(self, tmp_path, capsys, monkeypatch):
+        def rebuilt():
+            raise AssertionError("main rebuilt the parser")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        spec = write_spec(tmp_path, MIRROR)
+        assert cli.main(["export", "dot", "--spec", spec]) == 0
+        assert cli.main(["group", "info", "--spec", spec]) == 0
+        assert capsys.readouterr().out.startswith("graph sharing {")

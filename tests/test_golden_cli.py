@@ -1,5 +1,5 @@
-"""Byte identity of `group info`, `design --dot`, `check equivariance` and
-`certify unique` on the benchmark corpus.
+"""Byte identity of `group info`, `design`, `check equivariance`,
+`certify unique` and `export dot` on the benchmark corpus.
 
 Each case hashes (sha256) the exit code, stdout, stderr and the file written
 (the DOT of `design --dot`, the JSON of `group info --out`) of one CLI call on
@@ -28,7 +28,8 @@ TESTS = Path(__file__).resolve().parent
 CORPUS = TESTS.parent / "bench" / "corpus"
 GOLDEN = TESTS / "golden_cli.json"
 COMMANDS = (
-    "group_info", "group_info_out", "design_dot", "check", "certify", "certify_one_based",
+    "group_info", "group_info_out", "design", "design_dot", "export_dot", "check",
+    "check_flags", "certify", "certify_one_based", "certify_cap",
 )
 
 
@@ -40,10 +41,16 @@ def cli_digest(spec: Path, command: str, work: Path) -> str:
         "group_info": ["group", "info", "--spec", str(spec)],
         "group_info_out": ["group", "info", "--spec", str(spec), "--one-based",
                            "--out", str(written)],
+        "design": ["design", "--spec", str(spec)],
         "design_dot": ["design", "--spec", str(spec), "--dot", str(written)],
+        "export_dot": ["export", "dot", "--spec", str(spec)],
         "check": ["check", "equivariance", "--spec", str(spec), "--seed", "0"],
+        "check_flags": ["check", "equivariance", "--spec", str(spec), "--seed", "3",
+                        "--trials", "2", "--tolerance", "1e-6"],
         "certify": ["certify", "unique", "--spec", str(spec)],
         "certify_one_based": ["certify", "unique", "--spec", str(spec), "--one-based"],
+        "certify_cap": ["certify", "unique", "--spec", str(spec), "--cap", "1",
+                        "--node-budget", "30"],
     }[command]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -251,6 +251,22 @@ class TestFloatRouteOracle:
         with pytest.raises(LayerError, match="trials must be >= 0"):
             layer.compose_layers(rc_layer, second, reverse_conv, swapped, trials=-1)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_bad_tolerance_rejected(self, rc_layer, reverse_conv, tolerance):
+        with pytest.raises(LayerError, match=r"^tolerance must be finite and >= 0$"):
+            layer.check_equivariance(rc_layer, reverse_conv, tolerance=tolerance)
+        swapped, second = reverse_stack_second(reverse_conv)
+        with pytest.raises(LayerError, match=r"^tolerance must be finite and >= 0$"):
+            layer.compose_layers(rc_layer, second, reverse_conv, swapped, tolerance=tolerance)
+
+    def test_zero_tolerance_accepted(self, rc_layer, reverse_conv):
+        rep = layer.check_equivariance(rc_layer, reverse_conv, trials=2, tolerance=0.0)
+        assert rep.tolerance == 0.0 and rep.max_residual == 0.0 and rep.passed
+        swapped, second = reverse_stack_second(reverse_conv)
+        rep = layer.compose_layers(rc_layer, second, reverse_conv, swapped, trials=2,
+                                   tolerance=0.0)
+        assert rep.tolerance == 0.0 and rep.passed
+
 
 class TestWeightCache:
     def test_theta_is_a_read_only_copy(self, reverse_conv_structure):

@@ -162,6 +162,20 @@ class TestMaskExport:
         with pytest.raises(SpecError, match="grid length"):
             specio.parse_mask(specio.dump_mask(doc))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_size", None, r"^\$\.n_size: expected an integer$"),
+        ("m_size", None, r"^\$\.m_size: expected an integer$"),
+        ("n_size", "3", r"^\$\.n_size: expected an integer$"),
+        ("m_size", 0, r"^\$\.m_size: must be >= 1$"),
+        ("grid", 5, r"^\$\.grid: expected a list$"),
+        ("grid", None, r"^\$\.grid: expected a list$"),
+    ])
+    def test_malformed_fields_raise_spec_error(self, field, value, message):
+        spec = specio.parse_spec(json.dumps(reverse_conv_doc()))
+        doc = specio.build_mask_document(spec, specio.build_structure(spec))
+        with pytest.raises(SpecError, match=message):
+            specio.parse_mask(specio.dump_mask(dict(doc, **{field: value})))
+
     def test_byte_identical_dumps(self):
         texts = set()
         for _ in range(3):
