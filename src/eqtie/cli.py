@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import autsearch, layer, permcore, specio
+from . import autsearch, designs, layer, permcore, specio
 from .autsearch import AutSearchError
 from .designs import DesignError
 from .layer import LayerError
@@ -49,6 +49,20 @@ _OPTIONS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A family's or subcommand's parser: it reports the options it does not take.
+
+    argparse hands a subparser's leftover arguments up to the root parser,
+    whose error would show the root usage line instead of this one.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _command(sub, name: str, summary: str, run: str, flags: tuple[str, ...]):
     p = sub.add_parser(name, help=summary)
     for flag in flags:
@@ -68,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compile, verify, and certify parameter-sharing structures "
         "for group-equivariant layers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     _command(_family(sub, "group", "group and action diagnostics"), "info",
              "order, orbits, and action profiles", "_run_group_info",
              ("--spec", "--one-based", "--out"))
@@ -191,9 +205,10 @@ def _run_check(args) -> int:
 def _run_certify(args) -> int:
     spec = _load_spec(args)
     structure = specio.build_structure(spec)
+    colors = designs.merge_colors(structure)  # one merge for the search and the export
     cert = autsearch.certify_unique(
         structure, specio.expanded_joint(spec),
-        node_budget=args.node_budget, element_cap=args.cap,
+        node_budget=args.node_budget, element_cap=args.cap, color_matrix=colors,
     )
     witness = None
     if cert.witness is not None:
@@ -207,7 +222,7 @@ def _run_certify(args) -> int:
         "element_cap": args.cap,
         "node_budget": args.node_budget,
     }
-    doc = specio.build_mask_document(spec, structure, certification=block)
+    doc = specio.build_mask_document(spec, structure, certification=block, color_matrix=colors)
     _emit(args, specio.dump_mask(doc))
     if cert.verdict == "unique":
         print(f"unique: aut order {cert.aut_order} = joint order {cert.joint_order}",

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eqtie import cli, specio
+from eqtie import cli, designs, specio
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -147,6 +147,15 @@ class TestCertify:
         assert rc == 0
         cert = specio.parse_mask(capsys.readouterr().out)["certification"]
         assert cert["verdict"] == "unique" and cert["aut_order"] == 4
+
+    @pytest.mark.parametrize("doc", [MIRROR, ROT90_DIGRAPH, REVERSE_CONV])
+    def test_colors_merged_once(self, tmp_path, capsys, monkeypatch, doc):
+        calls = []
+        merge = designs.merge_colors
+        monkeypatch.setattr(designs, "merge_colors", lambda s: calls.append(s) or merge(s))
+        cli.main(["certify", "unique", "--spec", write_spec(tmp_path, doc)])
+        assert len(calls) == 1
+        assert specio.parse_mask(capsys.readouterr().out)["certification"] is not None
 
     def test_tied_mirror_supergroup_exit_one(self, tmp_path, capsys):
         doc = dict(MIRROR, tie_across_orbits=True)
@@ -296,7 +305,32 @@ class TestParser:
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
-            assert f"unrecognized arguments: {' '.join(tail)}" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            # the subcommand's own parser reports it, with its usage line
+            assert captured.err.startswith(f"usage: eqtie {command} [-h] --spec SPEC")
+            assert f"eqtie {command}: error: unrecognized arguments: {' '.join(tail)}\n" in (
+                captured.err
+            )
+
+    def test_ignored_option_shows_the_subcommand_usage(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, MIRROR)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["design", "--spec", spec, "--trials", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "usage: eqtie design [-h] --spec SPEC [--out OUT] [--dot DOT]\n"
+            "eqtie design: error: unrecognized arguments: --trials 3\n"
+        )
+        with pytest.raises(SystemExit) as exc:  # an unknown option before the subcommand
+            cli.main(["check", "--one-based", "equivariance", "--spec", spec])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: eqtie check [-h] {equivariance} ...\n"
+            "eqtie check: error: unrecognized arguments: --one-based\n"
+        )
 
     def test_main_does_not_rebuild_the_parser(self, tmp_path, capsys, monkeypatch):
         def rebuilt():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,15 +203,19 @@ class TestFloatRouteOracle:
         assert rep.max_residual == expected > 0
         assert not rep.passed and not rep.exact_pass
 
-    def test_wide_group_residual(self):
-        joint = diagonal_symmetric_joint(4)
+    @staticmethod
+    def perturbed_dense(n, sigma=layer.IDENTITY):
+        """Dense diagonal S_n with one extra color on cell (0, 1): not equivariant."""
+        joint = diagonal_symmetric_joint(n)
         s = designs.dense_design(joint)
         extra = Relation(
             s.base_color_count + 1, frozenset({(0, 1)}), {"kind": "dense", "representative": (0, 1)}
         )
-        tied = layer.tied_layer_from_structure(
-            SharingStructure(4, 4, s.relations + (extra,)), nonlinearity=layer.leaky(0.5)
-        )
+        s = SharingStructure(n, n, s.relations + (extra,))
+        return joint, layer.tied_layer_from_structure(s, nonlinearity=sigma)
+
+    def test_wide_group_residual(self):
+        joint, tied = self.perturbed_dense(4, layer.leaky(0.5))
         rep = layer.check_equivariance(tied, joint, trials=3, seed=11)
         expected = oracles.float_residual_per_trial(
             lambda x: layer.forward(tied, x), self.images(joint), 4, 3, 11
@@ -234,6 +239,90 @@ class TestFloatRouteOracle:
         bound = 4 * 4 * np.finfo(float).eps * 9 * np.abs(tied.weights()).sum(axis=1).max()
         assert abs(rep.max_residual - expected) <= bound
         assert rep.passed
+
+    @pytest.mark.parametrize("cells", [1, 40, 1 << 14])
+    @pytest.mark.parametrize("sigma", [layer.IDENTITY, layer.leaky(0.5)])
+    def test_blocks_of_elements(self, monkeypatch, cells, sigma):
+        # 120 elements of 15 cells each: blocks of 1, of 2, and one block
+        monkeypatch.setattr(layer, "_FLOAT_BATCH_CELLS", cells)
+        joint, tied = self.perturbed_dense(5, sigma)
+        rep = layer.check_equivariance(tied, joint, trials=3, seed=9)
+        expected = oracles.float_residual_per_trial(
+            lambda x: layer.forward(tied, x), self.images(joint), 5, 3, 9
+        )
+        assert rep.max_residual == expected > 0
+        assert not rep.passed and rep.tested_elements == 120
+
+    def test_default_blocks_span_several(self):
+        # 720 elements of 8 x 6 cells: three blocks at the default block size
+        assert 720 * 8 * 6 > 2 * layer._FLOAT_BATCH_CELLS
+        joint, tied = self.perturbed_dense(6, layer.leaky(0.5))
+        rep = layer.check_equivariance(tied, joint, trials=8, seed=4)
+        expected = oracles.float_residual_per_trial(
+            lambda x: layer.forward(tied, x), self.images(joint), 6, 8, 4
+        )
+        assert rep.max_residual == expected > 0
+
+    @pytest.mark.parametrize("cells", [1, 50])
+    def test_compose_layers_blocks(self, monkeypatch, reverse_conv_structure, reverse_conv, cells):
+        # 6 elements of 4 x 3 cells: blocks of 1, or of 4 and 2
+        monkeypatch.setattr(layer, "_FLOAT_BATCH_CELLS", cells)
+        swapped, second = reverse_stack_second(reverse_conv, layer.leaky(0.5))
+        first = layer.tied_layer_from_structure(
+            perturbed_reverse_conv(reverse_conv_structure), nonlinearity=layer.leaky(0.5)
+        )
+        rep = layer.compose_layers(first, second, reverse_conv, swapped, trials=4, seed=2)
+        pairs = oracles.distinct_pairs(
+            [g.images for g in reverse_conv.n_action.images],
+            [g.images for g in swapped.m_action.images],
+        )
+        expected = oracles.float_residual_per_trial(
+            lambda x: layer.forward(second, layer.forward(first, x)), pairs, 3, 4, 2
+        )
+        assert rep.max_residual == expected > 0
+        rep = layer.compose_layers(first, second, reverse_conv, swapped, trials=0)
+        assert rep.trials == 0 and rep.max_residual == 0.0
+
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_zero_trials_in_blocks(self, monkeypatch, cells):
+        monkeypatch.setattr(layer, "_FLOAT_BATCH_CELLS", cells)
+        joint, tied = self.perturbed_dense(4)
+        rep = layer.check_equivariance(tied, joint, trials=0)
+        assert rep.trials == 0 and rep.max_residual == 0.0
+        assert not rep.exact_pass and not rep.passed
+
+    def test_nan_survives_later_blocks(self, monkeypatch):
+        # one element per block: a NaN block must not be replaced by a later finite one
+        monkeypatch.setattr(layer, "_FLOAT_BATCH_CELLS", 1)
+        joint = diagonal_symmetric_joint(3)
+        tied = layer.tied_layer_from_structure(designs.dense_design(joint), [1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = layer.check_equivariance(tied, joint, trials=2)
+        assert np.isnan(rep.max_residual) and not rep.passed
+
+    @pytest.mark.parametrize("n_size", [3, 4, 7])
+    @pytest.mark.parametrize("trials", [1, 3, 8])
+    def test_block_draw_matches_per_element_draws(self, n_size, trials):
+        # the draw contract the float route relies on: one (k, trials, n) draw
+        # is k (trials, n) draws, so block size never changes the inputs
+        block = np.random.default_rng(31).integers(-9, 10, size=(5, trials, n_size))
+        rng = np.random.default_rng(31)
+        single = [rng.integers(-9, 10, size=(trials, n_size)) for _ in range(5)]
+        assert np.array_equal(block, np.stack(single))
+
+    def test_scratch_memory_is_bounded(self):
+        # dense S7, 5040 elements x 8 trials x 7 inputs: the blocks keep the
+        # check's peak allocation below 2 MiB
+        joint = diagonal_symmetric_joint(7)
+        tied = layer.tied_layer_from_structure(designs.dense_design(joint))
+        tracemalloc.start()
+        try:
+            rep = layer.check_equivariance(tied, joint, trials=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.tested_elements == 5040
+        assert peak < 2 * 2**20
 
     def test_zero_trials(self, reverse_conv_structure, reverse_conv):
         tied = layer.tied_layer_from_structure(perturbed_reverse_conv(reverse_conv_structure))
