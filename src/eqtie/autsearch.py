@@ -40,8 +40,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import ArrayLike
 
-from . import designs, permcore
-from .designs import ColorMatrix, SharingStructure
+from . import permcore
+from .designs import SharingStructure
 from .permcore import JointAction, Permutation
 
 DEFAULT_NODE_BUDGET = 24
@@ -109,7 +109,7 @@ class AutomorphismResult:
 
 def color_refine(s: SharingStructure) -> ColorProfileTable:
     """Refine node classes by multisets of (cell label, opposite class) to a fixed point."""
-    return _refine(designs.merge_colors(s).grid.tolist(), s.n_size, s.m_size)
+    return _refine(s.color_matrix.grid.tolist(), s.n_size, s.m_size)
 
 
 def _refine(grid: list[list[int]], n_size: int, m_size: int) -> ColorProfileTable:
@@ -182,7 +182,6 @@ def enumerate_automorphisms(
     node_budget: int = DEFAULT_NODE_BUDGET,
     element_cap: int = DEFAULT_ELEMENT_CAP,
     search_cap: int = DEFAULT_SEARCH_CAP,
-    color_matrix: Optional[ColorMatrix] = None,
 ) -> AutomorphismResult:
     """Compute aut(structure) exactly by a stabilizer-chain search.
 
@@ -192,18 +191,14 @@ def enumerate_automorphisms(
     ``reference`` joint action the verdict states whether aut equals it,
     strictly contains it, or the reference does not even preserve the colors
     (incomparable). More than ``search_cap`` search nodes (accepted N
-    assignments) raise. ``color_matrix``, when given, must be
-    ``designs.merge_colors(s)``; it saves a caller that also needs the merged
-    colors a second merge.
+    assignments) raise.
     """
     n_size, m_size = s.n_size, s.m_size
     if n_size + m_size > node_budget:
         raise AutSearchError(
             f"node budget exceeded: {n_size} + {m_size} > {node_budget}; raise node_budget"
         )
-    if color_matrix is None:
-        color_matrix = designs.merge_colors(s)
-    grid = color_matrix.grid.tolist()
+    grid = s.color_matrix.grid.tolist()
     table = _refine(grid, n_size, m_size)
 
     class_size_n = {c: table.n_classes.count(c) for c in set(table.n_classes)}
@@ -423,7 +418,6 @@ def certify_unique(
     node_budget: int = DEFAULT_NODE_BUDGET,
     element_cap: int = DEFAULT_ELEMENT_CAP,
     search_cap: int = DEFAULT_SEARCH_CAP,
-    color_matrix: Optional[ColorMatrix] = None,
 ) -> Certification:
     """Certify unique equivariance: aut(structure) equals the joint group.
 
@@ -433,7 +427,7 @@ def certify_unique(
     """
     result = enumerate_automorphisms(
         s, reference=joint, node_budget=node_budget,
-        element_cap=element_cap, search_cap=search_cap, color_matrix=color_matrix,
+        element_cap=element_cap, search_cap=search_cap,
     )
     if result.verdict == "incomparable":
         raise AutSearchError(

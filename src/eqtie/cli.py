@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import autsearch, designs, layer, permcore, specio
+from . import autsearch, layer, permcore, specio
 from .autsearch import AutSearchError
 from .designs import DesignError
 from .layer import LayerError
@@ -205,10 +205,9 @@ def _run_check(args) -> int:
 def _run_certify(args) -> int:
     spec = _load_spec(args)
     structure = specio.build_structure(spec)
-    colors = designs.merge_colors(structure)  # one merge for the search and the export
     cert = autsearch.certify_unique(
         structure, specio.expanded_joint(spec),
-        node_budget=args.node_budget, element_cap=args.cap, color_matrix=colors,
+        node_budget=args.node_budget, element_cap=args.cap,
     )
     witness = None
     if cert.witness is not None:
@@ -222,7 +221,7 @@ def _run_certify(args) -> int:
         "element_cap": args.cap,
         "node_budget": args.node_budget,
     }
-    doc = specio.build_mask_document(spec, structure, certification=block, color_matrix=colors)
+    doc = specio.build_mask_document(spec, structure, certification=block)
     _emit(args, specio.dump_mask(doc))
     if cert.verdict == "unique":
         print(f"unique: aut order {cert.aut_order} = joint order {cert.joint_order}",

@@ -14,6 +14,7 @@ the actions' image tables; no ``Permutation`` object is built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -52,6 +53,11 @@ class SharingStructure:
     @property
     def base_color_count(self) -> int:
         return len(self.relations)
+
+    @functools.cached_property
+    def color_matrix(self) -> ColorMatrix:
+        """``merge_colors(self)``, merged on first use and kept with the structure."""
+        return merge_colors(self)
 
     def alpha(self, n: int, m: int) -> frozenset[int]:
         """The set of color ids whose edges contain (n, m)."""

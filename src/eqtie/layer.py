@@ -4,7 +4,9 @@ Verification runs two routes, in one helper shared by ``check_equivariance``
 and ``compose_layers``. The float route evaluates the layer on random
 integer-valued inputs and compares output-side and input-side permutation, by
 rows of the two image tables, to a tolerance. It walks the joint elements in
-blocks of k: a block's k x trials inputs are one draw from the seeded stream
+blocks of k, with k sized by the widest vector the layers pass (input, output
+or middle), so that its scratch stays bounded when m is far larger than n.
+A block's k x trials inputs are one draw from the seeded stream
 (the same values, in the same order, as drawing them one input at a time),
 permuted by one gather through the block's input-table rows and evaluated as
 the columns of one n x (k * trials) matrix, and the outputs are compared by
@@ -28,7 +30,8 @@ from .permcore import JointAction, Permutation
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_TRIALS = 8
 
-# input cells (elements x trials x n) per block of the float route: bounds its scratch memory
+# cells (elements x trials x widest vector size) per block of the float route:
+# bounds each of its scratch arrays, on the input, output and any middle side
 _FLOAT_BATCH_CELLS = 1 << 14
 
 
@@ -130,7 +133,7 @@ def tied_layer_from_structure(
     s: SharingStructure, theta=None, nonlinearity: Nonlinearity = IDENTITY
 ) -> TiedLayer:
     """Merge a structure and wrap it; theta defaults to the first C primes."""
-    cm = designs.merge_colors(s)
+    cm = s.color_matrix
     if theta is None:
         theta = first_primes(cm.base_color_count)
     return TiedLayer(cm, theta, nonlinearity)
@@ -160,15 +163,23 @@ def matrix_commutes(w: np.ndarray, gn: Permutation, gm: Permutation) -> bool:
 
 
 def _verify(
-    w_exact: np.ndarray, apply, joint: JointAction, trials: int, tolerance: float, seed: int
+    w_exact: np.ndarray,
+    apply,
+    joint: JointAction,
+    trials: int,
+    tolerance: float,
+    seed: int,
+    widest: int,
 ) -> EquivarianceReport:
     """Exact commutation of ``w_exact`` on the generators, float replay of ``apply``.
 
-    ``apply`` maps an n x K matrix of input columns to the m x K outputs. The
-    float route takes the joint elements in blocks of k, sized so that a
-    block's k x trials x n inputs hold about ``_FLOAT_BATCH_CELLS`` cells, and
-    evaluates ``apply`` twice per block, on the inputs and on their images. A
-    non-finite residual (overflow in W x) is kept as the maximum and fails.
+    ``apply`` maps an n x K matrix of input columns to the m x K outputs, and
+    ``widest`` is the largest row count it passes through: n, m, or that of a
+    middle layer. The float route takes the joint elements in blocks of k,
+    sized so that k x max(trials, 1) x widest stays within
+    ``_FLOAT_BATCH_CELLS``, and evaluates ``apply`` twice per block, on the
+    inputs and on their images. A non-finite residual (overflow in W x) is
+    kept as the maximum and fails.
     """
     if trials < 0:
         raise LayerError("trials must be >= 0")
@@ -183,7 +194,7 @@ def _verify(
 
     m_size, n_size = w_exact.shape
     ids = joint._element_ids
-    block = max(1, _FLOAT_BATCH_CELLS // max(1, trials * n_size))
+    block = max(1, _FLOAT_BATCH_CELLS // (max(1, trials) * widest))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for lo in range(0, len(ids), block):
@@ -227,7 +238,8 @@ def check_equivariance(
             f"{joint.m_size} x {joint.n_size}"
         )
     w_exact = materialize(layer.color_matrix, first_primes(layer.color_matrix.base_color_count))
-    return _verify(w_exact, layer._apply, joint, trials, tolerance, seed)
+    widest = max(layer.n_size, layer.m_size)
+    return _verify(w_exact, layer._apply, joint, trials, tolerance, seed, widest)
 
 
 def check_subgroup_monotonicity(
@@ -268,8 +280,9 @@ def compose_layers(
     w1 = materialize(first.color_matrix, first_primes(first.color_matrix.base_color_count))
     w2 = materialize(second.color_matrix, first_primes(second.color_matrix.base_color_count))
     joint = permcore.joint_action(joint_nm.n_action, joint_mo.m_action)
+    widest = max(first.n_size, first.m_size, second.m_size)
     return _verify(
-        w2 @ w1, lambda x: second._apply(first._apply(x)), joint, trials, tolerance, seed
+        w2 @ w1, lambda x: second._apply(first._apply(x)), joint, trials, tolerance, seed, widest
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import designs, layer, permcore
-from .designs import ChannelSpec, ColorMatrix, SharingStructure
+from .designs import ChannelSpec, SharingStructure
 from .permcore import GroupAction, JointAction, Permutation, PermutationGroup
 
 SPEC_SCHEMA = "eqtie.spec/1"
@@ -283,10 +283,8 @@ def build_mask_document(
     spec: ProblemSpec,
     structure: SharingStructure,
     certification: Optional[dict] = None,
-    color_matrix: Optional[ColorMatrix] = None,
 ) -> dict:
-    """The mask export; a given ``color_matrix`` must be ``designs.merge_colors(structure)``."""
-    cm = designs.merge_colors(structure) if color_matrix is None else color_matrix
+    cm = structure.color_matrix
     base_colors = []
     for rel in structure.relations:
         entry = {"color": rel.color_id}

@@ -169,6 +169,16 @@ class TestMergeColors:
                 for m in range(s.m_size):
                     assert cm.alpha(n, m) == s.alpha(n, m)
 
+    def test_structure_keeps_one_merge(self, monkeypatch):
+        s = designs.dense_design(diagonal_symmetric_joint(3))
+        calls = []
+        merge = designs.merge_colors
+        monkeypatch.setattr(designs, "merge_colors", lambda st: calls.append(st) or merge(st))
+        first = s.color_matrix
+        assert s.color_matrix is first and calls == [s]
+        assert np.array_equal(first.grid, merge(s).grid)
+        assert first.merged_to_base == merge(s).merged_to_base
+
     def test_merged_ids_dense_from_one(self, rot90_structure):
         cm = designs.merge_colors(rot90_structure)
         assert sorted(cm.merged_to_base) == list(range(1, cm.merged_color_count + 1))

@@ -265,7 +265,7 @@ class TestFloatRouteOracle:
 
     @pytest.mark.parametrize("cells", [1, 50])
     def test_compose_layers_blocks(self, monkeypatch, reverse_conv_structure, reverse_conv, cells):
-        # 6 elements of 4 x 3 cells: blocks of 1, or of 4 and 2
+        # 6 elements of 4 trials x 6 middle cells: blocks of 1, or of 2
         monkeypatch.setattr(layer, "_FLOAT_BATCH_CELLS", cells)
         swapped, second = reverse_stack_second(reverse_conv, layer.leaky(0.5))
         first = layer.tied_layer_from_structure(
@@ -315,13 +315,47 @@ class TestFloatRouteOracle:
         # check's peak allocation below 2 MiB
         joint = diagonal_symmetric_joint(7)
         tied = layer.tied_layer_from_structure(designs.dense_design(joint))
+        rep, peak = self.peak_bytes(lambda: layer.check_equivariance(tied, joint, trials=8))
+        assert rep.passed and rep.tested_elements == 5040
+        assert peak < 2 * 2**20
+
+    @staticmethod
+    def peak_bytes(run):
         tracemalloc.start()
         try:
-            rep = layer.check_equivariance(tied, joint, trials=8)
+            result = run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.passed and rep.tested_elements == 5040
+        return result, peak
+
+    @pytest.fixture(scope="class")
+    def s6_actions(self):
+        """S6 acting trivially on 1 point, naturally on 6, regularly on 720."""
+        g = pc.close_generators(pc.symmetric_generators(6))
+        return pc.trivial_action(g, 1), pc.natural_action(g), pc.regular_action(g)
+
+    def test_scratch_memory_bounded_by_output_side(self, s6_actions):
+        # one input point against the 720 outputs of the regular action: a
+        # block sized by n alone would hold 720 elements x 8 trials x 720 outputs
+        trivial, _, reg = s6_actions
+        joint = pc.joint_action(trivial, reg)
+        tied = layer.tied_layer_from_structure(designs.dense_design(joint))
+        rep, peak = self.peak_bytes(lambda: layer.check_equivariance(tied, joint, trials=8))
+        assert rep.passed and rep.tested_elements == 720
+        assert peak < 2 * 2**20
+
+    def test_scratch_memory_bounded_by_middle_side(self, s6_actions):
+        # 6 inputs, the 720 regular points in the middle, 6 outputs: a block
+        # sized by the ends alone would hold 341 elements x 8 trials x 720
+        _, nat, reg = s6_actions
+        joint_nm, joint_mo = pc.joint_action(nat, reg), pc.joint_action(reg, nat)
+        first = layer.tied_layer_from_structure(designs.dense_design(joint_nm))
+        second = layer.tied_layer_from_structure(designs.dense_design(joint_mo))
+        rep, peak = self.peak_bytes(
+            lambda: layer.compose_layers(first, second, joint_nm, joint_mo, trials=8)
+        )
+        assert rep.passed and rep.tested_elements == 720
         assert peak < 2 * 2**20
 
     def test_zero_trials(self, reverse_conv_structure, reverse_conv):
