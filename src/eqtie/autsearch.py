@@ -160,22 +160,6 @@ def _preserves_structure(s: SharingStructure, pns: ArrayLike, pms: ArrayLike) ->
     return ok
 
 
-def _transversal(
-    point: int, gens: list[tuple[int, ...]], degree: int
-) -> dict[int, tuple[int, ...]]:
-    """Schreier tree of ``point``: one product of ``gens`` mapping it to each orbit point."""
-    reps = {point: tuple(range(degree))}
-    frontier = [point]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = g[p]
-            if q not in reps:
-                reps[q] = tuple(g[v] for v in reps[p])
-                frontier.append(q)
-    return reps
-
-
 def enumerate_automorphisms(
     s: SharingStructure,
     reference: Optional[JointAction] = None,
@@ -301,7 +285,7 @@ def enumerate_automorphisms(
             pi_n[k] = k
         for k in range(level):
             used_n[base[k]] = True
-        delta = _transversal(b, strong, degree)
+        delta = permcore._transversal(b, strong, degree)
         for gamma in n_candidates[b]:
             if used_n[gamma] or gamma == b:
                 continue
@@ -317,7 +301,7 @@ def enumerate_automorphisms(
             used_n[gamma] = False
             if hit is not None:
                 strong.append(hit)
-                delta = _transversal(b, strong, degree)
+                delta = permcore._transversal(b, strong, degree)
         transversals[level] = delta
     base_orbits = tuple(len(delta) for delta in transversals)
 
@@ -357,9 +341,8 @@ def enumerate_automorphisms(
     if reference is not None:
         joint_order = reference.joint_order
         # automorphisms form a group: the generator pairs decide it for all pairs
-        gens = list(reference.group.generator_ids)
         preserved = _preserves_structure(
-            s, reference.n_action._table[gens], reference.m_action._table[gens]
+            s, reference.n_action._generator_rows, reference.m_action._generator_rows
         ).all()
         if not preserved:
             verdict = "incomparable"
@@ -436,10 +419,9 @@ def certify_unique(
     if result.verdict == "equal":
         return Certification("unique", result.order, joint.joint_order, None)
 
-    ref_pairs = joint.pair_set()
     rows = result._pairs() if result.generators is None else (
         (pn.images, pm.images) for pn, pm in result.generators
     )
-    outside = ((pn, pm) for pn, pm in rows if (pn, pm) not in ref_pairs)
+    outside = ((pn, pm) for pn, pm in rows if not joint._holds(pn, pm))
     witness = next(((Permutation(pn), Permutation(pm)) for pn, pm in outside), None)
     return Certification("supergroup", result.order, joint.joint_order, witness)

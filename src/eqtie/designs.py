@@ -8,13 +8,17 @@ groups cells by their full color set and sums the tied parameters.
 Color ids are 1-based and dense. Dense-design colors are numbered by
 first occurrence scanning the M x N grid row-major (m outer, n inner); sparse
 colors follow (n-orbit, m-orbit, generator) order. Both are deterministic
-because the group element order itself is. Each edge set is one gather of
-the actions' image tables; no ``Permutation`` object is built.
+because the group element order itself is. A dense design labels the cell
+orbits from the two actions' generator columns alone, so it lists no group
+element; a sparse edge set is one gather of the actions' image tables, built
+on first use. No ``Permutation`` object is built. Merging codes each cell's
+color set as one row and numbers the distinct rows with one stable sort.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -108,18 +112,22 @@ def dense_design(joint: JointAction) -> SharingStructure:
     """One color per orbit of the joint action on the edge set N x M.
 
     The orbits partition the complete bipartite edge set, so the structure
-    covers every cell exactly once.
+    covers every cell exactly once. Cell (n, m) is point m * |N| + n, which
+    each generator moves to g^M(m) * |N| + g^N(n); an orbit's color is the
+    rank of its first cell in that row-major order.
     """
-    covered: set[tuple[int, int]] = set()
+    n_size, m_size = joint.n_size, joint.m_size
+    n_gens, m_gens = joint.n_action._generator_rows, joint.m_action._generator_rows
+    cell_moves = (m_gens[:, :, None] * n_size + n_gens[:, None, :]).reshape(len(n_gens), -1)
+    first = permcore._orbit_minima(cell_moves)  # first[c]: the orbit's first cell
+    cells = np.argsort(first, kind="stable")
+    starts = np.flatnonzero(np.diff(first[cells], prepend=-1))
+    ms, ns = (v.tolist() for v in np.divmod(cells, n_size))
     relations = []
-    for m in range(joint.m_size):
-        for n in range(joint.n_size):
-            if (n, m) not in covered:
-                orbit = _cell_orbit(joint, n, m)
-                covered |= orbit
-                provenance = {"kind": "dense", "representative": (n, m)}
-                relations.append(Relation(len(relations) + 1, orbit, provenance))
-    return SharingStructure(joint.n_size, joint.m_size, tuple(relations))
+    for k, (lo, hi) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [len(cells)])):
+        provenance = {"kind": "dense", "representative": (ns[lo], ms[lo])}
+        relations.append(Relation(k + 1, frozenset(zip(ns[lo:hi], ms[lo:hi])), provenance))
+    return SharingStructure(n_size, m_size, tuple(relations))
 
 
 def sparse_design(joint: JointAction, genset: Sequence[int]) -> SharingStructure:
@@ -163,25 +171,40 @@ def sparse_design(joint: JointAction, genset: Sequence[int]) -> SharingStructure
 
 
 def merge_colors(s: SharingStructure) -> ColorMatrix:
-    """Collapse multi-edges: one merged color per distinct nonempty base color set."""
-    cell_sets = {}
-    for rel in s.relations:
-        for n, m in rel.edges:
-            cell_sets.setdefault((n, m), set()).add(rel.color_id)
+    """Collapse multi-edges: one merged color per distinct nonempty base color set.
 
+    Each covered cell's color set, ascending and zero-padded, is one row of a
+    code table (color ids are 1-based, so 0 pads). One stable sort of the rows
+    groups equal sets with each set's first cell, in row-major (m outer, n
+    inner) order, at its head, and the sets are numbered by that first cell.
+    """
     grid = np.zeros((s.m_size, s.n_size), dtype=np.int64)
-    merged_ids: dict[tuple[int, ...], int] = {}
-    merged_to_base: dict[int, tuple[int, ...]] = {}
-    for m in range(s.m_size):
-        for n in range(s.n_size):
-            base = cell_sets.get((n, m))
-            if not base:
-                continue
-            key = tuple(sorted(base))
-            if key not in merged_ids:
-                merged_ids[key] = len(merged_ids) + 1
-                merged_to_base[merged_ids[key]] = key
-            grid[m, n] = merged_ids[key]
+    sizes = [len(rel.edges) for rel in s.relations]
+    if not sum(sizes):
+        return ColorMatrix(s.n_size, s.m_size, grid, {}, s.base_color_count)
+    ends = np.fromiter(
+        itertools.chain.from_iterable(itertools.chain.from_iterable(r.edges for r in s.relations)),
+        dtype=np.int64, count=2 * sum(sizes),
+    ).reshape(-1, 2)
+    colors = np.repeat(np.array([rel.color_id for rel in s.relations], dtype=np.int64), sizes)
+    # one key per (cell, color) incidence, sorted by cell, then color
+    span = int(colors.max()) + 1
+    keys = np.sort((ends[:, 1] * s.n_size + ends[:, 0]) * span + colors)
+    cell, color = np.divmod(keys[np.diff(keys, prepend=-1) != 0], span)
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    counts = np.diff(starts, append=len(cell))
+    codes = np.zeros((len(starts), counts.max()), dtype=np.int64)
+    owner = np.repeat(np.arange(len(starts)), counts)
+    codes[owner, np.arange(len(cell)) - starts[owner]] = color
+    order = np.lexsort(codes.T[::-1])
+    head = np.diff(codes[order], axis=0, prepend=-1).any(axis=1)
+    firsts = order[head]  # each set's first cell, sets in sorted order
+    merged_id = np.empty(len(firsts), dtype=np.int64)
+    merged_id[np.argsort(firsts)] = np.arange(1, len(firsts) + 1)
+    grid.ravel()[cell[starts[order]]] = merged_id[np.cumsum(head) - 1]
+    merged_to_base = {
+        k + 1: tuple(c for c in code if c) for k, code in enumerate(codes[np.sort(firsts)].tolist())
+    }
     return ColorMatrix(s.n_size, s.m_size, grid, merged_to_base, s.base_color_count)
 
 
@@ -224,8 +247,8 @@ def replicate_action(action: GroupAction, copies: int) -> GroupAction:
         return action
     size = action.target_size
     # copy c of point i is c * size + i, and g moves it to c * size + g(i)
-    table = np.hstack([action._table + c * size for c in range(copies)])
-    return GroupAction(action.group, size * copies, table)
+    rows = np.hstack([action._generator_rows + c * size for c in range(copies)])
+    return GroupAction._from_generators(action.group, size * copies, rows)
 
 
 def with_identity_relation(s: SharingStructure) -> SharingStructure:

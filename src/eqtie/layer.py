@@ -185,13 +185,13 @@ def _verify(
         raise LayerError("trials must be >= 0")
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise LayerError("tolerance must be finite and >= 0")
-    n_table, m_table = joint.n_action._table, joint.m_action._table
-    gens = list(joint.group.generator_ids)
+    n_gens, m_gens = joint.n_action._generator_rows, joint.m_action._generator_rows
     exact_pass = all(
         matrix_commutes(w_exact, permcore.perm(gn), permcore.perm(gm))
-        for gn, gm in zip(n_table[gens].tolist(), m_table[gens].tolist())
+        for gn, gm in zip(n_gens.tolist(), m_gens.tolist())
     )
 
+    n_table, m_table = joint.n_action._table, joint.m_action._table
     m_size, n_size = w_exact.shape
     ids = joint._element_ids
     block = max(1, _FLOAT_BATCH_CELLS // (max(1, trials) * widest))

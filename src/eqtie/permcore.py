@@ -14,29 +14,41 @@ Group elements are enumerated breadth-first from the generating set, layers
 sorted lexicographically by image array, so every construction downstream
 (orbit ids, colors, exports) is reproducible.
 
-Groups and actions are read-only integer image tables, each row checked once
-to be a permutation. ``close_generators`` builds a group's (order x degree)
-table, one fancy index of the frontier by all generators per layer, and
-records the Cayley right-multiplication table ``right[i, s]`` = index of
-``elements[i]`` composed with generator s. It keys each candidate row by one
-vectorised code: up to degree 15 the row read as a base-degree numeral (one
-int64, ordered as the rows are), above it the row's big-endian bytes. A
-group checks its rows for duplicates by the same keys and builds the tuple
-index behind ``index_of``, ``inv`` and ``mul`` on first use. A
-``GroupAction``'s (|G| x target_size) table is checked when built to be a
-homomorphism on all |G| x |S| Cayley edges (one table-sized comparison per
-generator), so exact questions about it need only the generators' rows. A
-group's ``elements``, an action's ``images`` and a joint action's
-``joint_elements`` are ``Permutation`` views built on first use. The element
-order, images and error texts are those of a closure with one ``compose`` per
-product and a per-edge action walk (``tests/oracles.py`` keeps both as
-references).
+Groups and actions are handled through their generators. Every order question
+is answered by a deterministic stabilizer chain over the generator rows (Sims
+1970; Seress, *Permutation Group Algorithms*, ch. 4): ``close_generators``
+checks its cap against |G|, ``build_action`` accepts generator images exactly
+when |<(s, s^X)>| = |G| (the images then define a homomorphism),
+``JointAction.joint_order`` is |<(s^N, s^M)>|, and ``orbits`` and
+``classify_action`` read only the generator columns (kernel size =
+|G| / |image|; semi-regular when every orbit has |G| points). A chain level
+works on tuples up to degree 32 and on int arrays above it, where the level's
+Schreier generators are formed as one array per block. No element is listed
+for these answers.
+
+The read-only int tables are built on first use. A group's (order x degree)
+element table comes from a breadth-first closure, one fancy index of the
+frontier by all generators per layer, which also records the Cayley
+right-multiplication table ``right[i, s]`` = index of ``elements[i]`` composed
+with generator s. It keys each candidate row by one vectorised code: up to
+degree 15 the row read as a base-degree numeral (one int64, ordered as the
+rows are), above it the row's big-endian bytes. An action's (|G| x
+target_size) table is its generator images carried along the Cayley tree, and
+a joint action's element ids come from both tables. ``elements``, ``images``
+and ``joint_elements`` are ``Permutation`` views built on first use. A group
+or action given as an explicit table is checked when built, the action on all
+|G| x |S| Cayley edges. The element order, images and error texts are those of
+a closure with one ``compose`` per product and a per-edge action walk
+(``tests/oracles.py`` keeps both as references); rejected generator images
+are walked along the Cayley tree to name the first failing edge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -197,14 +209,20 @@ def _image_table(rows, size: int, what: str) -> np.ndarray:
 
 
 class PermutationGroup:
-    """A finite permutation group, kept as one read-only (order x degree) image table.
+    """A finite permutation group: its generator rows, with the element table built on first use.
 
     elements[0] is the identity; the rest follow breadth-first layers over the
     generators, each layer sorted by image array, so the element order is a
-    deterministic function of the generator list. Elements are given as
-    ``Permutation`` objects or int rows; ``elements`` and the element index
-    are built on first use.
+    deterministic function of the generator list. ``close_generators`` builds
+    a group from its generators, with the order from a stabilizer chain and
+    the element table closed on first read. Given an explicit element list
+    (``Permutation`` objects or int rows) the constructor checks it at once;
+    ``elements`` and the element index are built on first use either way.
     """
+
+    # True for a group built by ``close_generators``: it is <generators>, and
+    # its tables come from the breadth-first closure
+    _generated = False
 
     def __init__(self, degree: int, elements, generator_ids: Sequence[int]):
         self.degree = degree
@@ -215,6 +233,31 @@ class PermutationGroup:
             raise GroupError("element 0 must be the identity")
         if len(set(_row_keys(self._table))) != self.order:
             raise GroupError("duplicate elements")
+
+    @classmethod
+    def _from_generators(cls, rows: np.ndarray, generator_ids: Sequence[int], order: int):
+        """The group generated by ``rows``, of known ``order``; nothing is listed yet."""
+        group = cls.__new__(cls)
+        group.degree = rows.shape[1]
+        group.generator_ids = tuple(generator_ids)
+        group.order = order
+        group._generator_rows = rows
+        group._generated = True
+        return group
+
+    @cached_property
+    def _generator_rows(self) -> np.ndarray:
+        """Image rows of the generators, in ``generator_ids`` order."""
+        return _read_only(self._table[list(self.generator_ids)])
+
+    @cached_property
+    def _closure(self) -> tuple[np.ndarray, np.ndarray]:
+        """(element table, Cayley right table) of a generated group, closed breadth-first."""
+        return _close_rows(self._generator_rows)
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        return self._closure[0]
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
@@ -241,9 +284,11 @@ class PermutationGroup:
     def _cayley_right(self) -> np.ndarray:
         """right[i, t] = index of elements[i] composed with generators[t] (generator first).
 
-        ``close_generators`` records it while closing; a group built from an
+        A generated group records it while closing; a group built from an
         explicit element list gets it here, once.
         """
+        if self._generated:
+            return self._closure[1]
         right = [[self.mul(i, g) for g in self.generator_ids] for i in range(self.order)]
         return np.array(right, dtype=np.intp).reshape(self.order, len(self.generator_ids))
 
@@ -272,12 +317,13 @@ class PermutationGroup:
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
-        return tuple(perm(row) for row in self._table[list(self.generator_ids)].tolist())
+        return tuple(perm(row) for row in self._generator_rows.tolist())
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PermutationGroup)
             and self.degree == other.degree
+            and self.order == other.order
             and np.array_equal(self._table, other._table)
         )
 
@@ -286,6 +332,11 @@ class PermutationGroup:
 
     def __repr__(self):
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 # rows up to this degree are keyed by one int64: 15 ** 15 < 2 ** 63
@@ -306,15 +357,190 @@ def _row_keys(table: np.ndarray) -> list[int] | list[bytes]:
     return [row.tobytes() for row in table.astype(">u4")]
 
 
+# Stabilizer chains. Up to this degree a level works on tuples, one C-level
+# map per product; wider, on int arrays, one array op per step of a level.
+_TUPLE_DEGREE = 32
+# Schreier generators (rows x degree) formed per block on the array route
+_SCHREIER_BLOCK_CELLS = 1 << 16
+
+
+def _compose_tuple(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """p after q; ``itemgetter`` with one index returns the entry, not a tuple."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(p[i] for i in q)
+
+
+def _inverse_tuple(p: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def _transversal(point: int, gens, degree: int) -> dict[int, tuple[int, ...]]:
+    """Schreier tree of ``point``: one product of ``gens`` mapping it to each orbit point."""
+    reps = {point: tuple(range(degree))}
+    frontier = [point]
+    while frontier:
+        grown = []
+        for p in frontier:
+            for g in gens:
+                q = g[p]
+                if q not in reps:
+                    reps[q] = _compose_tuple(g, reps[p])
+                    grown.append(q)
+        frontier = grown
+    return reps
+
+
+def _schreier_tuples(point: int, gens: list[tuple[int, ...]], reps) -> list[tuple[int, ...]]:
+    """Distinct non-identity Schreier generators u_{g x}^-1 g u_x of the stabilizer of ``point``.
+
+    ``reps`` is the Schreier tree of ``point`` under ``gens``.
+    """
+    inverses: dict[int, tuple[int, ...]] = {}
+    found: dict[tuple[int, ...], None] = {}
+    for u in reps.values():
+        for g in gens:
+            gu = _compose_tuple(g, u)
+            x = gu[point]
+            if gu != reps[x]:  # u_x^-1 g u is not the identity
+                if x not in inverses:
+                    inverses[x] = _inverse_tuple(reps[x])
+                found[_compose_tuple(inverses[x], gu)] = None
+    return list(found)
+
+
+def _transversal_rows(
+    point: int, gens: np.ndarray, room: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_transversal`` on int arrays: (slot, reps), reps[slot[x]] mapping ``point`` to x.
+
+    slot[x] is -1 off the orbit. Each round applies the generators and their
+    2^r-th powers to every rep so far, so a long cycle is covered in
+    logarithmically many rounds; candidates are compared by the point they
+    reach, and only the new reps are composed. Past ``room`` + 1 reps the
+    orbit is cut short, so a capped chain never holds more reps than that.
+    """
+    count, degree = gens.shape
+    slot = np.full(degree, -1, dtype=np.intp)
+    slot[point] = 0
+    reps = np.arange(degree, dtype=np.intp).reshape(1, degree)
+    orbit = np.array([point])
+    movers = jumps = gens
+    while room is None or len(reps) <= room:
+        heads = movers[:, orbit].T.ravel()  # k * |movers| + s: mover s after rep k
+        points, first = np.unique(heads, return_index=True)
+        new = slot[points] < 0
+        if not new.any():
+            break
+        if room is not None:
+            new &= np.cumsum(new) <= room + 1 - len(reps)
+        rep, mover = np.divmod(first[new], len(movers))
+        rows = movers.ravel()[(mover * degree)[:, None] + reps[rep]]  # mover(rep(i))
+        slot[points[new]] = np.arange(len(reps), len(reps) + len(rows))
+        reps = np.concatenate([reps, rows])
+        orbit = np.concatenate([orbit, points[new]])
+        jumps = jumps.ravel()[jumps + (np.arange(count) * degree)[:, None]]  # squared
+        movers = np.concatenate([gens, jumps])
+    return slot, reps
+
+
+def _schreier_rows(point: int, gens: np.ndarray, slot: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """``_schreier_tuples`` on int arrays, formed per block of reps."""
+    count, degree = gens.shape
+    flat = gens.ravel()
+    block = max(1, _SCHREIER_BLOCK_CELLS // (count * degree))
+    found = []
+    for lo in range(0, len(reps), block):
+        # row k * |S| + s is generator s after rep k, compared with the rep of its image of point
+        gu = flat[(np.arange(count) * degree)[None, :, None] + reps[lo:lo + block, None, :]]
+        gu = gu.reshape(-1, degree)
+        u = reps[slot[gu[:, point]]]
+        keep = (gu != u).any(axis=1)
+        gu, u = gu[keep], u[keep]
+        inverses = np.empty_like(u)
+        inverses[np.arange(len(u))[:, None], u] = np.arange(degree)
+        found.append(inverses[np.arange(len(u))[:, None], gu])  # u^-1(g(u(i)))
+    return _distinct_rows(np.concatenate(found))
+
+
+def _distinct_rows(table: np.ndarray) -> np.ndarray:
+    """The rows of an image table at their first occurrences."""
+    first: dict[int | bytes, int] = {}
+    for pos, key in enumerate(_row_keys(table)):
+        first.setdefault(key, pos)
+    return table[list(first.values())]
+
+
+class _StabilizerChain:
+    """A stabilizer chain of the group generated by int rows: base points and transversals.
+
+    G_0 is the group of the generator rows. The generators of G_{l+1}, the
+    pointwise stabilizer of b_0..b_l, are the distinct Schreier generators
+    u_{g x}^-1 g u_x of level l (Schreier's lemma; Sims 1970, Seress,
+    *Permutation Group Algorithms*, ch. 4), and b_l is the smallest point
+    G_l moves, so the levels take the lower points first. ``trees[l]`` is the
+    transversal of b_l under G_l, and |G| is the product of the orbit
+    lengths. Past ``limit`` the chain stops: that product only grows, so it
+    then exceeds ``limit`` without being the order.
+    """
+
+    def __init__(self, gens: np.ndarray, limit: int | None = None):
+        self.degree = degree = gens.shape[1]
+        self.narrow = degree <= _TUPLE_DEGREE
+        level = gens[(gens != np.arange(degree)).any(axis=1)]
+        if self.narrow:
+            level = list(dict.fromkeys(map(tuple, level.tolist())))
+        self.base: list[int] = []
+        self.orbit_lengths: list[int] = []
+        self.trees: list = []
+        while len(level):
+            if self.narrow:
+                point = min(next(i for i, v in enumerate(g) if v != i) for g in level)
+                tree = _transversal(point, level, degree)
+            else:
+                point = int(np.argmax((level != np.arange(degree)).any(axis=0)))
+                room = None if limit is None else limit // self.order
+                tree = _transversal_rows(point, level, room)
+            self.base.append(point)
+            self.trees.append(tree)
+            self.orbit_lengths.append(len(tree) if self.narrow else len(tree[1]))
+            if limit is not None and self.order > limit:
+                return
+            if self.narrow:
+                level = _schreier_tuples(point, level, tree)
+            else:
+                level = _schreier_rows(point, level, *tree)
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.orbit_lengths)
+
+    def __contains__(self, images: tuple[int, ...]) -> bool:
+        """Whether the permutation lies in the group: sift it through every level."""
+        for point, tree in zip(self.base, self.trees):
+            if self.narrow:
+                u = tree.get(images[point])
+            else:
+                slot, reps = tree
+                k = slot[images[point]]
+                u = tuple(reps[k].tolist()) if k >= 0 else None
+            if u is None:
+                return False
+            images = _compose_tuple(_inverse_tuple(u), images)  # u^-1 after h fixes b_l
+        return images == tuple(range(self.degree))
+
+
+def _group_order(gens: np.ndarray, limit: int | None = None) -> int:
+    """|<gens>| for the generator rows ``gens``; past ``limit``, some value above it."""
+    return _StabilizerChain(gens, limit).order
+
+
 def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
-    """Close a generator list under composition, breadth-first.
+    """The group generated by a generator list; its elements are listed on first use.
 
-    Works on an (order x degree) image table: a layer's candidates are the
-    frontier rows composed with every generator in one fancy index, the new
-    ones are kept by row key and sorted by image array, and the index of each
-    candidate becomes its entry in the group's Cayley table.
+    The order comes from a stabilizer chain. The generator ids are those of
+    the breadth-first closure: the identity is element 0, and the distinct
+    non-identity generators make up layer 1, sorted by image array.
 
-    Raises GroupError when the closure grows past ``cap`` elements.
+    Raises GroupError when the group has more than ``cap`` elements.
     """
     if not gens:
         raise GroupError("need at least one generator")
@@ -327,7 +553,25 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
 
     # repeated generators add no products; the first occurrence fixes the order
     unique = list(dict.fromkeys(g.images for g in gens))
-    gen_table = np.array(unique, dtype=np.intp).reshape(len(unique), degree)
+    rows = _read_only(np.array(unique, dtype=np.intp).reshape(len(unique), degree))
+    order = _group_order(rows, limit=cap)
+    if order > cap:
+        raise GroupError(f"order cap exceeded: closure has more than {cap} elements; raise the cap")
+    ident = tuple(range(degree))
+    layer = sorted(row for row in unique if row != ident)
+    gen_ids = [0 if row == ident else 1 + layer.index(row) for row in unique]
+    return PermutationGroup._from_generators(rows, gen_ids, order)
+
+
+def _close_rows(gen_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(element table, Cayley right table) of <gen_table>, closed breadth-first.
+
+    A layer's candidates are the frontier rows composed with every generator
+    in one fancy index, the new ones are kept by row key and sorted by image
+    array, and the index of each candidate becomes its entry in the Cayley
+    table.
+    """
+    degree = gen_table.shape[1]
     frontier = np.arange(degree, dtype=np.intp).reshape(1, degree)
     index = {_row_keys(frontier)[0]: 0}
     layers = [frontier]
@@ -344,17 +588,10 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
         for key in layer:
             index[key] = len(index)
         right.extend(map(index.__getitem__, keys))
-        if len(index) > cap:
-            raise GroupError(
-                f"order cap exceeded: closure has more than {cap} elements; raise the cap"
-            )
         frontier = cand[[fresh[key] for key in layer]]
         layers.append(frontier)
-
-    gen_ids = [index[key] for key in _row_keys(gen_table)]
-    group = PermutationGroup(degree, np.concatenate(layers), gen_ids)
-    group._cayley_right = np.array(right, dtype=np.intp).reshape(group.order, len(unique))
-    return group
+    table = _read_only(np.concatenate(layers))
+    return table, np.array(right, dtype=np.intp).reshape(len(table), len(gen_table))
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +731,10 @@ class GroupAction:
     ``images`` holds the image of each of ``group.elements`` in turn, as
     ``Permutation`` objects or int rows, kept as one read-only table that must
     satisfy img(x . g_s) == img(x) . img(g_s) on every Cayley edge (the first
-    failing edge in breadth-first order names x . g_s); ``images`` is its
-    ``Permutation`` view, built on first use.
+    failing edge in breadth-first order names x . g_s). An action built from
+    generator images (``build_action``) keeps only their rows and carries
+    them along the Cayley tree on the first read of the table; ``images`` is
+    the table's ``Permutation`` view, built on first use.
     """
 
     def __init__(self, group: PermutationGroup, target_size: int, images):
@@ -521,6 +760,29 @@ class GroupAction:
             raise GroupError("generators do not generate the reference group")
         self._table = table
 
+    @classmethod
+    def _from_generators(cls, group: PermutationGroup, target_size: int, rows: np.ndarray):
+        """The action extending the generator images ``rows``, known to be a homomorphism."""
+        action = cls.__new__(cls)
+        action.group = group
+        action.target_size = target_size
+        action._generator_rows = _read_only(rows)
+        return action
+
+    @cached_property
+    def _generator_rows(self) -> np.ndarray:
+        """Images of the group's generators, in ``generator_ids`` order."""
+        return _read_only(self._table[list(self.group.generator_ids)])
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        return _read_only(_tree_images(self.group, self._generator_rows))
+
+    @cached_property
+    def _image_order(self) -> int:
+        """Order of the image group, the permutations of the target set that G induces."""
+        return _group_order(self._generator_rows)
+
     @cached_property
     def images(self) -> tuple[Permutation, ...]:
         return tuple(Permutation(tuple(row)) for row in self._table.tolist())
@@ -529,24 +791,46 @@ class GroupAction:
         return f"GroupAction(|G|={self.group.order}, target_size={self.target_size})"
 
 
+def _tree_images(group: PermutationGroup, gen_rows: np.ndarray) -> np.ndarray:
+    """Element images from generator images, each tree element's parent image then its generator's.
+
+    The tree does not reach an identity generator, nor, in a group given by
+    an explicit list, an element outside <generators>: those rows stay
+    identities.
+    """
+    img = np.tile(np.arange(gen_rows.shape[1], dtype=np.intp), (group.order, 1))
+    for layer, parents, columns in group._cayley_tree:
+        img[layer] = img[parents[:, None], gen_rows[columns]]
+    return img
+
+
 def build_action(
     group: PermutationGroup, gen_images: Sequence[Permutation], target_size: int
 ) -> GroupAction:
-    """Extend generator images to the whole group along the Cayley table.
+    """The action of ``group`` extending the generator images, listed on first use.
 
-    Each element of the breadth-first spanning tree gets its parent's image
-    composed with the generator's image, and ``GroupAction`` checks every
-    edge. The tree does not reach an identity generator; its image is
-    compared here, on the edge the check would report first.
+    The images define a homomorphism exactly when the pairs (s, s^X) generate
+    a group no larger than G. Rejected images, and any group given as an
+    explicit element list, are carried along the Cayley tree at once, and
+    ``GroupAction`` checks every edge, naming the first that fails. The tree
+    does not reach an identity generator; its image is compared here, on the
+    edge the check would report first.
     """
     gen_ids = group.generator_ids
     if len(gen_images) != len(gen_ids):
         raise GroupError(f"need {len(gen_ids)} generator images, got {len(gen_images)}")
     gen_table = _image_table(gen_images, target_size, "generator image")
-    # rows the tree never reaches (non-generating ids) stay identities for the table check
-    img = np.tile(np.arange(target_size, dtype=np.intp), (group.order, 1))
-    for layer, parents, columns in group._cayley_tree:
-        img[layer] = img[parents[:, None], gen_table[columns]]
+    if group._generated:
+        # the target points come first, so the chain's levels on them measure the image
+        pairs = np.hstack([gen_table, group._generator_rows + target_size])
+        chain = _StabilizerChain(pairs, limit=group.order)
+        if chain.order == group.order:
+            action = GroupAction._from_generators(group, target_size, gen_table)
+            action._image_order = math.prod(
+                size for b, size in zip(chain.base, chain.orbit_lengths) if b < target_size
+            )
+            return action
+    img = _tree_images(group, gen_table)
     if (img[list(gen_ids)] != gen_table).any():
         raise GroupError("inconsistent action: element () receives two distinct images")
     return GroupAction(group, target_size, img)
@@ -582,9 +866,26 @@ def _first_rows(table: np.ndarray) -> np.ndarray:
     return np.sort(np.unique(table[:, base], axis=0, return_index=True)[1])
 
 
+def _orbit_minima(gens: np.ndarray) -> np.ndarray:
+    """low[x]: the smallest point in the orbit of x under the rows ``gens``.
+
+    Each round gives every point the smallest label among its images and
+    preimages, then jumps each label to its own label. Labels stay in the
+    orbit and only fall, and they are stable exactly when constant on orbits.
+    """
+    low = np.arange(gens.shape[1])
+    moves = np.concatenate([gens, np.argsort(gens, axis=1)])
+    while True:
+        nxt = np.minimum(low, low[moves].min(axis=0, initial=len(low)))
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, low):
+            return low
+        low = nxt
+
+
 def orbits(action: GroupAction) -> OrbitPartition:
     """Partition the target set into orbits; representative = smallest index."""
-    low = action._table.min(axis=0)  # low[x]: the smallest g.x over all of G
+    low = _orbit_minima(action._generator_rows)
     reps = np.unique(low)
     return OrbitPartition(tuple(np.searchsorted(reps, low).tolist()), tuple(reps.tolist()))
 
@@ -593,18 +894,18 @@ def classify_action(action: GroupAction) -> ActionProfile:
     """Faithfulness, transitivity, and (semi-)regularity of an action.
 
     Semi-regularity is a property of G's action, not of its image: every point
-    stabilizer in G is trivial, g.x = x => g = e. A kernel element other than
+    stabilizer in G is trivial, g.x = x => g = e, which by orbit-stabilizer
+    holds exactly when every orbit has |G| points. A kernel element other than
     e fixes every point, so a non-faithful action is never semi-regular.
-    Regular means transitive and semi-regular.
+    Regular means transitive and semi-regular. The image order comes from the
+    generator images' stabilizer chain; the kernel is G / image.
     """
-    table = action._table
-    fixed = table == np.arange(action.target_size)  # fixed[g, x]: g.x = x
-    kernel_size = int(fixed.all(axis=1).sum())
-    image_order = action.group.order // kernel_size  # the image is G / kernel
-    transitive = orbits(action).orbit_count == 1
-    # only row 0 (the identity element) may fix a point: the kernel must be
-    # trivial and every other image fixed-point free
-    semi_regular = kernel_size == 1 and not fixed[1:].any()
+    image_order = action._image_order
+    kernel_size = action.group.order // image_order
+    part = orbits(action)
+    orbit_sizes = np.bincount(part.orbit_of, minlength=part.orbit_count)
+    transitive = part.orbit_count == 1
+    semi_regular = kernel_size == 1 and bool((orbit_sizes == action.group.order).all())
     return ActionProfile(
         faithful=kernel_size == 1,
         transitive=transitive,
@@ -617,16 +918,18 @@ def classify_action(action: GroupAction) -> ActionProfile:
 
 def faithful_image(action: GroupAction) -> tuple[PermutationGroup, ActionProfile]:
     """The deduplicated image group (the quotient by the kernel) plus the profile."""
-    gen_imgs = [perm(row) for row in action._table[list(action.group.generator_ids)].tolist()]
+    gen_imgs = [perm(row) for row in action._generator_rows.tolist()]
     image_group = close_generators(gen_imgs, cap=max(DEFAULT_ORDER_CAP, action.group.order))
-    profile = classify_action(action)
-    if image_group.order * profile.kernel_size != action.group.order:
-        raise GroupError("image order times kernel size must equal the group order")
-    return image_group, profile
+    return image_group, classify_action(action)
 
 
 class JointAction:
-    """Paired input/output actions of one reference group (a sub-direct product)."""
+    """Paired input/output actions of one reference group (a sub-direct product).
+
+    ``joint_order`` is the order of the group generated by the generator
+    pairs (s^N, s^M); the element ids of the distinct pairs are found in the
+    two image tables on first use.
+    """
 
     def __init__(self, n_action: GroupAction, m_action: GroupAction):
         if n_action.group != m_action.group:
@@ -634,9 +937,27 @@ class JointAction:
         self.group = n_action.group
         self.n_action = n_action
         self.m_action = m_action
-        # element ids of the distinct (g^N, g^M) pairs, each at its first occurrence
-        self._element_ids = _first_rows(np.hstack([n_action._table, m_action._table]))
-        self.joint_order = len(self._element_ids)
+        if self.group.order in (n_action._image_order, m_action._image_order):
+            self.joint_order = self.group.order  # one side alone tells the elements apart
+        else:
+            self.joint_order = self._chain.order
+
+    @cached_property
+    def _chain(self) -> _StabilizerChain:
+        """Stabilizer chain of the pairs on N followed by M."""
+        n_rows, m_rows = self.n_action._generator_rows, self.m_action._generator_rows
+        return _StabilizerChain(np.hstack([n_rows, m_rows + self.n_size]))
+
+    def _holds(self, pn: Sequence[int], pm: Sequence[int]) -> bool:
+        """Whether (pn, pm) is a joint element, sifted through the chain; nothing is listed."""
+        return tuple(pn) + tuple(v + self.n_size for v in pm) in self._chain
+
+    @cached_property
+    def _element_ids(self) -> np.ndarray:
+        """Element ids of the distinct (g^N, g^M) pairs, each at its first occurrence."""
+        if self.joint_order == self.group.order:  # a faithful pairing: every element
+            return np.arange(self.group.order)
+        return _first_rows(np.hstack([self.n_action._table, self.m_action._table]))
 
     def _pairs(self):
         ids = self._element_ids
@@ -669,7 +990,11 @@ def joint_action(n_action: GroupAction, m_action: GroupAction) -> JointAction:
 
 
 def symmetrize_genset(group: PermutationGroup, element_ids: Iterable[int]) -> tuple[int, ...]:
-    """Close a set of element ids under inverse and verify it generates the group."""
+    """Close a set of element ids under inverse and verify it generates the group.
+
+    The subgroup's order comes from ``close_generators``' stabilizer chain;
+    nothing of it is listed.
+    """
     ids = set(element_ids)
     for i in ids:
         if not 0 <= i < group.order:

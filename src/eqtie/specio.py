@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import designs, layer, permcore
@@ -128,8 +129,9 @@ class ProblemSpec:
     tie_across_orbits: bool
     document: dict
 
-    @property
+    @cached_property
     def joint(self) -> JointAction:
+        """The joint action of the two parsed actions, built once per spec."""
         return permcore.joint_action(self.n_action, self.m_action)
 
 
@@ -268,7 +270,9 @@ def build_structure(spec: ProblemSpec) -> SharingStructure:
 
 
 def expanded_joint(spec: ProblemSpec) -> JointAction:
-    """The joint action on the channel-expanded index sets."""
+    """The joint action on the channel-expanded index sets; ``spec.joint`` for 1 x 1 channels."""
+    if spec.channels == ChannelSpec(1, 1):
+        return spec.joint
     return permcore.joint_action(
         designs.replicate_action(spec.n_action, spec.channels.k_in),
         designs.replicate_action(spec.m_action, spec.channels.k_out),

@@ -256,3 +256,57 @@ def exact_pass_all_pairs(w, pairs):
     asks it of the group's generators alone.
     """
     return all(commutes_exactly(w, gn, gm) for gn, gm in pairs)
+
+
+def orbits_from_table(table):
+    """(orbit id per point, representatives) from a full (|G| x size) image table.
+
+    The reference for ``permcore.orbits``, which reads only the generator
+    columns: a point's orbit is named by the smallest g.x over all of G.
+    """
+    table = np.asarray(table)
+    low = table.min(axis=0)
+    reps = np.unique(low)
+    return tuple(np.searchsorted(reps, low).tolist()), tuple(reps.tolist())
+
+
+def classify_from_table(table, group_order):
+    """(faithful, transitive, semi_regular, regular, kernel size, image order) from a full table.
+
+    The reference for ``permcore.classify_action``, which reads only the
+    generator columns: the kernel is the rows fixing every point, and a
+    semi-regular action fixes a point only under row 0, the identity.
+    """
+    table = np.asarray(table)
+    fixed = table == np.arange(table.shape[1])
+    kernel_size = int(fixed.all(axis=1).sum())
+    transitive = len(orbits_from_table(table)[1]) == 1
+    semi_regular = kernel_size == 1 and not fixed[1:].any()
+    return (kernel_size == 1, transitive, semi_regular, transitive and semi_regular,
+            kernel_size, group_order // kernel_size)
+
+
+def merge_colors_per_cell(s):
+    """(grid, merged_to_base) of ``designs.merge_colors`` by one dict probe per cell.
+
+    The reference for the vectorised merge: cells are visited row-major (m
+    outer, n inner) and each new sorted color set gets the next merged id.
+    """
+    cell_sets = {}
+    for rel in s.relations:
+        for n, m in rel.edges:
+            cell_sets.setdefault((n, m), set()).add(rel.color_id)
+    grid = np.zeros((s.m_size, s.n_size), dtype=np.int64)
+    merged_ids = {}
+    merged_to_base = {}
+    for m in range(s.m_size):
+        for n in range(s.n_size):
+            base = cell_sets.get((n, m))
+            if not base:
+                continue
+            key = tuple(sorted(base))
+            if key not in merged_ids:
+                merged_ids[key] = len(merged_ids) + 1
+                merged_to_base[merged_ids[key]] = key
+            grid[m, n] = merged_ids[key]
+    return grid, merged_to_base

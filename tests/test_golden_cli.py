@@ -1,10 +1,11 @@
 """Byte identity of `group info`, `design`, `check equivariance`,
-`certify unique` and `export dot` on the benchmark corpus.
+`certify unique` and `export dot` on the benchmark corpus, and of the error
+texts of `group info` and `design` on the malformed specs in `tests/corpus`.
 
 Each case hashes (sha256) the exit code, stdout, stderr and the file written
 (the DOT of `design --dot`, the JSON of `group info --out`) of one CLI call on
-one `bench/corpus` spec, and compares the hash with the committed table
-`golden_cli.json`. A refactor that changes any byte of these outputs fails
+one `bench/corpus` or `tests/corpus` spec, and compares the hash with the
+committed table `golden_cli.json`. A refactor that changes any byte of these outputs fails
 here. After an intended output change, regenerate the table with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
@@ -26,11 +27,14 @@ from eqtie import cli
 
 TESTS = Path(__file__).resolve().parent
 CORPUS = TESTS.parent / "bench" / "corpus"
+# specs that parsing rejects: inconsistent actions, order_cap, bad gensets
+ERROR_CORPUS = TESTS / "corpus"
 GOLDEN = TESTS / "golden_cli.json"
 COMMANDS = (
     "group_info", "group_info_out", "design", "design_dot", "export_dot", "check",
     "check_flags", "certify", "certify_one_based", "certify_cap",
 )
+ERROR_COMMANDS = ("group_info", "design")
 
 
 def cli_digest(spec: Path, command: str, work: Path) -> str:
@@ -60,8 +64,17 @@ def cli_digest(spec: Path, command: str, work: Path) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def spec_path(name: str) -> Path:
+    return (ERROR_CORPUS if name.startswith("error-") else CORPUS) / f"{name}.json"
+
+
 def case_ids() -> list[str]:
-    return [f"{spec.stem}:{command}" for spec in sorted(CORPUS.glob("*.json")) for command in COMMANDS]
+    return [
+        f"{spec.stem}:{command}"
+        for corpus, commands in ((CORPUS, COMMANDS), (ERROR_CORPUS, ERROR_COMMANDS))
+        for spec in sorted(corpus.glob("*.json"))
+        for command in commands
+    ]
 
 
 def test_table_covers_the_corpus():
@@ -71,7 +84,7 @@ def test_table_covers_the_corpus():
 @pytest.mark.parametrize("case", case_ids())
 def test_cli_bytes_match_golden(case, tmp_path):
     name, command = case.split(":")
-    assert cli_digest(CORPUS / f"{name}.json", command, tmp_path) == json.loads(
+    assert cli_digest(spec_path(name), command, tmp_path) == json.loads(
         GOLDEN.read_text()
     )[case]
 
@@ -83,6 +96,6 @@ if __name__ == "__main__":
         table = {}
         for case in case_ids():
             name, command = case.split(":")
-            table[case] = cli_digest(CORPUS / f"{name}.json", command, Path(tmp))
+            table[case] = cli_digest(spec_path(name), command, Path(tmp))
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(table)} digests to {GOLDEN}")
