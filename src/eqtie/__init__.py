@@ -34,7 +34,6 @@ from .layer import (
     Nonlinearity,
     TiedLayer,
     check_equivariance,
-    check_subgroup_monotonicity,
     compose_layers,
     first_primes,
     forward,
@@ -53,7 +52,6 @@ from .permcore import (
     OrbitPartition,
     Permutation,
     PermutationGroup,
-    act_on_vector,
     build_action,
     classify_action,
     close_generators,
@@ -70,7 +68,6 @@ from .permcore import (
     natural_action,
     orbits,
     parse_cycles,
-    permutation_matrix,
     regular_action,
     symmetric_generators,
     symmetrize_genset,

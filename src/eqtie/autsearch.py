@@ -146,10 +146,8 @@ def _preserves_structure(s: SharingStructure, pns: ArrayLike, pms: ArrayLike) ->
     """
     n_size, m_size = s.n_size, s.m_size
     inc = np.zeros((len(s.relations), n_size, m_size), dtype=bool)
-    for r, rel in enumerate(s.relations):
-        if rel.edges:
-            ends = np.array(sorted(rel.edges))
-            inc[r, ends[:, 0], ends[:, 1]] = True
+    ends, owner = s._stacked_edges
+    inc[owner, ends[:, 0], ends[:, 1]] = True
     pns = np.asarray(pns, dtype=np.intp)
     pms = np.asarray(pms, dtype=np.intp)
     ok = np.ones(len(pns), dtype=bool)

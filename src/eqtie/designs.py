@@ -2,23 +2,25 @@
 
 A sharing structure is a colored multi-edged bipartite graph over the input
 index set N and the output index set M: a list of relations, each an edge set
-carrying one color. Cells may carry several colors (multi-edges); merging
-groups cells by their full color set and sums the tied parameters.
+carrying one color. A relation's edges are one read-only (k, 2) intp array of
+distinct (n, m) rows in ascending lexicographic order; the ``Relation``
+constructor sorts and de-duplicates whatever pairs it is given, and every
+consumer reads that array. Cells may carry several colors (multi-edges);
+merging groups cells by their full color set and sums the tied parameters.
 
-Color ids are 1-based and dense. Dense-design colors are numbered by
-first occurrence scanning the M x N grid row-major (m outer, n inner); sparse
-colors follow (n-orbit, m-orbit, generator) order. Both are deterministic
-because the group element order itself is. A dense design labels the cell
-orbits from the two actions' generator columns alone, so it lists no group
-element; a sparse edge set is one gather of the actions' image tables, built
-on first use. No ``Permutation`` object is built. Merging codes each cell's
-color set as one row and numbers the distinct rows with one stable sort.
+Color ids are 1-based and dense. Dense-design colors are numbered by each
+orbit's first cell in the M x N grid read row-major (m outer, n inner); sparse
+colors follow (n-orbit, m-orbit, generator) order. A dense design labels the
+cell orbits from the two actions' generator columns alone, so it lists no
+group element; a sparse edge set is one gather of the actions' image tables,
+built on first use. No ``Permutation`` object is built. Merging codes each
+cell's color set as one row and numbers the distinct rows with one stable
+sort.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -32,13 +34,31 @@ class DesignError(ValueError):
     """Malformed structure or invalid design input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Relation:
-    """One edge set with one color; provenance records how it was built."""
+    """One edge set with one color; provenance records how it was built.
+
+    ``edges`` is given as a sequence of (n, m) pairs or a (k, 2) int array and
+    kept as a read-only (k, 2) intp array of its distinct rows, sorted by n,
+    then m. Relations compare by identity.
+    """
 
     color_id: int
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
     provenance: Mapping[str, object]
+
+    def __post_init__(self):
+        edges = np.asarray(self.edges, dtype=np.intp)
+        if edges.size == 0:
+            edges = edges.reshape(0, 2)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise DesignError(f"relation {self.color_id}: edges must be (n, m) pairs")
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        distinct = np.ones(len(edges), dtype=bool)
+        distinct[1:] = (edges[1:] != edges[:-1]).any(axis=1)
+        edges = edges[distinct]
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
 
 @dataclass(frozen=True)
@@ -49,23 +69,27 @@ class SharingStructure:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for rel in self.relations:
-            for n, m in rel.edges:
-                if not (0 <= n < self.n_size and 0 <= m < self.m_size):
-                    raise DesignError(f"edge ({n}, {m}) outside {self.n_size} x {self.m_size}")
+        ends, _ = self._stacked_edges
+        outside = ((ends < 0) | (ends >= (self.n_size, self.m_size))).any(axis=1)
+        if outside.any():
+            n, m = ends[outside.argmax()].tolist()
+            raise DesignError(f"edge ({n}, {m}) outside {self.n_size} x {self.m_size}")
 
     @property
     def base_color_count(self) -> int:
         return len(self.relations)
 
     @functools.cached_property
+    def _stacked_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every relation's edge rows stacked in relation order, and each row's relation index."""
+        ends = np.concatenate([np.empty((0, 2), dtype=np.intp)] + [r.edges for r in self.relations])
+        owner = np.repeat(np.arange(len(self.relations)), [len(r.edges) for r in self.relations])
+        return ends, owner
+
+    @functools.cached_property
     def color_matrix(self) -> ColorMatrix:
         """``merge_colors(self)``, merged on first use and kept with the structure."""
         return merge_colors(self)
-
-    def alpha(self, n: int, m: int) -> frozenset[int]:
-        """The set of color ids whose edges contain (n, m)."""
-        return frozenset(r.color_id for r in self.relations if (n, m) in r.edges)
 
 
 @dataclass(frozen=True)
@@ -83,10 +107,6 @@ class ColorMatrix:
     merged_to_base: Mapping[int, tuple[int, ...]]
     base_color_count: int
 
-    def alpha(self, n: int, m: int) -> frozenset[int]:
-        mid = int(self.grid[m, n])
-        return frozenset(self.merged_to_base[mid]) if mid else frozenset()
-
     @property
     def merged_color_count(self) -> int:
         return len(self.merged_to_base)
@@ -102,10 +122,9 @@ class ChannelSpec:
             raise DesignError("channel counts must be positive")
 
 
-def _cell_orbit(joint: JointAction, n: int, m: int) -> frozenset[tuple[int, int]]:
-    """The orbit {(g.n, g.m) : g in G} of the cell (n, m)."""
-    n_table, m_table = joint.n_action._table, joint.m_action._table
-    return frozenset(zip(n_table[:, n].tolist(), m_table[:, m].tolist()))
+def _cell_orbit(joint: JointAction, n: int, m: int) -> np.ndarray:
+    """The cells (g.n, g.m) for every g in G, one row each: the orbit of (n, m) with repeats."""
+    return np.stack([joint.n_action._table[:, n], joint.m_action._table[:, m]], axis=1)
 
 
 def dense_design(joint: JointAction) -> SharingStructure:
@@ -122,11 +141,12 @@ def dense_design(joint: JointAction) -> SharingStructure:
     first = permcore._orbit_minima(cell_moves)  # first[c]: the orbit's first cell
     cells = np.argsort(first, kind="stable")
     starts = np.flatnonzero(np.diff(first[cells], prepend=-1))
-    ms, ns = (v.tolist() for v in np.divmod(cells, n_size))
+    ms, ns = np.divmod(cells, n_size)
+    ends = np.stack([ns, ms], axis=1)
     relations = []
     for k, (lo, hi) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [len(cells)])):
-        provenance = {"kind": "dense", "representative": (ns[lo], ms[lo])}
-        relations.append(Relation(k + 1, frozenset(zip(ns[lo:hi], ms[lo:hi])), provenance))
+        provenance = {"kind": "dense", "representative": tuple(ends[lo].tolist())}
+        relations.append(Relation(k + 1, ends[lo:hi], provenance))
     return SharingStructure(n_size, m_size, tuple(relations))
 
 
@@ -179,14 +199,10 @@ def merge_colors(s: SharingStructure) -> ColorMatrix:
     inner) order, at its head, and the sets are numbered by that first cell.
     """
     grid = np.zeros((s.m_size, s.n_size), dtype=np.int64)
-    sizes = [len(rel.edges) for rel in s.relations]
-    if not sum(sizes):
+    ends, owner = s._stacked_edges
+    if not len(ends):
         return ColorMatrix(s.n_size, s.m_size, grid, {}, s.base_color_count)
-    ends = np.fromiter(
-        itertools.chain.from_iterable(itertools.chain.from_iterable(r.edges for r in s.relations)),
-        dtype=np.int64, count=2 * sum(sizes),
-    ).reshape(-1, 2)
-    colors = np.repeat(np.array([rel.color_id for rel in s.relations], dtype=np.int64), sizes)
+    colors = np.array([rel.color_id for rel in s.relations], dtype=np.int64)[owner]
     # one key per (cell, color) incidence, sorted by cell, then color
     span = int(colors.max()) + 1
     keys = np.sort((ends[:, 1] * s.n_size + ends[:, 0]) * span + colors)
@@ -221,13 +237,10 @@ def expand_channels(s: SharingStructure, ch: ChannelSpec) -> SharingStructure:
     for ko in range(ch.k_out):
         for ki in range(ch.k_in):
             for rel in s.relations:
-                edges = frozenset(
-                    (ki * s.n_size + n, ko * s.m_size + m) for n, m in rel.edges
-                )
                 relations.append(
                     Relation(
                         len(relations) + 1,
-                        edges,
+                        rel.edges + (ki * s.n_size, ko * s.m_size),
                         {
                             "kind": "channel",
                             "base_color": rel.color_id,
@@ -260,7 +273,7 @@ def with_identity_relation(s: SharingStructure) -> SharingStructure:
         raise DesignError(f"identity relation needs n_size == m_size, got {s.n_size} != {s.m_size}")
     diag = Relation(
         s.base_color_count + 1,
-        frozenset((i, i) for i in range(s.n_size)),
+        np.arange(s.n_size).repeat(2).reshape(-1, 2),
         {"kind": "identity"},
     )
     return SharingStructure(s.n_size, s.m_size, s.relations + (diag,), s.warnings)

@@ -242,17 +242,6 @@ def check_equivariance(
     return _verify(w_exact, layer._apply, joint, trials, tolerance, seed, widest)
 
 
-def check_subgroup_monotonicity(
-    layer: TiedLayer, joint: JointAction, sub_joint: JointAction, **kwargs
-) -> bool:
-    """Verify that passing on the full joint group implies passing on a subgroup."""
-    if not sub_joint.pair_set() <= joint.pair_set():
-        raise LayerError("sub_joint elements are not a subset of the joint elements")
-    full = check_equivariance(layer, joint, **kwargs)
-    sub = check_equivariance(layer, sub_joint, **kwargs)
-    return (not full.passed) or sub.passed
-
-
 def compose_layers(
     first: TiedLayer,
     second: TiedLayer,
@@ -308,11 +297,11 @@ def group_conv_structure(
     s = designs.sparse_design(joint, genset)
     if not tie_across_orbits:
         return s
-    merged: dict[tuple[int, int], set] = {}
+    merged: dict[tuple[int, int], list[np.ndarray]] = {}
     orbit_lists: dict[tuple[int, int], list[int]] = {}
     for rel in s.relations:
         key = (rel.provenance["m_orbit"], rel.provenance["generator"])
-        merged.setdefault(key, set()).update(rel.edges)
+        merged.setdefault(key, []).append(rel.edges)
         orbit_lists.setdefault(key, []).append(rel.provenance["n_orbit"])
     relations = []
     for key in sorted(merged):
@@ -320,7 +309,7 @@ def group_conv_structure(
         relations.append(
             Relation(
                 len(relations) + 1,
-                frozenset(merged[key]),
+                np.concatenate(merged[key]),
                 {
                     "kind": "sparse_tied",
                     "m_orbit": q,
@@ -360,6 +349,6 @@ def graph_conv_structure(adjacency) -> SharingStructure:
     if not np.isin(b, (0, 1)).all():
         raise LayerError("adjacency matrix entries must be 0 or 1")
     n = b.shape[0]
-    edges = frozenset((int(col), int(row)) for row in range(n) for col in range(n) if b[row, col])
-    base = SharingStructure(n, n, (Relation(1, edges, {"kind": "adjacency"}),))
+    ms, ns = np.nonzero(b)
+    base = SharingStructure(n, n, (Relation(1, np.stack([ns, ms], axis=1), {"kind": "adjacency"}),))
     return designs.with_identity_relation(base)

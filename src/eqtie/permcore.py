@@ -6,9 +6,7 @@ Conventions used across the package:
   0-based;
 * composition applies the right factor first: ``compose(p, q)(i) = p(q(i))``;
 * the action on a vector moves values onto permuted slots: ``(p . x)[p(i)] = x[i]``,
-  equivalently ``(p . x)[i] = x[p^-1(i)]``;
-* the permutation matrix has a 1 at row ``p(j)``, column ``j``, which makes
-  ``matrix(compose(p, q)) == matrix(p) @ matrix(q)`` exact.
+  equivalently ``(p . x)[i] = x[p^-1(i)]``.
 
 Group elements are enumerated breadth-first from the generating set, layers
 sorted lexicographically by image array, so every construction downstream
@@ -104,23 +102,6 @@ def inverse(p: Permutation) -> Permutation:
     for i, v in enumerate(p.images):
         inv[v] = i
     return Permutation(tuple(inv))
-
-
-def permutation_matrix(p: Permutation) -> np.ndarray:
-    """0/1 matrix with a 1 at (p(j), j)."""
-    mat = np.zeros((p.degree, p.degree), dtype=np.int64)
-    mat[list(p.images), range(p.degree)] = 1
-    return mat
-
-
-def act_on_vector(p: Permutation, x: np.ndarray) -> np.ndarray:
-    """Apply the vector action: result[p(i)] = x[i]."""
-    x = np.asarray(x)
-    if x.shape[0] != p.degree:
-        raise GroupError(f"vector length {x.shape[0]} != degree {p.degree}")
-    out = np.empty_like(x)
-    out[list(p.images)] = x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +693,15 @@ class OrbitPartition:
         return len(self.representatives)
 
     def members(self, orbit_id: int) -> list[int]:
-        return [i for i, o in enumerate(self.orbit_of) if o == orbit_id]
+        return list(self._members[orbit_id])
+
+    @cached_property
+    def _members(self) -> tuple[list[int], ...]:
+        """The points of each orbit in ascending order, grouped in one pass over ``orbit_of``."""
+        members = tuple([] for _ in self.representatives)
+        for i, o in enumerate(self.orbit_of):
+            members[o].append(i)
+        return members
 
 
 @dataclass(frozen=True)

@@ -305,7 +305,7 @@ def build_mask_document(
         "channels": {"in": spec.channels.k_in, "out": spec.channels.k_out},
         "base_color_count": cm.base_color_count,
         "merged_color_count": cm.merged_color_count,
-        "grid": [int(v) for row in cm.grid for v in row],
+        "grid": cm.grid.ravel().tolist(),
         "merged_to_base": {str(k): list(v) for k, v in sorted(cm.merged_to_base.items())},
         "base_colors": base_colors,
         "warnings": list(structure.warnings),
@@ -373,10 +373,8 @@ def to_dot(structure: SharingStructure, digraph_mode: bool = False) -> str:
         for rel in structure.relations:
             if rel.provenance.get("kind") == "identity":
                 continue
-            for n, m in sorted(rel.edges):
-                lines.append(
-                    f'  v{n} -> v{m} [label="{rel.color_id}", color="{_edge_color(rel.color_id)}"];'
-                )
+            style = f'[label="{rel.color_id}", color="{_edge_color(rel.color_id)}"];'
+            lines.extend(f"  v{n} -> v{m} {style}" for n, m in rel.edges.tolist())
     else:
         lines.append("graph sharing {")
         lines.append("  rankdir=LR;")
@@ -391,9 +389,7 @@ def to_dot(structure: SharingStructure, digraph_mode: bool = False) -> str:
             lines.append(f'    m{j} [label="{j}"];')
         lines.append("  }")
         for rel in structure.relations:
-            for n, m in sorted(rel.edges):
-                lines.append(
-                    f'  n{n} -- m{m} [label="{rel.color_id}", color="{_edge_color(rel.color_id)}"];'
-                )
+            style = f'[label="{rel.color_id}", color="{_edge_color(rel.color_id)}"];'
+            lines.extend(f"  n{n} -- m{m} {style}" for n, m in rel.edges.tolist())
     lines.append("}")
     return "\n".join(lines) + "\n"

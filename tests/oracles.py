@@ -11,17 +11,64 @@ import math
 
 import numpy as np
 
+from eqtie.layer import LayerError, check_equivariance
 from eqtie.permcore import GroupError, compose, format_cycles, identity
+
+
+def edge_set(rel):
+    """A relation's edges as a frozenset of (n, m) tuples."""
+    return frozenset(map(tuple, rel.edges.tolist()))
+
+
+def alpha(s, n, m):
+    """The set of color ids of structure ``s`` whose edges contain (n, m)."""
+    return frozenset(r.color_id for r in s.relations if (r.edges == (n, m)).all(axis=1).any())
+
+
+def merged_alpha(cm, n, m):
+    """The base color set of cell (n, m), read back from a merged color matrix."""
+    mid = int(cm.grid[m, n])
+    return frozenset(cm.merged_to_base[mid]) if mid else frozenset()
 
 
 def structure_alpha(s):
     """Cell -> color-set table computed straight from the relation lists."""
+    edge_sets = [(r.color_id, edge_set(r)) for r in s.relations]
     table = {}
     for n in range(s.n_size):
         for m in range(s.m_size):
-            colors = frozenset(r.color_id for r in s.relations if (n, m) in r.edges)
-            table[(n, m)] = colors
+            table[(n, m)] = frozenset(c for c, edges in edge_sets if (n, m) in edges)
     return table
+
+
+def permutation_matrix(p):
+    """0/1 matrix with a 1 at row p(j), column j.
+
+    With this convention ``permutation_matrix(compose(p, q))`` equals
+    ``permutation_matrix(p) @ permutation_matrix(q)`` exactly.
+    """
+    mat = np.zeros((p.degree, p.degree), dtype=np.int64)
+    mat[list(p.images), range(p.degree)] = 1
+    return mat
+
+
+def act_on_vector(p, x):
+    """The vector action: result[p(i)] = x[i]."""
+    x = np.asarray(x)
+    if x.shape[0] != p.degree:
+        raise GroupError(f"vector length {x.shape[0]} != degree {p.degree}")
+    out = np.empty_like(x)
+    out[list(p.images)] = x
+    return out
+
+
+def check_subgroup_monotonicity(layer, joint, sub_joint, **kwargs):
+    """Whether passing the equivariance check on ``joint`` implies passing it on ``sub_joint``."""
+    if not sub_joint.pair_set() <= joint.pair_set():
+        raise LayerError("sub_joint elements are not a subset of the joint elements")
+    full = check_equivariance(layer, joint, **kwargs)
+    sub = check_equivariance(layer, sub_joint, **kwargs)
+    return (not full.passed) or sub.passed
 
 
 def brute_force_automorphisms(s):
@@ -294,7 +341,7 @@ def merge_colors_per_cell(s):
     """
     cell_sets = {}
     for rel in s.relations:
-        for n, m in rel.edges:
+        for n, m in rel.edges.tolist():
             cell_sets.setdefault((n, m), set()).add(rel.color_id)
     grid = np.zeros((s.m_size, s.n_size), dtype=np.int64)
     merged_ids = {}

@@ -147,7 +147,7 @@ def test_criterion_04_wreath_dense():
     assert s.base_color_count == 3
     for n in range(6):
         for m in range(6):
-            assert s.alpha(n, m) == frozenset([oracles.wreath_dense_color(n, m, 3)])
+            assert oracles.alpha(s, n, m) == frozenset([oracles.wreath_dense_color(n, m, 3)])
     assert time.monotonic() - start < 1.0
 
 

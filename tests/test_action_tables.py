@@ -80,7 +80,7 @@ def colors(structure):
     assert [r.color_id for r in structure.relations] == list(
         range(1, structure.base_color_count + 1)
     )
-    return [(r.edges, dict(r.provenance)) for r in structure.relations]
+    return [(oracles.edge_set(r), dict(r.provenance)) for r in structure.relations]
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,7 +132,7 @@ def test_exact_route_matches_all_pairs(joint, perturbed, data):
             data.draw(st.integers(0, joint.n_size - 1)),
             data.draw(st.integers(0, joint.m_size - 1)),
         )
-        extra = Relation(s.base_color_count + 1, frozenset({cell}), {"kind": "extra"})
+        extra = Relation(s.base_color_count + 1, [cell], {"kind": "extra"})
         s = SharingStructure(s.n_size, s.m_size, s.relations + (extra,))
     tied = layer.tied_layer_from_structure(s)
     w = layer.materialize(tied.color_matrix, layer.first_primes(s.base_color_count))

