@@ -261,7 +261,7 @@ def replicate_action(action: GroupAction, copies: int) -> GroupAction:
     size = action.target_size
     # copy c of point i is c * size + i, and g moves it to c * size + g(i)
     rows = np.hstack([action._generator_rows + c * size for c in range(copies)])
-    return GroupAction._from_generators(action.group, size * copies, rows)
+    return GroupAction(action.group, size * copies, rows)
 
 
 def with_identity_relation(s: SharingStructure) -> SharingStructure:

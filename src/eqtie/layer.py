@@ -261,9 +261,12 @@ def compose_layers(
         )
     if joint_nm.group != joint_mo.group:
         raise LayerError("middle-action mismatch: joints use different reference groups")
-    if not np.array_equal(joint_nm.m_action._table, joint_mo.n_action._table):
+    # one group, so equal generator images mean equal actions
+    if not np.array_equal(joint_nm.m_action._generator_rows, joint_mo.n_action._generator_rows):
         raise LayerError("middle-action mismatch: shared action on M differs between joints")
-    if joint_nm.n_size != first.n_size or joint_mo.m_size != second.m_size:
+    if (joint_nm.n_size, joint_nm.m_size, joint_mo.m_size) != (
+        first.n_size, first.m_size, second.m_size
+    ):
         raise LayerError("layer sizes do not match the joint actions")
 
     w1 = materialize(first.color_matrix, first_primes(first.color_matrix.base_color_count))

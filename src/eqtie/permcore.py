@@ -33,12 +33,17 @@ degree 15 the row read as a base-degree numeral (one int64, ordered as the
 rows are), above it the row's big-endian bytes. An action's (|G| x
 target_size) table is its generator images carried along the Cayley tree, and
 a joint action's element ids come from both tables. ``elements``, ``images``
-and ``joint_elements`` are ``Permutation`` views built on first use. A group
-or action given as an explicit table is checked when built, the action on all
-|G| x |S| Cayley edges. The element order, images and error texts are those of
-a closure with one ``compose`` per product and a per-edge action walk
-(``tests/oracles.py`` keeps both as references); rejected generator images
-are walked along the Cayley tree to name the first failing edge.
+and ``joint_elements`` are ``Permutation`` views built on first use.
+
+A group is always <generators>: ``close_generators`` is the one way to build
+one. An action is always its generator image rows: ``build_action`` is the one
+place that checks rows from outside, and ``natural_action``,
+``regular_action``, ``trivial_action`` and ``designs.replicate_action`` derive
+rows that are images by construction. The element order, images and error
+texts are those of a closure with one ``compose`` per product and a per-edge
+action walk (``tests/oracles.py`` keeps both as references); rejected
+generator images are walked along the Cayley tree to name the first failing
+edge.
 """
 
 from __future__ import annotations
@@ -161,32 +166,28 @@ def parse_cycles(text: str, degree: int, one_based: bool = False) -> Permutation
 # groups
 
 
-def _image_table(rows, size: int, what: str) -> np.ndarray:
-    """Check rows as permutations of 0..size-1; return them as one read-only int table.
+def _image_table(rows, size: int) -> np.ndarray:
+    """Check generator images as permutations of 0..size-1; return one read-only int table.
 
     ``rows`` holds ``Permutation`` objects or int sequences, or is an int
     array. A row of another length, a non-integer entry, an entry out of
-    range or a repeated entry raises GroupError naming ``what`` the rows are.
+    range or a repeated entry raises GroupError.
     """
-    if isinstance(rows, np.ndarray):
-        if len(rows) and rows.shape[1:] != (size,):
-            raise GroupError(f"{what} degree {len(rows[0])} != {size}")
-    else:
-        rows = [getattr(row, "images", row) for row in rows]
-        wrong = [len(row) for row in rows if len(row) != size]
-        if wrong:
-            raise GroupError(f"{what} degree {wrong[0]} != {size}")
+    rows = [getattr(row, "images", row) for row in rows]
+    wrong = [len(row) for row in rows if len(row) != size]
+    if wrong:
+        raise GroupError(f"generator image degree {wrong[0]} != {size}")
     table = np.array(rows).reshape(len(rows), size)
     if table.size and not np.issubdtype(table.dtype, np.integer):
-        raise GroupError(f"{what} table must hold integers, not {table.dtype}")
+        raise GroupError(f"generator image table must hold integers, not {table.dtype}")
     table = table.astype(np.intp, copy=False)
     bad = np.flatnonzero((np.sort(table, axis=1) != np.arange(size)).any(axis=1))
     if len(bad):
         raise GroupError(
-            f"{what} {bad[0]} is not a permutation of 0..{size - 1}: {table[bad[0]].tolist()}"
+            f"generator image {bad[0]} is not a permutation of 0..{size - 1}: "
+            f"{table[bad[0]].tolist()}"
         )
-    table.flags.writeable = False
-    return table
+    return _read_only(table)
 
 
 class PermutationGroup:
@@ -194,42 +195,18 @@ class PermutationGroup:
 
     elements[0] is the identity; the rest follow breadth-first layers over the
     generators, each layer sorted by image array, so the element order is a
-    deterministic function of the generator list. ``close_generators`` builds
-    a group from its generators, with the order from a stabilizer chain and
-    the element table closed on first read. Given an explicit element list
-    (``Permutation`` objects or int rows) the constructor checks it at once;
-    ``elements`` and the element index are built on first use either way.
+    deterministic function of the generator list. ``close_generators`` is the
+    one constructor's caller: it takes the distinct generator rows, their
+    element ids and the order from a stabilizer chain. The element table, the
+    Cayley table and the element index are built on first use.
     """
 
-    # True for a group built by ``close_generators``: it is <generators>, and
-    # its tables come from the breadth-first closure
-    _generated = False
-
-    def __init__(self, degree: int, elements, generator_ids: Sequence[int]):
-        self.degree = degree
-        self._table = _image_table(elements, degree, "element")
+    def __init__(self, rows: np.ndarray, generator_ids: Sequence[int], order: int):
+        self.degree = rows.shape[1]
         self.generator_ids = tuple(generator_ids)
-        self.order = len(self._table)
-        if not self.order or (self._table[0] != np.arange(degree)).any():
-            raise GroupError("element 0 must be the identity")
-        if len(set(_row_keys(self._table))) != self.order:
-            raise GroupError("duplicate elements")
-
-    @classmethod
-    def _from_generators(cls, rows: np.ndarray, generator_ids: Sequence[int], order: int):
-        """The group generated by ``rows``, of known ``order``; nothing is listed yet."""
-        group = cls.__new__(cls)
-        group.degree = rows.shape[1]
-        group.generator_ids = tuple(generator_ids)
-        group.order = order
-        group._generator_rows = rows
-        group._generated = True
-        return group
-
-    @cached_property
-    def _generator_rows(self) -> np.ndarray:
-        """Image rows of the generators, in ``generator_ids`` order."""
-        return _read_only(self._table[list(self.generator_ids)])
+        self.order = order
+        # image rows of the generators, in ``generator_ids`` order
+        self._generator_rows = _read_only(rows)
 
     @cached_property
     def _closure(self) -> tuple[np.ndarray, np.ndarray]:
@@ -263,15 +240,8 @@ class PermutationGroup:
 
     @cached_property
     def _cayley_right(self) -> np.ndarray:
-        """right[i, t] = index of elements[i] composed with generators[t] (generator first).
-
-        A generated group records it while closing; a group built from an
-        explicit element list gets it here, once.
-        """
-        if self._generated:
-            return self._closure[1]
-        right = [[self.mul(i, g) for g in self.generator_ids] for i in range(self.order)]
-        return np.array(right, dtype=np.intp).reshape(self.order, len(self.generator_ids))
+        """right[i, t] = index of elements[i] composed with generators[t] (generator first)."""
+        return self._closure[1]
 
     @cached_property
     def _cayley_tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -301,15 +271,14 @@ class PermutationGroup:
         return tuple(perm(row) for row in self._generator_rows.tolist())
 
     def __eq__(self, other):
+        """Equal generator rows, in order: an action's rows are images of exactly these."""
         return self is other or (
             isinstance(other, PermutationGroup)
-            and self.degree == other.degree
-            and self.order == other.order
-            and np.array_equal(self._table, other._table)
+            and np.array_equal(self._generator_rows, other._generator_rows)
         )
 
     def __hash__(self):
-        return hash((self.degree, self._table.tobytes()))
+        return hash((self._generator_rows.shape, self._generator_rows.tobytes()))
 
     def __repr__(self):
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
@@ -541,7 +510,7 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
     ident = tuple(range(degree))
     layer = sorted(row for row in unique if row != ident)
     gen_ids = [0 if row == ident else 1 + layer.index(row) for row in unique]
-    return PermutationGroup._from_generators(rows, gen_ids, order)
+    return PermutationGroup(rows, gen_ids, order)
 
 
 def _close_rows(gen_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -717,51 +686,17 @@ class ActionProfile:
 class GroupAction:
     """One permutation of the target set per group element, homomorphically.
 
-    ``images`` holds the image of each of ``group.elements`` in turn, as
-    ``Permutation`` objects or int rows, kept as one read-only table that must
-    satisfy img(x . g_s) == img(x) . img(g_s) on every Cayley edge (the first
-    failing edge in breadth-first order names x . g_s). An action built from
-    generator images (``build_action``) keeps only their rows and carries
-    them along the Cayley tree on the first read of the table; ``images`` is
-    the table's ``Permutation`` view, built on first use.
+    An action is its generator image rows, in ``group.generator_ids`` order,
+    which its builders know to extend to a homomorphism: ``build_action``
+    checks rows from outside, the others derive them. The (|G| x target_size)
+    table carries the rows along the Cayley tree on first read; ``images`` is
+    its ``Permutation`` view, built on first use.
     """
 
-    def __init__(self, group: PermutationGroup, target_size: int, images):
+    def __init__(self, group: PermutationGroup, target_size: int, generator_rows: np.ndarray):
         self.group = group
         self.target_size = target_size
-        if len(images) != group.order:
-            raise GroupError("need one image per group element")
-        table = _image_table(images, target_size, "image")
-        if (table[0] != np.arange(target_size)).any():
-            raise GroupError("identity must act as the identity permutation")
-        right = group._cayley_right
-        queue = np.concatenate([[0]] + [layer for layer, _, _ in group._cayley_tree])
-        # bad[x, s]: the edge from element x by generator s fails (one table-sized test each)
-        bad = np.zeros((group.order, len(group.generator_ids)), dtype=bool)
-        for s, g in enumerate(table[list(group.generator_ids)]):
-            bad[:, s] = (table[right[:, s]] != table[:, g]).any(axis=1)
-        bad = bad[queue]
-        if bad.any():
-            k, s = divmod(int(np.flatnonzero(bad)[0]), bad.shape[1])
-            x = format_cycles(perm(group._table[right[queue[k], s]].tolist()))
-            raise GroupError(f"inconsistent action: element {x} receives two distinct images")
-        if len(queue) != group.order:
-            raise GroupError("generators do not generate the reference group")
-        self._table = table
-
-    @classmethod
-    def _from_generators(cls, group: PermutationGroup, target_size: int, rows: np.ndarray):
-        """The action extending the generator images ``rows``, known to be a homomorphism."""
-        action = cls.__new__(cls)
-        action.group = group
-        action.target_size = target_size
-        action._generator_rows = _read_only(rows)
-        return action
-
-    @cached_property
-    def _generator_rows(self) -> np.ndarray:
-        """Images of the group's generators, in ``generator_ids`` order."""
-        return _read_only(self._table[list(self.group.generator_ids)])
+        self._generator_rows = _read_only(generator_rows)
 
     @cached_property
     def _table(self) -> np.ndarray:
@@ -783,9 +718,7 @@ class GroupAction:
 def _tree_images(group: PermutationGroup, gen_rows: np.ndarray) -> np.ndarray:
     """Element images from generator images, each tree element's parent image then its generator's.
 
-    The tree does not reach an identity generator, nor, in a group given by
-    an explicit list, an element outside <generators>: those rows stay
-    identities.
+    The tree does not reach an identity generator: its row stays the identity.
     """
     img = np.tile(np.arange(gen_rows.shape[1], dtype=np.intp), (group.order, 1))
     for layer, parents, columns in group._cayley_tree:
@@ -793,51 +726,70 @@ def _tree_images(group: PermutationGroup, gen_rows: np.ndarray) -> np.ndarray:
     return img
 
 
+def _first_failing_edge(group: PermutationGroup, gen_table: np.ndarray) -> str:
+    """The error text of images that are no homomorphism: the first Cayley edge they break.
+
+    The images are carried along the Cayley tree, then img(x . g_s) ==
+    img(x) . img(g_s) is tested on every edge; the first failing edge in
+    breadth-first (element, generator) order names x . g_s. The tree does not
+    reach an identity generator; its image is compared first, as the edge
+    the walk would report first.
+    """
+    img = _tree_images(group, gen_table)
+    if (img[list(group.generator_ids)] != gen_table).any():
+        return "inconsistent action: element () receives two distinct images"
+    right = group._cayley_right
+    queue = np.concatenate([[0]] + [layer for layer, _, _ in group._cayley_tree])
+    # bad[k, s]: the edge from the k-th element by generator s fails (one table-sized test each)
+    bad = np.stack([(img[right[:, s]] != img[:, g]).any(axis=1) for s, g in enumerate(gen_table)])
+    k, s = np.argwhere(bad.T[queue])[0]
+    x = format_cycles(perm(group._table[right[queue[k], s]].tolist()))
+    return f"inconsistent action: element {x} receives two distinct images"
+
+
 def build_action(
     group: PermutationGroup, gen_images: Sequence[Permutation], target_size: int
 ) -> GroupAction:
     """The action of ``group`` extending the generator images, listed on first use.
 
-    The images define a homomorphism exactly when the pairs (s, s^X) generate
-    a group no larger than G. Rejected images, and any group given as an
-    explicit element list, are carried along the Cayley tree at once, and
-    ``GroupAction`` checks every edge, naming the first that fails. The tree
-    does not reach an identity generator; its image is compared here, on the
-    edge the check would report first.
+    The one check of images from outside: ``gen_images`` holds ``Permutation``
+    objects or int rows, or is an int array. The images define a homomorphism
+    exactly when the pairs (s, s^X) generate a group no larger than G;
+    rejected images raise GroupError naming the first Cayley edge they break.
     """
     gen_ids = group.generator_ids
     if len(gen_images) != len(gen_ids):
         raise GroupError(f"need {len(gen_ids)} generator images, got {len(gen_images)}")
-    gen_table = _image_table(gen_images, target_size, "generator image")
-    if group._generated:
-        # the target points come first, so the chain's levels on them measure the image
-        pairs = np.hstack([gen_table, group._generator_rows + target_size])
-        chain = _StabilizerChain(pairs, limit=group.order)
-        if chain.order == group.order:
-            action = GroupAction._from_generators(group, target_size, gen_table)
-            action._image_order = math.prod(
-                size for b, size in zip(chain.base, chain.orbit_lengths) if b < target_size
-            )
-            return action
-    img = _tree_images(group, gen_table)
-    if (img[list(gen_ids)] != gen_table).any():
-        raise GroupError("inconsistent action: element () receives two distinct images")
-    return GroupAction(group, target_size, img)
+    gen_table = _image_table(gen_images, target_size)
+    # the target points come first, so the chain's levels on them measure the image
+    pairs = np.hstack([gen_table, group._generator_rows + target_size])
+    chain = _StabilizerChain(pairs, limit=group.order)
+    if chain.order != group.order:
+        raise GroupError(_first_failing_edge(group, gen_table))
+    action = GroupAction(group, target_size, gen_table)
+    action._image_order = math.prod(
+        size for b, size in zip(chain.base, chain.orbit_lengths) if b < target_size
+    )
+    return action
 
 
 def natural_action(group: PermutationGroup) -> GroupAction:
     """Each element acting by itself on {0..degree-1}."""
-    return GroupAction(group, group.degree, group._table)
+    return GroupAction(group, group.degree, group._generator_rows)
 
 
 def regular_action(group: PermutationGroup) -> GroupAction:
     """The group acting on its own element indices by left multiplication."""
     table = [[group.mul(i, j) for j in range(group.order)] for i in range(group.order)]
-    return GroupAction(group, group.order, np.array(table, dtype=np.intp))
+    table = _read_only(np.array(table, dtype=np.intp))
+    action = GroupAction(group, group.order, table[list(group.generator_ids)])
+    action._table = table
+    return action
 
 
 def trivial_action(group: PermutationGroup, target_size: int) -> GroupAction:
-    return GroupAction(group, target_size, np.tile(np.arange(target_size), (group.order, 1)))
+    rows = np.tile(np.arange(target_size), (len(group.generator_ids), 1))
+    return GroupAction(group, target_size, rows)
 
 
 def _first_rows(table: np.ndarray) -> np.ndarray:
@@ -981,18 +933,17 @@ def joint_action(n_action: GroupAction, m_action: GroupAction) -> JointAction:
 def symmetrize_genset(group: PermutationGroup, element_ids: Iterable[int]) -> tuple[int, ...]:
     """Close a set of element ids under inverse and verify it generates the group.
 
-    The subgroup's order comes from ``close_generators``' stabilizer chain;
-    nothing of it is listed.
+    The subgroup's order comes from a stabilizer chain of the id rows; nothing
+    of it is listed.
     """
     ids = set(element_ids)
     for i in ids:
         if not 0 <= i < group.order:
             raise GroupError(f"element id {i} out of range for a group of order {group.order}")
     ids |= {group.inv(i) for i in set(ids)}
-    sub = close_generators([perm(r) for r in group._table[sorted(ids)].tolist()], cap=group.order)
-    if sub.order != group.order:
+    order = _group_order(group._table[sorted(ids)])
+    if order != group.order:
         raise GroupError(
-            f"A does not generate G: closure of A union A^-1 has order {sub.order} "
-            f"< {group.order}"
+            f"A does not generate G: closure of A union A^-1 has order {order} < {group.order}"
         )
     return tuple(sorted(ids))

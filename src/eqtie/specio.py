@@ -176,7 +176,8 @@ def parse_spec(text: str) -> ProblemSpec:
         if not isinstance(raw, list) or not raw:
             raise SpecError("$.genset", "expected a non-empty list of generator words")
         right = group._cayley_right  # a letter is a column; repeats share one
-        column = [group.generator_ids.index(group.index_of(g)) for g in generators]
+        slot = {row: s for s, row in enumerate(map(tuple, group._generator_rows.tolist()))}
+        column = [slot[g.images] for g in generators]
         ids = set()
         for i, word in enumerate(raw):
             if not isinstance(word, list):
@@ -343,6 +344,14 @@ def parse_mask(text: str) -> dict:
         raise SpecError(
             "$.grid", f"grid length {len(doc['grid'])} != n_size*m_size ({n_size}*{m_size})"
         )
+    merged = doc["merged_to_base"]
+    if not isinstance(merged, dict):
+        raise SpecError("$.merged_to_base", "expected an object")
+    if not isinstance(doc["base_colors"], list):
+        raise SpecError("$.base_colors", "expected a list")
+    for i, cell in enumerate(doc["grid"]):
+        if type(cell) is not int or (cell and str(cell) not in merged):
+            raise SpecError(f"$.grid[{i}]", "expected 0 or a key of merged_to_base")
     return doc
 
 

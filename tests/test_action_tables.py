@@ -154,31 +154,33 @@ def test_replicated_images_match_per_element(joint, copies):
 
 
 class TestHandBuiltActions:
+    """``build_action`` on hand-written generator images, as Permutations or int arrays."""
+
     def test_non_homomorphic_images_raise(self, z6):
-        # Z6 on itself with the images of elements 1 and 2 swapped
-        images = list(z6.elements)
-        images[1], images[2] = images[2], images[1]
+        # a 4-cycle has no order dividing 6
         with pytest.raises(GroupError, match="inconsistent action"):
-            pc.GroupAction(z6, 6, images)
+            pc.build_action(z6, [pc.parse_cycles("(0 1 2 3)", 6)], 6)
 
     def test_non_homomorphic_table_raises(self, z6):
-        table = np.array([p.images for p in z6.elements])
-        table[3] = table[0]
+        table = np.array([[1, 2, 3, 0, 4, 5]])
         with pytest.raises(GroupError, match="inconsistent action"):
-            pc.GroupAction(z6, 6, table)
+            pc.build_action(z6, table, 6)
 
     def test_hand_built_natural_images(self, z6):
-        action = pc.GroupAction(z6, 6, z6.elements)
+        action = pc.build_action(z6, np.array([p.images for p in z6.generators]), 6)
         assert action.images == z6.elements
         assert pc.classify_action(action).regular
 
     def test_table_is_read_only(self, z6):
-        table = np.array([p.images for p in z6.elements])
-        action = pc.GroupAction(z6, 6, table)
-        table[1] = table[0]  # the action keeps its own copy
+        table = np.array([p.images for p in z6.generators])
+        action = pc.build_action(z6, table, 6)
+        table[0] = np.arange(6)  # the action keeps its own copy
         assert action.images == z6.elements
-        with pytest.raises(ValueError):
-            action._table[1, 0] = 0
+        built_in = [pc.natural_action(z6), pc.regular_action(z6), pc.trivial_action(z6, 3), action]
+        for act in built_in:
+            for rows in (act._generator_rows, act._table):
+                with pytest.raises(ValueError):
+                    rows[0, 0] = 1
 
 
 class TestImageTableCheck:
@@ -191,19 +193,42 @@ class TestImageTableCheck:
     @pytest.mark.parametrize("as_array", [False, True], ids=["rows", "array"])
     @pytest.mark.parametrize("rows, message", BAD_ROWS.values(), ids=list(BAD_ROWS))
     def test_bad_rows_raise_in_both_constructors(self, rows, message, as_array):
-        z2 = pc.close_generators(pc.cyclic_generators(2))
+        """Bad generator images raise in ``build_action``, as int rows or as one array."""
+        group = pc.close_generators([pc.identity(3), Permutation((1, 0, 2))])
+        assert len(group.generator_ids) == 2
         table = np.array(rows) if as_array else rows
         with pytest.raises(GroupError, match=message):
-            pc.GroupAction(z2, 3, table)
-        with pytest.raises(GroupError, match=message):
-            pc.PermutationGroup(3, table, [1])
+            pc.build_action(group, table, 3)
 
-    def test_group_from_int_rows(self):
-        rows = [[0, 1, 2], [1, 0, 2]]
-        group = pc.PermutationGroup(3, rows, [1])
-        assert group == pc.PermutationGroup(3, np.array(rows), [1])
-        assert group == pc.close_generators([Permutation((1, 0, 2))])
-        assert group.elements == (pc.identity(3), Permutation((1, 0, 2)))
+    @pytest.mark.parametrize("as_array", [False, True], ids=["rows", "array"])
+    def test_wrong_degree_raises(self, as_array):
+        z2 = pc.close_generators(pc.cyclic_generators(2))
+        rows = [[1, 0]]
+        with pytest.raises(GroupError, match=r"^generator image degree 2 != 3$"):
+            pc.build_action(z2, np.array(rows) if as_array else rows, 3)
+
+
+def test_built_in_tables_match_per_element_references():
+    """natural, trivial and regular actions, against tables built one element at a time."""
+    for gens in (pc.cyclic_generators(6), pc.symmetric_generators(4), pc.wreath_generators(2, 2),
+                 [pc.identity(3), pc.parse_cycles("(0 1 2)", 3)]):
+        group = pc.close_generators(gens)
+        elements, _ = oracles.closure_per_element(gens)
+        index = {p: i for i, p in enumerate(elements)}
+        ids = list(group.generator_ids)
+        natural = pc.natural_action(group)
+        assert natural._table.tolist() == [list(p.images) for p in elements]
+        assert pc.trivial_action(group, 2)._table.tolist() == [[0, 1]] * len(elements)
+        regular = pc.regular_action(group)
+        assert regular._table.tolist() == [
+            [index[pc.compose(p, q)] for q in elements] for p in elements
+        ]
+        assert np.array_equal(regular._generator_rows, regular._table[ids])
+        for action in (natural, regular):
+            gen_images = [Permutation(tuple(r)) for r in action._generator_rows.tolist()]
+            assert list(action.images) == oracles.action_per_edge(
+                elements, ids, gen_images, action.target_size
+            )
 
 
 def test_table_views_match_per_element_references(

@@ -496,6 +496,23 @@ class TestComposeLayers:
         with pytest.raises(LayerError, match="middle-action mismatch"):
             layer.compose_layers(rc_layer, second, reverse_conv, mismatched)
 
+    def test_middle_action_on_other_points(self, z6):
+        """Layers 3 -> 6 -> 2 whose joints share a middle action on 4 points, not 6."""
+        def act(cycles, size):
+            return pc.build_action(z6, [pc.parse_cycles(cycles, size)], size)
+
+        def all_ones(n, m):  # W = 1, equivariant under every pair of actions
+            cells = [(i, j) for i in range(n) for j in range(m)]
+            return layer.tied_layer_from_structure(
+                SharingStructure(n, m, (Relation(1, cells, {"kind": "dense"}),))
+            )
+
+        middle = act("(0 1)(2 3)", 4)
+        joint_nm = pc.joint_action(act("(0 1 2)", 3), middle)
+        joint_mo = pc.joint_action(middle, act("(0 1)", 2))
+        with pytest.raises(LayerError, match="^layer sizes do not match the joint actions$"):
+            layer.compose_layers(all_ones(3, 6), all_ones(6, 2), joint_nm, joint_mo)
+
 
 class TestGroupConv:
     @pytest.mark.parametrize("n", [4, 5, 7, 12])

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eqtie import designs, permcore as pc, specio
 from eqtie.specio import SpecError
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 
 def reverse_conv_doc(**overrides):
@@ -204,12 +207,33 @@ class TestMaskExport:
         ("m_size", 0, r"^\$\.m_size: must be >= 1$"),
         ("grid", 5, r"^\$\.grid: expected a list$"),
         ("grid", None, r"^\$\.grid: expected a list$"),
+        ("merged_to_base", 5, r"^\$\.merged_to_base: expected an object$"),
+        ("merged_to_base", [[1]], r"^\$\.merged_to_base: expected an object$"),
+        ("base_colors", "no", r"^\$\.base_colors: expected a list$"),
+        ("base_colors", {}, r"^\$\.base_colors: expected a list$"),
     ])
     def test_malformed_fields_raise_spec_error(self, field, value, message):
         spec = specio.parse_spec(json.dumps(reverse_conv_doc()))
         doc = specio.build_mask_document(spec, specio.build_structure(spec))
         with pytest.raises(SpecError, match=message):
             specio.parse_mask(specio.dump_mask(dict(doc, **{field: value})))
+
+    @pytest.mark.parametrize("cell", ["x", None, True, 1.0, -1, 99])
+    def test_malformed_grid_cell_raises_spec_error(self, cell):
+        spec = specio.parse_spec(json.dumps(reverse_conv_doc()))
+        doc = specio.build_mask_document(spec, specio.build_structure(spec))
+        grid = list(doc["grid"])
+        grid[4] = cell
+        with pytest.raises(
+            SpecError, match=r"^\$\.grid\[4\]: expected 0 or a key of merged_to_base$"
+        ):
+            specio.parse_mask(specio.dump_mask(dict(doc, grid=grid)))
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+    def test_corpus_masks_round_trip(self, path):
+        spec = specio.parse_spec(path.read_text())
+        text = specio.dump_mask(specio.build_mask_document(spec, specio.build_structure(spec)))
+        assert specio.dump_mask(specio.parse_mask(text)) == text
 
     def test_byte_identical_dumps(self):
         texts = set()
