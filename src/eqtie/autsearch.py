@@ -19,14 +19,16 @@ Delta_l is the fundamental orbit of b_l and K is the kernel of automorphisms
 with pi_N = id (any bijection between equal rows), with no Schreier-Sims pass
 and no leaf counting.
 
-Every strong generator passes the setwise check as soon as it is found. The
-elements are listed, as products of orbit transversals times K, only when
-the order is at most ``element_cap``; above it the result carries the kernel
-generators followed by the strong generators. A listing is built, sorted and
-checked on the first read of ``_listed``, ``elements`` or ``pair_set()``, so
-a verdict that needs only |Aut| never lists; it stays two int tables (pi_N
-and pi_M rows) until ``elements`` is read. ``search_cap`` bounds the
-search-tree nodes, i.e. the accepted N assignments.
+Every result carries one generator table at any order, two int tables (pi_N
+and pi_M rows): the kernel generators (a swap per set of equal M rows, and a
+cycle past two rows), then the strong generators. It passes one setwise
+check before the result is returned, and ``generators`` is its
+``Permutation`` view. The elements are listed, as products of orbit
+transversals times K, only when the order is at most ``element_cap``: the
+listing is built, sorted and checked on the first read of ``_listed``,
+``elements`` or ``pair_set()``, so a verdict that needs only |Aut| never
+lists. ``search_cap`` bounds the search-tree nodes, i.e. the accepted N
+assignments.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from numpy.typing import ArrayLike
 
 from . import permcore
 from .designs import SharingStructure
-from .permcore import JointAction, Permutation
+from .permcore import JointAction, Permutation, perm
 
 DEFAULT_NODE_BUDGET = 24
 DEFAULT_ELEMENT_CAP = 10_000
@@ -79,7 +81,8 @@ class SearchStats:
 @dataclass(frozen=True)
 class AutomorphismResult:
     order: int
-    generators: Optional[tuple[tuple[Permutation, Permutation], ...]]
+    # (pi_N rows, pi_M rows): kernel generators, then strong generators
+    _generator_rows: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
     verdict: Optional[str] = None  # equal | proper_supergroup | incomparable
     joint_order: Optional[int] = None
     stats: Optional[SearchStats] = None
@@ -88,20 +91,22 @@ class AutomorphismResult:
     )
 
     @cached_property
+    def generators(self) -> tuple[tuple[Permutation, Permutation], ...]:
+        return tuple(permcore._row_pairs(*self._generator_rows, perm))
+
+    @cached_property
     def _listed(self) -> Optional[tuple[np.ndarray, ...]]:
         """(pi_N rows, pi_M rows) of every automorphism, built on first read."""
         return None if self._lister is None else self._lister()
 
-    def _pairs(self):
+    def _pairs(self, view=tuple):
         if self._listed is None:
             raise AutSearchError("elements were not materialized (order above cap)")
-        return zip(*(map(tuple, rows.tolist()) for rows in self._listed))
+        return permcore._row_pairs(*self._listed, view)
 
     @cached_property
     def elements(self) -> Optional[tuple[tuple[Permutation, Permutation], ...]]:
-        if self._listed is None:
-            return None
-        return tuple((Permutation(pn), Permutation(pm)) for pn, pm in self._pairs())
+        return None if self._listed is None else tuple(self._pairs(perm))
 
     def pair_set(self) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
         return set(self._pairs())
@@ -167,9 +172,9 @@ def enumerate_automorphisms(
 ) -> AutomorphismResult:
     """Compute aut(structure) exactly by a stabilizer-chain search.
 
-    Returns the exact order always; the full element list, built and checked
-    on first read, when the order is at most ``element_cap``, otherwise a
-    generating set (kernel generators, then strong generators). With a
+    Returns the exact order and a generating set (kernel generators, then
+    strong generators) always, and the full element list, built and checked
+    on first read, when the order is at most ``element_cap``. With a
     ``reference`` joint action the verdict states whether aut equals it,
     strictly contains it, or the reference does not even preserve the colors
     (incomparable). More than ``search_cap`` search nodes (accepted N
@@ -303,36 +308,21 @@ def enumerate_automorphisms(
         transversals[level] = delta
     base_orbits = tuple(len(delta) for delta in transversals)
 
+    # kernel generators first: per set of equal M rows, a swap and, past two
+    # rows, a cycle, as rows over N followed by M like the strong generators
+    kernel_gens = []
+    for group_nodes in kernel_groups:
+        for cyc in [group_nodes[:2], group_nodes][:len(group_nodes) - 1]:
+            row = list(range(degree))
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                row[n_size + a] = n_size + b
+            kernel_gens.append(row)
+    rows = np.array(kernel_gens + strong, dtype=np.intp).reshape(-1, degree)
+    generator_rows = (rows[:, :n_size], rows[:, n_size:] - n_size)
+    if not _preserves_structure(s, *generator_rows).all():
+        raise AutSearchError("internal error: emitted pair fails the setwise check")
     total = kernel_order * math.prod(base_orbits)
-    if total <= element_cap:
-        rows = np.array(strong, dtype=np.intp).reshape(-1, degree)
-        if not _preserves_structure(s, rows[:, :n_size], rows[:, n_size:] - n_size).all():
-            raise AutSearchError("internal error: emitted pair fails the setwise check")
-        lister = partial(_listing, s, kernel_groups, transversals)
-        result_generators = None
-    else:
-        gens: list[tuple[Permutation, Permutation]] = []
-        ident_n = permcore.identity(n_size)
-        for group_nodes in kernel_groups:
-            if len(group_nodes) < 2:
-                continue
-            swap = list(range(m_size))
-            swap[group_nodes[0]], swap[group_nodes[1]] = group_nodes[1], group_nodes[0]
-            gens.append((ident_n, Permutation(tuple(swap))))
-            if len(group_nodes) > 2:
-                cyc = list(range(m_size))
-                for a, b in zip(group_nodes, group_nodes[1:] + group_nodes[:1]):
-                    cyc[a] = b
-                gens.append((ident_n, Permutation(tuple(cyc))))
-        for g in strong:
-            pm = tuple(v - n_size for v in g[n_size:])
-            gens.append((Permutation(g[:n_size]), Permutation(pm)))
-        if gens and not _preserves_structure(
-            s, [pn.images for pn, _ in gens], [pm.images for _, pm in gens]
-        ).all():
-            raise AutSearchError("internal error: emitted generator fails the setwise check")
-        lister = None
-        result_generators = tuple(gens)
+    lister = partial(_listing, s, kernel_groups, transversals) if total <= element_cap else None
 
     verdict = None
     joint_order = None
@@ -351,7 +341,7 @@ def enumerate_automorphisms(
 
     return AutomorphismResult(
         order=total,
-        generators=result_generators,
+        _generator_rows=generator_rows,
         verdict=verdict,
         joint_order=joint_order,
         stats=SearchStats(nodes, leaves, orbit_pruned, base_orbits, kernel_order),
@@ -417,9 +407,9 @@ def certify_unique(
     if result.verdict == "equal":
         return Certification("unique", result.order, joint.joint_order, None)
 
-    rows = result._pairs() if result.generators is None else (
-        (pn.images, pm.images) for pn, pm in result.generators
-    )
-    outside = ((pn, pm) for pn, pm in rows if not joint._holds(pn, pm))
-    witness = next(((Permutation(pn), Permutation(pm)) for pn, pm in outside), None)
+    # the first listed element outside the joint group, else the first such generator
+    pns, pms = result._listed or result._generator_rows
+    stacked = map(tuple, np.hstack([pns, pms + joint.n_size]).tolist())
+    k = next((k for k, row in enumerate(stacked) if not joint._holds(row)), None)
+    witness = None if k is None else (perm(pns[k].tolist()), perm(pms[k].tolist()))
     return Certification("supergroup", result.order, joint.joint_order, witness)

@@ -185,6 +185,8 @@ def _verify(
         raise LayerError("trials must be >= 0")
     if not (np.isfinite(tolerance) and tolerance >= 0):
         raise LayerError("tolerance must be finite and >= 0")
+    if seed < 0:
+        raise LayerError("seed must be >= 0")
     n_gens, m_gens = joint.n_action._generator_rows, joint.m_action._generator_rows
     exact_pass = all(
         matrix_commutes(w_exact, permcore.perm(gn), permcore.perm(gm))

@@ -864,6 +864,11 @@ def faithful_image(action: GroupAction) -> tuple[PermutationGroup, ActionProfile
     return image_group, classify_action(action)
 
 
+def _row_pairs(n_rows: np.ndarray, m_rows: np.ndarray, view=tuple):
+    """Row k of two int tables as the pair (view(pi_N images), view(pi_M images)), in row order."""
+    return zip(map(view, n_rows.tolist()), map(view, m_rows.tolist()))
+
+
 class JointAction:
     """Paired input/output actions of one reference group (a sub-direct product).
 
@@ -889,9 +894,9 @@ class JointAction:
         n_rows, m_rows = self.n_action._generator_rows, self.m_action._generator_rows
         return _StabilizerChain(np.hstack([n_rows, m_rows + self.n_size]))
 
-    def _holds(self, pn: Sequence[int], pm: Sequence[int]) -> bool:
-        """Whether (pn, pm) is a joint element, sifted through the chain; nothing is listed."""
-        return tuple(pn) + tuple(v + self.n_size for v in pm) in self._chain
+    def _holds(self, row: tuple[int, ...]) -> bool:
+        """Whether a row on N then M (M shifted by n_size) is a joint element; nothing is listed."""
+        return row in self._chain
 
     @cached_property
     def _element_ids(self) -> np.ndarray:
@@ -900,13 +905,13 @@ class JointAction:
             return np.arange(self.group.order)
         return _first_rows(np.hstack([self.n_action._table, self.m_action._table]))
 
-    def _pairs(self):
+    def _pairs(self, view=tuple):
         ids = self._element_ids
-        return zip(*(map(tuple, a._table[ids].tolist()) for a in (self.n_action, self.m_action)))
+        return _row_pairs(self.n_action._table[ids], self.m_action._table[ids], view)
 
     @cached_property
     def joint_elements(self) -> tuple[tuple[Permutation, Permutation], ...]:
-        return tuple((Permutation(gn), Permutation(gm)) for gn, gm in self._pairs())
+        return tuple(self._pairs(perm))
 
     @property
     def n_size(self) -> int:

@@ -89,29 +89,31 @@ def _parse_group_generators(obj, path: str) -> list[Permutation]:
     return gens
 
 
-def _parse_action(
-    obj, path: str, group: PermutationGroup, generators: list[Permutation]
-) -> GroupAction:
+def _parse_action(obj, path: str, group: PermutationGroup, column: list[int]) -> GroupAction:
     if not isinstance(obj, dict):
         raise SpecError(path, "expected an object")
     _require_keys(obj, path, {"size", "generator_images"})
     size = _get_int(obj, "size", path)
     raw = obj.get("generator_images")
-    if not isinstance(raw, list) or len(raw) != len(group.generator_ids):
+    if not isinstance(raw, list) or len(raw) != len(column):
         raise SpecError(
             f"{path}.generator_images",
-            f"expected {len(group.generator_ids)} cycle strings (one per group generator)",
+            f"expected {len(column)} cycle strings (one per group generator)",
         )
-    images = []
+    images: dict[int, Permutation] = {}  # one per generator row, in row order
     for i, text in enumerate(raw):
         if not isinstance(text, str):
             raise SpecError(f"{path}.generator_images[{i}]", "expected a cycle-notation string")
         try:
-            images.append(permcore.parse_cycles(text, size))
+            image = permcore.parse_cycles(text, size)
         except permcore.GroupError as exc:
             raise SpecError(f"{path}.generator_images[{i}]", str(exc)) from None
+        if images.setdefault(column[i], image) != image:
+            first = column.index(column[i])
+            raise SpecError(f"{path}.generator_images[{i}]",
+                            f"generator {i} repeats generator {first} and must repeat its image")
     try:
-        return permcore.build_action(group, images, size)
+        return permcore.build_action(group, list(images.values()), size)
     except permcore.GroupError as exc:
         raise SpecError(path, str(exc)) from None
 
@@ -161,8 +163,11 @@ def parse_spec(text: str) -> ProblemSpec:
     except permcore.GroupError as exc:
         raise SpecError("$.group", str(exc).replace("the cap", "the spec's order_cap")) from None
 
-    n_action = _parse_action(doc["n_action"], "$.n_action", group, generators)
-    m_action = _parse_action(doc["m_action"], "$.m_action", group, generators)
+    # a listed generator's row, which is also its Cayley column; repeats share one
+    slot = {row: s for s, row in enumerate(map(tuple, group._generator_rows.tolist()))}
+    column = [slot[g.images] for g in generators]
+    n_action = _parse_action(doc["n_action"], "$.n_action", group, column)
+    m_action = _parse_action(doc["m_action"], "$.m_action", group, column)
 
     design = doc.get("design")
     if design not in ("dense", "sparse"):
@@ -175,9 +180,7 @@ def parse_spec(text: str) -> ProblemSpec:
         raw = doc["genset"]
         if not isinstance(raw, list) or not raw:
             raise SpecError("$.genset", "expected a non-empty list of generator words")
-        right = group._cayley_right  # a letter is a column; repeats share one
-        slot = {row: s for s, row in enumerate(map(tuple, group._generator_rows.tolist()))}
-        column = [slot[g.images] for g in generators]
+        right = group._cayley_right
         ids = set()
         for i, word in enumerate(raw):
             if not isinstance(word, list):

@@ -246,18 +246,74 @@ def closure(generators, n_size, m_size):
     return closed
 
 
+@pytest.mark.parametrize("element_cap", [1, autsearch.DEFAULT_ELEMENT_CAP])
 @settings(max_examples=200, deadline=None)
 @given(small_structures())
-def test_generator_path_equals_brute_force_on_random_structures(s):
-    res = autsearch.enumerate_automorphisms(s, element_cap=1)
+def test_generator_path_equals_brute_force_on_random_structures(element_cap, s):
+    res = autsearch.enumerate_automorphisms(s, element_cap=element_cap)
     brute = set(oracles.brute_force_automorphisms(s))
     assert res.order == len(brute)
     assert res.stats.kernel_order * math.prod(res.stats.base_orbits) == res.order
-    if res.order > 1:
-        assert res.elements is None
-        assert closure(res.generators, s.n_size, s.m_size) == brute
-    else:
+    assert closure(res.generators, s.n_size, s.m_size) == brute
+    if res.order <= element_cap:
         assert res.pair_set() == brute
+    else:
+        assert res.elements is None
+
+
+class TestGeneratorTable:
+    """Every result carries one generator table: kernel generators, then strong ones."""
+
+    @staticmethod
+    def structures():
+        readme = specio.parse_spec((CORPUS / "readme.json").read_text())
+        # K_{3,3}: M rows 0..2 are equal, so K is S3 on M, then S3 on N
+        yield complete_bipartite(3, 3), [
+            ("()", "(0 1)"), ("()", "(0 1 2)"), ("(1 2)", "()"), ("(0 1)", "()"),
+        ]
+        # README: output rows 0/3, 1/4 and 2/5 are equal, then the rotation
+        yield specio.build_structure(readme), [
+            ("()", "(0 3)"), ("()", "(1 4)"), ("()", "(2 5)"), ("(0 1 2)", "(0 2 1)(3 5 4)"),
+        ]
+
+    def test_kernel_generators_first_at_every_cap(self):
+        for s, expected in self.structures():
+            capped = autsearch.enumerate_automorphisms(s, element_cap=1)
+            listed = autsearch.enumerate_automorphisms(s, element_cap=10_000)
+            assert capped.elements is None and len(listed.elements) == listed.order
+            assert capped.generators == listed.generators
+            cycles = [tuple(map(pc.format_cycles, pair)) for pair in listed.generators]
+            assert cycles == expected
+
+    def test_one_setwise_check_and_no_permutation(self, monkeypatch):
+        loaded = {}
+        for name in ("kk6", "readme"):
+            spec = specio.parse_spec((CORPUS / f"{name}.json").read_text())
+            loaded[name] = specio.build_structure(spec), specio.expanded_joint(spec)
+        built, checked = [], []
+        preserves = autsearch._preserves_structure
+        monkeypatch.setattr(pc.Permutation, "__post_init__", lambda p: built.append(p.images))
+        monkeypatch.setattr(
+            autsearch, "_preserves_structure",
+            lambda s, pns, pms: checked.append(len(pns)) or preserves(s, pns, pms),
+        )
+        for cap in (1, 10_000, 10**6):
+            res = autsearch.enumerate_automorphisms(loaded["kk6"][0], element_cap=cap)
+            assert (res.order, built) == (518_400, [])
+            assert checked == [7]  # 2 kernel generators and 5 strong ones, checked once
+            checked.clear()
+        # certify builds its witness only: the first generator outside the joint
+        # group above the cap, the first listed element outside it at or below
+        cases = [
+            ("kk6", 1, [(0, 1, 2, 3, 4, 5), (1, 0, 2, 3, 4, 5)]),
+            ("readme", 10_000, [(0, 1, 2), (0, 1, 5, 3, 4, 2)]),
+        ]
+        for name, cap, witness in cases:
+            built.clear()
+            cert = autsearch.certify_unique(*loaded[name], element_cap=cap)
+            assert cert.verdict == "supergroup"
+            assert built == witness
+            assert [p.images for p in cert.witness] == witness
 
 
 def setwise_reference(s, pn, pm):

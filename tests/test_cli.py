@@ -115,6 +115,14 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == "error: trials must be >= 0\n"
 
+    def test_negative_seed_exit_two(self, tmp_path, capsys):
+        rc = cli.main(["check", "equivariance", "--spec", write_spec(tmp_path, REVERSE_CONV),
+                       "--seed", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0\n"
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
     def test_bad_tolerance_exit_two(self, tmp_path, capsys, tolerance):
         rc = cli.main(["check", "equivariance", "--spec", write_spec(tmp_path, REVERSE_CONV),

@@ -374,6 +374,13 @@ class TestFloatRouteOracle:
         with pytest.raises(LayerError, match="trials must be >= 0"):
             layer.compose_layers(rc_layer, second, reverse_conv, swapped, trials=-1)
 
+    def test_negative_seed_rejected(self, rc_layer, reverse_conv):
+        with pytest.raises(LayerError, match=r"^seed must be >= 0$"):
+            layer.check_equivariance(rc_layer, reverse_conv, seed=-1)
+        swapped, second = reverse_stack_second(reverse_conv)
+        with pytest.raises(LayerError, match=r"^seed must be >= 0$"):
+            layer.compose_layers(rc_layer, second, reverse_conv, swapped, seed=-1)
+
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
     def test_bad_tolerance_rejected(self, rc_layer, reverse_conv, tolerance):
         with pytest.raises(LayerError, match=r"^tolerance must be finite and >= 0$"):

@@ -141,6 +141,59 @@ class TestParseSpec:
         assert specio.format_spec(again) == specio.format_spec(spec)
 
 
+class TestRepeatedGenerators:
+    """``generator_images`` holds one image per listed generator, repeats included."""
+
+    @staticmethod
+    def doc(group_generators, n_images, m_images, **overrides):
+        doc = {
+            "group": {"kind": "generators", "degree": 3, "generators": group_generators},
+            "n_action": {"size": 3, "generator_images": n_images},
+            "m_action": {"size": 3, "generator_images": m_images},
+            "design": "dense",
+        }
+        doc.update(overrides)
+        return json.dumps(doc)
+
+    def test_one_image_per_listed_generator(self):
+        gens = ["(0 1 2)", "(0 1 2)"]
+        spec = specio.parse_spec(self.doc(gens, gens, gens))
+        assert spec.group.order == 3
+        assert spec.n_action._generator_rows.tolist() == [[1, 2, 0]]
+        # the word [1, 1] reads the second listed generator twice: g^2
+        sparse = specio.parse_spec(
+            self.doc(gens, gens, gens, design="sparse", genset=[[0], [1, 1]])
+        )
+        assert sparse.genset_ids == (1, 2)
+
+    def test_one_image_for_two_listed_generators_is_refused(self):
+        with pytest.raises(SpecError) as info:
+            specio.parse_spec(self.doc(["(0 1 2)", "(0 1 2)"], ["(0 1 2)"], ["(0 1 2)"]))
+        assert str(info.value) == (
+            "$.n_action.generator_images: expected 2 cycle strings (one per group generator)"
+        )
+
+    def test_repeated_generator_must_repeat_its_image(self):
+        gens = ["(0 1 2)", "(0 1 2)"]
+        with pytest.raises(SpecError) as info:
+            specio.parse_spec(self.doc(gens, gens, ["(0 1 2)", "(0 2 1)"]))
+        assert str(info.value) == (
+            "$.m_action.generator_images[1]: generator 1 repeats generator 0 and must repeat"
+            " its image"
+        )
+
+    def test_direct_product_with_trivial_factors(self):
+        # C1 x C1 x C3 lists 3 generators, two of them the identity
+        group = {"kind": "direct_product", "factors": [
+            {"kind": "cyclic", "n": 1}, {"kind": "cyclic", "n": 1}, {"kind": "cyclic", "n": 3},
+        ]}
+        images = ["()", "()", "(0 1 2)"]
+        spec = specio.parse_spec(self.doc([], images, images, group=group))
+        assert (spec.group.order, spec.joint.joint_order) == (3, 3)
+        with pytest.raises(SpecError, match=r"^\$\.n_action\.generator_images: expected 3 "):
+            specio.parse_spec(self.doc([], images[1:], images, group=group))
+
+
 class TestMaskExport:
     def test_reverse_conv_mask(self):
         spec = specio.parse_spec(json.dumps(reverse_conv_doc()))

@@ -293,12 +293,17 @@ class TestGeneratorColumns:
             acts = list(actions_of(group, rng))
             joint = pc.joint_action(acts[0], acts[-1])
             inside = joint.pair_set()
+
+            def stacked(pn, pm):
+                """The pair as one row on N then M, M shifted by n_size."""
+                return pn + tuple(v + joint.n_size for v in pm)
+
             for pn, pm in inside:
-                assert joint._holds(pn, pm)
+                assert joint._holds(stacked(pn, pm))
             for _ in range(20):
                 pn = random_perm(rng, joint.n_size).images
                 pm = random_perm(rng, joint.m_size).images
-                assert joint._holds(pn, pm) == ((pn, pm) in inside)
+                assert joint._holds(stacked(pn, pm)) == ((pn, pm) in inside)
 
 
 class TestListsNothing:
