@@ -29,6 +29,12 @@ listing is built, sorted and checked on the first read of ``_listed``,
 ``elements`` or ``pair_set()``, so a verdict that needs only |Aut| never
 lists. ``search_cap`` bounds the search-tree nodes, i.e. the accepted N
 assignments.
+
+``certify_unique`` lists nothing either. Its witness at or under the cap is
+the first row of the sorted listing outside the joint group, i.e. the
+lexicographically first automorphism outside it; a depth-first walk of a
+stabilizer chain of the generator table yields the automorphisms in that
+order, one at a time, and stops at the first one the joint group rejects.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -178,8 +184,10 @@ def enumerate_automorphisms(
     ``reference`` joint action the verdict states whether aut equals it,
     strictly contains it, or the reference does not even preserve the colors
     (incomparable). More than ``search_cap`` search nodes (accepted N
-    assignments) raise.
+    assignments) raise, and so does a negative ``element_cap``.
     """
+    if element_cap < 0:
+        raise AutSearchError("element_cap must be >= 0")
     n_size, m_size = s.n_size, s.m_size
     if n_size + m_size > node_budget:
         raise AutSearchError(
@@ -392,6 +400,12 @@ def certify_unique(
 ) -> Certification:
     """Certify unique equivariance: aut(structure) equals the joint group.
 
+    The witness of a supergroup is the lexicographically first automorphism
+    (N images, then M images) outside the joint group when |Aut| is at most
+    ``element_cap``, found by ``_lex_walk`` without listing Aut, and the
+    first generator outside it above the cap. Either way the pair passes the
+    setwise check before it is returned.
+
     Raises when the joint elements do not preserve the colors, since every
     design in this package must embed its joint group (a broken upstream
     invariant, not a verdict).
@@ -407,9 +421,53 @@ def certify_unique(
     if result.verdict == "equal":
         return Certification("unique", result.order, joint.joint_order, None)
 
-    # the first listed element outside the joint group, else the first such generator
-    pns, pms = result._listed or result._generator_rows
-    stacked = map(tuple, np.hstack([pns, pms + joint.n_size]).tolist())
-    k = next((k for k, row in enumerate(stacked) if not joint._holds(row)), None)
-    witness = None if k is None else (perm(pns[k].tolist()), perm(pms[k].tolist()))
+    n_size = s.n_size
+    pns, pms = result._generator_rows
+    rows = np.hstack([pns, pms + n_size])
+    if result.order <= element_cap:
+        chain = permcore._StabilizerChain(rows)
+        if chain.order != result.order:
+            raise AutSearchError(
+                f"internal error: the generators' chain has order {chain.order}, "
+                f"not {result.order}"
+            )
+        candidates = _lex_walk(chain)
+    else:
+        candidates = map(tuple, rows.tolist())
+    row = next((row for row in candidates if not joint._holds(row)), None)
+    witness = None
+    if row is not None:
+        pn, pm = row[:n_size], [v - n_size for v in row[n_size:]]
+        if not _preserves_structure(s, [pn], [pm]).all():
+            raise AutSearchError("internal error: emitted pair fails the setwise check")
+        witness = (perm(pn), perm(pm))
     return Certification("supergroup", result.order, joint.joint_order, witness)
+
+
+def _lex_walk(chain: permcore._StabilizerChain) -> Iterator[tuple[int, ...]]:
+    """Every element of the chain's group as an image tuple, in lexicographic order.
+
+    An element is u_0 u_1 ... u_{k-1}, one transversal element per level. The
+    chain's base points increase and G_l fixes every point below b_l, so the
+    elements under a prefix h = u_0 ... u_{l-1} agree below b_l and send b_l
+    to h(x), x the orbit point of u_l. Visiting each orbit in order of h(x)
+    therefore yields the elements in row order; the walk is depth-first and
+    lazy, as deep as the chain is long.
+    """
+    levels = []
+    for tree in chain.trees:
+        if chain.narrow:
+            levels.append(list(tree.items()))
+        else:  # (slot, reps): reps[slot[x]] maps the base point to x
+            slot, reps = tree
+            points = np.flatnonzero(slot >= 0)
+            levels.append(list(zip(points.tolist(), map(tuple, reps[slot[points]].tolist()))))
+
+    def walk(level: int, h: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        if level == len(levels):
+            yield h
+            return
+        for _, u in sorted(levels[level], key=lambda xu: h[xu[0]]):
+            yield from walk(level + 1, permcore._compose_tuple(h, u))
+
+    return walk(0, tuple(range(chain.degree)))

@@ -86,6 +86,22 @@ def brute_force_automorphisms(s):
     return found
 
 
+def certify_witness(result, joint):
+    """(pi_N, pi_M) images of the supergroup witness, read from the listing.
+
+    The reference for ``autsearch.certify_unique``, which lists nothing: when
+    ``result`` lists Aut (its order is at most the element cap), the first
+    automorphism outside the joint group in order of N images, then M
+    images; else the first generator outside it. None when there is none.
+    """
+    inside = joint.pair_set()
+    if result._lister is None:
+        candidates = [(pn.images, pm.images) for pn, pm in result.generators]
+    else:
+        candidates = sorted(result.pair_set())
+    return next((pair for pair in candidates if pair not in inside), None)
+
+
 def brute_force_graph_automorphisms(adjacency):
     """All permutations pi with B[pi(i), pi(j)] == B[i, j]."""
     b = np.asarray(adjacency)

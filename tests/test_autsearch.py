@@ -1,6 +1,11 @@
+import ast
 import itertools
+import json
 import math
+import random
+import re
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +21,7 @@ from eqtie.designs import Relation, SharingStructure
 from conftest import cyclic_group_conv_joint, diagonal_symmetric_joint
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+RUN_PY = CORPUS.parent / "run.py"
 
 
 @st.composite
@@ -200,6 +206,17 @@ class TestOverCap:
         with pytest.raises(AutSearchError, match="search cap"):
             autsearch.enumerate_automorphisms(s, search_cap=5)
 
+    def test_negative_element_cap(self, reverse_conv_structure, reverse_conv):
+        s = reverse_conv_structure
+        certify = partial(autsearch.certify_unique, joint=reverse_conv)
+        for run in (autsearch.enumerate_automorphisms, certify):
+            with pytest.raises(AutSearchError) as info:
+                run(s, element_cap=-1)
+            assert str(info.value) == "element_cap must be >= 0"
+        # a zero cap lists nothing and takes the generator rule
+        assert autsearch.enumerate_automorphisms(s, element_cap=0).elements is None
+        assert autsearch.certify_unique(s, reverse_conv, element_cap=0).verdict == "supergroup"
+
 
 class TestOracleEquivalence:
     def fixtures(self, reverse_conv_structure, mirror_structures):
@@ -302,18 +319,25 @@ class TestGeneratorTable:
             assert (res.order, built) == (518_400, [])
             assert checked == [7]  # 2 kernel generators and 5 strong ones, checked once
             checked.clear()
-        # certify builds its witness only: the first generator outside the joint
-        # group above the cap, the first listed element outside it at or below
+        # certify builds its witness only, and checks it once more: the first
+        # generator outside the joint group above the cap, the lexicographically
+        # first automorphism outside it at or below, found without listing Aut
+        first_generator = [(0, 1, 2, 3, 4, 5), (1, 0, 2, 3, 4, 5)]
         cases = [
-            ("kk6", 1, [(0, 1, 2, 3, 4, 5), (1, 0, 2, 3, 4, 5)]),
+            ("kk6", 1, first_generator),
+            ("kk6", 10_000, first_generator),
+            ("kk6", 10**6, [(0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)]),
             ("readme", 10_000, [(0, 1, 2), (0, 1, 5, 3, 4, 2)]),
+            ("readme", 10**6, [(0, 1, 2), (0, 1, 5, 3, 4, 2)]),
         ]
         for name, cap, witness in cases:
             built.clear()
+            checked.clear()
             cert = autsearch.certify_unique(*loaded[name], element_cap=cap)
             assert cert.verdict == "supergroup"
             assert built == witness
             assert [p.images for p in cert.witness] == witness
+            assert checked[-1] == 1
 
 
 def setwise_reference(s, pn, pm):
@@ -427,6 +451,19 @@ class TestContainmentAndEquality:
         assert res.pair_set() == brute
 
 
+def bench_conjugate_spec():
+    """``conjugate_spec`` of the benchmark script, read from its syntax tree without running it."""
+    tree = ast.parse(RUN_PY.read_text())
+    body = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "conjugate_spec"]
+    namespace = {"json": json, "random": random, "re": re}
+    exec(compile(ast.Module(body=body, type_ignores=[]), str(RUN_PY), "exec"), namespace)
+    return namespace["conjugate_spec"]
+
+
+SUPERGROUP_SPECS = ("agl1-7", "kk6", "kk7", "kk8", "readme", "readme-ch23")
+TRIVIAL = pc.close_generators(pc.symmetric_generators(1))
+
+
 class TestCertify:
     def test_unique_fixtures(self, mirror_conv, rot90_structure, rot90):
         untied = layer.group_conv_structure(mirror_conv, [1])
@@ -449,6 +486,20 @@ class TestCertify:
             for rel in tied.relations
         )
 
+    @pytest.mark.parametrize("name", SUPERGROUP_SPECS)
+    def test_witness_matches_the_listing_oracle(self, name):
+        conjugate = bench_conjugate_spec()
+        doc = json.loads((CORPUS / f"{name}.json").read_text())
+        for seed in (0, 5, 301, 1, 2, 77):
+            spec = specio.parse_spec(json.dumps(conjugate(doc, random.Random(f"{seed}:{name}"))))
+            s, joint = specio.build_structure(spec), specio.expanded_joint(spec)
+            for cap in (1, 100, 10_000):
+                cert = autsearch.certify_unique(s, joint, element_cap=cap)
+                result = autsearch.enumerate_automorphisms(s, reference=joint, element_cap=cap)
+                assert cert.verdict == "supergroup"
+                witness = tuple(p.images for p in cert.witness)
+                assert witness == oracles.certify_witness(result, joint)
+
     def test_broken_joint_raises(self, mirror_conv):
         s = layer.group_conv_structure(mirror_conv, [1])
         g2 = pc.close_generators(pc.cyclic_generators(2))
@@ -458,6 +509,55 @@ class TestCertify:
         )
         with pytest.raises(AutSearchError, match="does not preserve"):
             autsearch.certify_unique(s, wrong)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_structures())
+def test_witness_against_trivial_joint_is_the_first_non_identity_automorphism(s):
+    joint = pc.joint_action(
+        pc.trivial_action(TRIVIAL, s.n_size), pc.trivial_action(TRIVIAL, s.m_size)
+    )
+    cert = autsearch.certify_unique(s, joint)
+    brute = oracles.brute_force_automorphisms(s)  # in lexicographic order, the identity first
+    assert cert.aut_order == len(brute)
+    witness = None if cert.witness is None else tuple(p.images for p in cert.witness)
+    assert witness == (brute[1] if len(brute) > 1 else None)
+
+
+class TestLexWalk:
+    """A stabilizer chain's walk yields every element of its group, in row order."""
+
+    def test_drained_walk_is_the_sorted_listing(self, reverse_conv_structure, mirror_conv):
+        for s in (
+            designs.dense_design(diagonal_symmetric_joint(4)),
+            designs.dense_design(mirror_conv),
+            reverse_conv_structure,
+        ):
+            result = autsearch.enumerate_automorphisms(s)
+            pns, pms = result._generator_rows
+            chain = pc._StabilizerChain(np.hstack([pns, pms + s.n_size]))
+            pns, pms = result._listed
+            listed = np.hstack([pns, pms + s.n_size]).tolist()
+            assert list(autsearch._lex_walk(chain)) == list(map(tuple, listed))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_narrow_chains(self, seed):
+        rng = random.Random(seed)
+        degree = rng.randint(1, 6)
+        gens = [pc.perm(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 2))]
+        chain = pc._StabilizerChain(np.array([g.images for g in gens]))
+        elements, _ = oracles.closure_per_element(gens)
+        assert list(autsearch._lex_walk(chain)) == sorted(p.images for p in elements)
+
+    @pytest.mark.parametrize("gens", [
+        pc.dihedral_generators(60),
+        pc.direct_product_generators(pc.symmetric_generators(4), pc.dihedral_generators(30)),
+    ], ids=["d60", "s4xd30"])
+    def test_array_trees_above_degree_32(self, gens):
+        chain = pc._StabilizerChain(np.array([g.images for g in gens]))
+        assert not chain.narrow and len(chain.trees) > 1
+        elements, _ = oracles.closure_per_element(gens)
+        assert list(autsearch._lex_walk(chain)) == sorted(p.images for p in elements)
 
 
 class TestGraphEquivalences:
@@ -511,6 +611,29 @@ class TestLazyListing:
         # strong and kernel generators, plus the reference's generator pairs
         assert 0 < sum(checked) <= len(generators) + len(joint.group.generator_ids)
 
+    @pytest.mark.parametrize("name", ["agl1-7", "readme-ch23"])
+    def test_certify_builds_no_listing(self, name, monkeypatch):
+        spec = specio.parse_spec((CORPUS / f"{name}.json").read_text())
+        s, joint = specio.build_structure(spec), specio.expanded_joint(spec)
+        expected = oracles.certify_witness(
+            autsearch.enumerate_automorphisms(s, reference=joint), joint
+        )
+        results = []
+        enumerate_ = autsearch.enumerate_automorphisms
+
+        def listing(*args):
+            raise AssertionError("certify listed Aut")
+
+        monkeypatch.setattr(autsearch, "_listing", listing)
+        monkeypatch.setattr(
+            autsearch, "enumerate_automorphisms",
+            lambda *args, **kwargs: results.append(enumerate_(*args, **kwargs)) or results[-1],
+        )
+        cert = autsearch.certify_unique(s, joint)
+        assert cert.aut_order <= autsearch.DEFAULT_ELEMENT_CAP
+        assert tuple(p.images for p in cert.witness) == expected
+        assert len(results) == 1 and "_listed" not in vars(results[0])
+
     def test_first_read_matches_brute_force(self, reverse_conv, reverse_conv_structure, mirror_conv):
         s4 = diagonal_symmetric_joint(4)
         cases = [
@@ -536,6 +659,23 @@ class TestLazyListing:
         with pytest.raises(AutSearchError) as info:
             autsearch.enumerate_automorphisms(s)
         assert str(info.value) == "internal error: emitted pair fails the setwise check"
+
+    def test_certify_checks_its_walk(self, monkeypatch):
+        spec = specio.parse_spec((CORPUS / "kk6.json").read_text())
+        s, joint = specio.build_structure(spec), specio.expanded_joint(spec)
+        joint._holds(tuple(range(s.n_size + s.m_size)))  # the joint's chain, built unpatched
+        witness = ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4))  # the walk's, not a generator
+        with monkeypatch.context() as patched:
+            patched.setattr(autsearch, "_preserves_structure", rejecting(witness))
+            autsearch.enumerate_automorphisms(s, reference=joint, element_cap=10**6)
+            with pytest.raises(AutSearchError) as info:
+                autsearch.certify_unique(s, joint, element_cap=10**6)
+            assert str(info.value) == "internal error: emitted pair fails the setwise check"
+        chain = pc._StabilizerChain
+        monkeypatch.setattr(pc, "_StabilizerChain", lambda rows: chain(rows[:1]))
+        with pytest.raises(AutSearchError) as info:
+            autsearch.certify_unique(s, joint, element_cap=10**6)
+        assert str(info.value) == "internal error: the generators' chain has order 2, not 518400"
 
     def test_listed_row_is_checked_on_first_read(self, monkeypatch):
         s = designs.dense_design(diagonal_symmetric_joint(4))

@@ -185,6 +185,18 @@ class TestCertify:
         assert cert["aut_order"] == 24 and cert["joint_order"] == 6
         assert cert["witness"] == ["()", "(2 5)"]
 
+    def test_negative_cap_exit_two(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, REVERSE_CONV)
+        rc = cli.main(["certify", "unique", "--spec", spec, "--cap", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: element_cap must be >= 0\n"
+        # a zero cap is valid: the witness is then the first generator outside the joint group
+        assert cli.main(["certify", "unique", "--spec", spec, "--cap", "0"]) == 1
+        cert = specio.parse_mask(capsys.readouterr().out)["certification"]
+        assert cert["element_cap"] == 0 and cert["witness"] is not None
+
     def test_certified_mask_round_trips(self, tmp_path):
         spec = write_spec(tmp_path, MIRROR)
         out = tmp_path / "mask.json"

@@ -59,3 +59,35 @@ def test_constructors_called_only_where_allowed(path):
 def test_rule_sees_bare_and_dotted_calls():
     source = "a = PermutationGroup(r, i, 1)\nb = pc.GroupAction(g, 2, r)\nc = pc.GroupAction\n"
     assert constructor_calls(ast.parse(source)) == [(1, "PermutationGroup"), (2, "GroupAction")]
+
+
+# what reads or builds the automorphism listing; certify finds its witness without it
+LISTING_NAMES = {"_listed", "_lister", "_listing", "elements", "pair_set"}
+
+
+def listing_reads(tree, function):
+    """(line, name) of every attribute or name in ``LISTING_NAMES`` inside ``function``."""
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name == function:
+            for node in ast.walk(func):
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if name in LISTING_NAMES:
+                    found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_certify_reads_no_listing():
+    tree = ast.parse((PACKAGE / "autsearch.py").read_text())
+    assert any(isinstance(f, ast.FunctionDef) and f.name == "certify_unique" for f in tree.body)
+    assert listing_reads(tree, "certify_unique") == []
+
+
+def test_listing_rule_sees_attribute_and_name_reads():
+    source = (
+        "def certify_unique(s):\n    r = f(s)\n    return r._listed or r.elements\n"
+        "def g(r):\n    return r.pair_set(), _listing\n"
+    )
+    tree = ast.parse(source)
+    assert listing_reads(tree, "certify_unique") == [(3, "_listed"), (3, "elements")]
+    assert listing_reads(tree, "g") == [(5, "_listing"), (5, "pair_set")]
