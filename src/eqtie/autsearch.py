@@ -151,14 +151,12 @@ def _refine(grid: list[list[int]], n_size: int, m_size: int) -> ColorProfileTabl
 def _preserves_structure(s: SharingStructure, pns: ArrayLike, pms: ArrayLike) -> np.ndarray:
     """Setwise relation preservation of every pair (pns[k], pms[k]) at once.
 
-    Built from the relation edge lists, independent of the grid: pair k maps
-    each edge set onto itself exactly when (pn(n), pm(m)) is an edge of a
-    relation iff (n, m) is, for every cell.
+    Reads the structure's incidence array, built once from the relation edge
+    lists and independent of the grid: pair k maps each edge set onto itself
+    exactly when (pn(n), pm(m)) is an edge of a relation iff (n, m) is, for
+    every cell.
     """
-    n_size, m_size = s.n_size, s.m_size
-    inc = np.zeros((len(s.relations), n_size, m_size), dtype=bool)
-    ends, owner = s._stacked_edges
-    inc[owner, ends[:, 0], ends[:, 1]] = True
+    inc = s._incidence
     pns = np.asarray(pns, dtype=np.intp)
     pms = np.asarray(pms, dtype=np.intp)
     ok = np.ones(len(pns), dtype=bool)

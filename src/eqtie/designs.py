@@ -39,8 +39,9 @@ class Relation:
     """One edge set with one color; provenance records how it was built.
 
     ``edges`` is given as a sequence of (n, m) pairs or a (k, 2) int array and
-    kept as a read-only (k, 2) intp array of its distinct rows, sorted by n,
-    then m. Relations compare by identity.
+    kept as a read-only (k, 2) intp copy of its distinct rows, sorted by n,
+    then m (rows already strictly increasing are not sorted again).
+    Relations compare by identity.
     """
 
     color_id: int
@@ -48,15 +49,19 @@ class Relation:
     provenance: Mapping[str, object]
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.intp)
+        edges = np.array(self.edges, dtype=np.intp)
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise DesignError(f"relation {self.color_id}: edges must be (n, m) pairs")
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        distinct = np.ones(len(edges), dtype=bool)
-        distinct[1:] = (edges[1:] != edges[:-1]).any(axis=1)
-        edges = edges[distinct]
+        before, after = edges[:-1], edges[1:]
+        less = before < after
+        # rows strictly increasing by (n, m) are already sorted and distinct
+        if not (less[:, 0] | ((before[:, 0] == after[:, 0]) & less[:, 1])).all():
+            edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+            distinct = np.ones(len(edges), dtype=bool)
+            distinct[1:] = (edges[1:] != edges[:-1]).any(axis=1)
+            edges = edges[distinct]
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
 
@@ -85,6 +90,15 @@ class SharingStructure:
         ends = np.concatenate([np.empty((0, 2), dtype=np.intp)] + [r.edges for r in self.relations])
         owner = np.repeat(np.arange(len(self.relations)), [len(r.edges) for r in self.relations])
         return ends, owner
+
+    @functools.cached_property
+    def _incidence(self) -> np.ndarray:
+        """Read-only (relations x N x M) bool array: [r, n, m] is set iff (n, m) is an edge of r."""
+        inc = np.zeros((len(self.relations), self.n_size, self.m_size), dtype=bool)
+        ends, owner = self._stacked_edges
+        inc[owner, ends[:, 0], ends[:, 1]] = True
+        inc.flags.writeable = False
+        return inc
 
     @functools.cached_property
     def color_matrix(self) -> ColorMatrix:
@@ -139,13 +153,14 @@ def dense_design(joint: JointAction) -> SharingStructure:
     n_gens, m_gens = joint.n_action._generator_rows, joint.m_action._generator_rows
     cell_moves = (m_gens[:, :, None] * n_size + n_gens[:, None, :]).reshape(len(n_gens), -1)
     first = permcore._orbit_minima(cell_moves)  # first[c]: the orbit's first cell
-    cells = np.argsort(first, kind="stable")
+    ms, ns = np.divmod(np.arange(len(first)), n_size)
+    cells = np.lexsort((ms, ns, first))  # by orbit, each orbit's edges sorted by (n, m)
     starts = np.flatnonzero(np.diff(first[cells], prepend=-1))
-    ms, ns = np.divmod(cells, n_size)
-    ends = np.stack([ns, ms], axis=1)
+    ends = np.stack([ns[cells], ms[cells]], axis=1)
     relations = []
     for k, (lo, hi) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [len(cells)])):
-        provenance = {"kind": "dense", "representative": tuple(ends[lo].tolist())}
+        rep_m, rep_n = divmod(int(first[cells[lo]]), n_size)
+        provenance = {"kind": "dense", "representative": (rep_n, rep_m)}
         relations.append(Relation(k + 1, ends[lo:hi], provenance))
     return SharingStructure(n_size, m_size, tuple(relations))
 

@@ -207,6 +207,8 @@ class PermutationGroup:
         self.order = order
         # image rows of the generators, in ``generator_ids`` order
         self._generator_rows = _read_only(rows)
+        # id sets ``symmetrize_genset`` has shown to be inverse-closed and generating
+        self._generating_sets: set[frozenset[int]] = set()
 
     @cached_property
     def _closure(self) -> tuple[np.ndarray, np.ndarray]:
@@ -939,16 +941,19 @@ def symmetrize_genset(group: PermutationGroup, element_ids: Iterable[int]) -> tu
     """Close a set of element ids under inverse and verify it generates the group.
 
     The subgroup's order comes from a stabilizer chain of the id rows; nothing
-    of it is listed.
+    of it is listed. A set shown to generate is kept on the group, so the
+    same set is not checked twice.
     """
     ids = set(element_ids)
     for i in ids:
         if not 0 <= i < group.order:
             raise GroupError(f"element id {i} out of range for a group of order {group.order}")
-    ids |= {group.inv(i) for i in set(ids)}
-    order = _group_order(group._table[sorted(ids)])
-    if order != group.order:
-        raise GroupError(
-            f"A does not generate G: closure of A union A^-1 has order {order} < {group.order}"
-        )
+    ids = frozenset(ids | {group.inv(i) for i in ids})
+    if ids not in group._generating_sets:
+        order = _group_order(group._table[sorted(ids)])
+        if order != group.order:
+            raise GroupError(
+                f"A does not generate G: closure of A union A^-1 has order {order} < {group.order}"
+            )
+        group._generating_sets.add(ids)
     return tuple(sorted(ids))

@@ -323,7 +323,35 @@ def _jsonable(value):
     return value
 
 
+# with indent=2 a non-empty flat list at depth 1 is `[`, each item after this
+# gap, the items joined by `,`, then `\n  ]`; the slot is the empty grid's line
+_GRID_GAP = "\n    "
+_GRID_SLOT = '\n  "grid": []'
+
+
 def dump_mask(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, with the grid written in C.
+
+    With any ``indent`` json encodes in Python, one step per cell. Here only
+    the rest of the document is indented; the grid's items are encoded once by
+    the C encoder, whose separator carries the newline and indent, and spliced
+    into the ``"grid": []`` slot at depth 1. A grid that is not a non-empty
+    flat list of scalars, or whose encoding holds a bracket or a brace, takes
+    the plain call.
+    """
+    grid = doc.get("grid")
+    if isinstance(grid, list) and grid:
+        try:
+            head = json.dumps(dict(doc, grid=[]), indent=2)
+            body = json.dumps(grid, separators=("," + _GRID_GAP, ": "))
+        except (TypeError, ValueError):
+            pass  # the plain call raises the reference error
+        else:
+            slot = head.find(_GRID_SLOT)
+            items = body[1:-1]
+            if slot >= 0 and "[" not in items and "{" not in items:
+                cut = slot + len(_GRID_SLOT) - 1
+                return "".join((head[:cut], _GRID_GAP, items, "\n  ", head[cut:], "\n"))
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -6,13 +6,20 @@ the search/design code paths it is used to validate.
 
 from __future__ import annotations
 
+import ast
 import itertools
+import json
 import math
+import random
+import re
+from pathlib import Path
 
 import numpy as np
 
 from eqtie.layer import LayerError, check_equivariance
 from eqtie.permcore import GroupError, compose, format_cycles, identity
+
+RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 
 def edge_set(rel):
@@ -406,3 +413,17 @@ def merge_colors_per_cell(s):
                 merged_to_base[merged_ids[key]] = key
             grid[m, n] = merged_ids[key]
     return grid, merged_to_base
+
+
+def dump_mask_reference(doc):
+    """The mask bytes by definition: the indented encoding, one step per cell."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def bench_conjugate_spec():
+    """``conjugate_spec`` of the benchmark script, read from its syntax tree without running it."""
+    tree = ast.parse(RUN_PY.read_text())
+    body = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "conjugate_spec"]
+    namespace = {"json": json, "random": random, "re": re}
+    exec(compile(ast.Module(body=body, type_ignores=[]), str(RUN_PY), "exec"), namespace)
+    return namespace["conjugate_spec"]

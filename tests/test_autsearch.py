@@ -1,11 +1,9 @@
-import ast
 import itertools
 import json
 import math
 import random
-import re
 import time
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +19,6 @@ from eqtie.designs import Relation, SharingStructure
 from conftest import cyclic_group_conv_joint, diagonal_symmetric_joint
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
-RUN_PY = CORPUS.parent / "run.py"
 
 
 @st.composite
@@ -451,15 +448,6 @@ class TestContainmentAndEquality:
         assert res.pair_set() == brute
 
 
-def bench_conjugate_spec():
-    """``conjugate_spec`` of the benchmark script, read from its syntax tree without running it."""
-    tree = ast.parse(RUN_PY.read_text())
-    body = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "conjugate_spec"]
-    namespace = {"json": json, "random": random, "re": re}
-    exec(compile(ast.Module(body=body, type_ignores=[]), str(RUN_PY), "exec"), namespace)
-    return namespace["conjugate_spec"]
-
-
 SUPERGROUP_SPECS = ("agl1-7", "kk6", "kk7", "kk8", "readme", "readme-ch23")
 TRIVIAL = pc.close_generators(pc.symmetric_generators(1))
 
@@ -488,7 +476,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("name", SUPERGROUP_SPECS)
     def test_witness_matches_the_listing_oracle(self, name):
-        conjugate = bench_conjugate_spec()
+        conjugate = oracles.bench_conjugate_spec()
         doc = json.loads((CORPUS / f"{name}.json").read_text())
         for seed in (0, 5, 301, 1, 2, 77):
             spec = specio.parse_spec(json.dumps(conjugate(doc, random.Random(f"{seed}:{name}"))))
@@ -499,6 +487,27 @@ class TestCertify:
                 assert cert.verdict == "supergroup"
                 witness = tuple(p.images for p in cert.witness)
                 assert witness == oracles.certify_witness(result, joint)
+
+    @pytest.mark.parametrize("cap", [1, 10_000])
+    def test_supergroup_builds_the_incidence_array_once(self, cap, monkeypatch):
+        built = []
+        incidence = SharingStructure._incidence.func
+        counted = cached_property(lambda s: built.append(s) or incidence(s))
+        counted.__set_name__(SharingStructure, "_incidence")
+        monkeypatch.setattr(SharingStructure, "_incidence", counted)
+        checked = []
+        preserves = autsearch._preserves_structure
+        monkeypatch.setattr(
+            autsearch, "_preserves_structure",
+            lambda s, pns, pms: checked.append(len(pns)) or preserves(s, pns, pms),
+        )
+        spec = specio.parse_spec((CORPUS / "agl1-7.json").read_text())
+        s = specio.build_structure(spec)
+        cert = autsearch.certify_unique(s, specio.expanded_joint(spec), element_cap=cap)
+        assert cert.verdict == "supergroup"
+        # generator table, reference generators and witness: three checks, one array
+        assert len(checked) == 3 and built == [s]
+        assert not s._incidence.flags.writeable
 
     def test_broken_joint_raises(self, mirror_conv):
         s = layer.group_conv_structure(mirror_conv, [1])

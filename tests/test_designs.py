@@ -75,6 +75,27 @@ class TestRelationEdges:
         # the caller's array is copied, not sorted or frozen in place
         assert given.flags.writeable and given.tolist() == [list(p) for p in pairs]
 
+    def test_sorted_rows_kept_as_a_copy(self, monkeypatch):
+        # strictly increasing rows are already normal: no sort, and still a copy
+        given = np.array([(0, 1), (0, 2), (1, 0), (3, 3)])
+        monkeypatch.setattr(np, "lexsort", lambda keys: pytest.fail("sorted rows were re-sorted"))
+        rel = Relation(1, given, {"kind": "dense"})
+        assert rel.edges.tolist() == given.tolist() and rel.edges.dtype == np.intp
+        assert not rel.edges.flags.writeable and given.flags.writeable
+        given[0, 0] = 9
+        assert rel.edges[0].tolist() == [0, 1]
+        for edges in ([(5, 5)], []):
+            assert Relation(2, edges, {"kind": "dense"}).edges.tolist() == [list(p) for p in edges]
+
+    @pytest.mark.parametrize("pairs, normal", [
+        ([(0, 1), (0, 1)], [[0, 1]]),  # equal neighbours are not strictly increasing
+        ([(0, 2), (1, 0), (0, 3)], [[0, 2], [0, 3], [1, 0]]),
+        ([(1, 0), (0, 5)], [[0, 5], [1, 0]]),
+        ([(0, 1), (0, 0)], [[0, 0], [0, 1]]),
+    ])
+    def test_nearly_sorted_rows_normalized(self, pairs, normal):
+        assert Relation(1, pairs, {"kind": "dense"}).edges.tolist() == normal
+
     def test_malformed_pairs_rejected(self):
         with pytest.raises(DesignError, match="pairs"):
             Relation(1, [(0, 1, 2)], {"kind": "dense"})

@@ -549,3 +549,27 @@ class TestSymmetrizeGenset:
 
     def test_full_set_unchanged(self, z6):
         assert pc.symmetrize_genset(z6, range(6)) == tuple(range(6))
+
+    def test_generating_set_checked_once_per_group(self, monkeypatch):
+        z5 = pc.close_generators(pc.cyclic_generators(5))
+        orders = []
+        group_order = pc._group_order
+
+        def counted(gens, **kw):
+            orders.append(len(gens))
+            return group_order(gens, **kw)
+
+        monkeypatch.setattr(pc, "_group_order", counted)
+        # the same set, given either way round, is checked once
+        assert [pc.symmetrize_genset(z5, ids) for ids in ([1], [4], [1, 4])] == [(1, 4)] * 3
+        assert orders == [2]
+        # ids are still range-checked, and another set is checked on its own
+        with pytest.raises(GroupError, match="out of range"):
+            pc.symmetrize_genset(z5, [1, 5])
+        assert pc.symmetrize_genset(z5, [2]) == (2, 3)
+        assert orders == [2, 2]
+
+    def test_non_generating_set_raises_every_time(self, z6):
+        for _ in range(2):
+            with pytest.raises(GroupError, match="does not generate"):
+                pc.symmetrize_genset(z6, [2])

@@ -38,15 +38,18 @@ CONSTRUCTOR_CALLERS = {
 }
 
 
+def called_name(call):
+    """The name a call's function is read by: ``f`` of ``f(...)`` and of ``m.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def constructor_calls(tree):
     """(line, class name) of every call of a class in ``CONSTRUCTOR_CALLERS``, bare or dotted."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in CONSTRUCTOR_CALLERS:
-                found.append((node.lineno, name))
+        if isinstance(node, ast.Call) and called_name(node) in CONSTRUCTOR_CALLERS:
+            found.append((node.lineno, called_name(node)))
     return sorted(found)
 
 
@@ -91,3 +94,36 @@ def test_listing_rule_sees_attribute_and_name_reads():
     tree = ast.parse(source)
     assert listing_reads(tree, "certify_unique") == [(3, "_listed"), (3, "elements")]
     assert listing_reads(tree, "g") == [(5, "_listing"), (5, "pair_set")]
+
+
+# every mask leaves the package through specio.dump_mask, which keeps its bytes
+JSON_WRITERS = {"dump", "dumps"}
+MASK_WRITERS = ("_run_design", "_run_certify")
+
+
+def json_writer_calls(tree, function):
+    """(line, name) of every call of ``dump`` or ``dumps``, bare or dotted, inside ``function``."""
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name == function:
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and called_name(node) in JSON_WRITERS:
+                    found.append((node.lineno, called_name(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("function", MASK_WRITERS)
+def test_mask_commands_write_only_through_dump_mask(function):
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert any(isinstance(f, ast.FunctionDef) and f.name == function for f in tree.body)
+    assert json_writer_calls(tree, function) == []
+
+
+def test_writer_rule_sees_bare_and_dotted_calls():
+    source = (
+        "def _run_design(a):\n    t = specio.dump_mask(d)\n    return json.dumps(d, indent=2)\n"
+        "def _run_certify(a):\n    dumps(d)\n    json.dump(d, f)\n    return json.dumps\n"
+    )
+    tree = ast.parse(source)
+    assert json_writer_calls(tree, "_run_design") == [(3, "dumps")]
+    assert json_writer_calls(tree, "_run_certify") == [(5, "dumps"), (6, "dump")]

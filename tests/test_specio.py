@@ -1,9 +1,15 @@
 import json
+import os
+import random
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from eqtie import designs, permcore as pc, specio
 from eqtie.specio import SpecError
 
@@ -42,6 +48,24 @@ class TestParseSpec:
     def test_asymmetric_genset(self):
         with pytest.raises(SpecError, match=r"\$\.genset.*not symmetric"):
             specio.parse_spec(json.dumps(reverse_conv_doc(genset=[[0]])))
+
+    def test_sparse_genset_generation_checked_once(self, monkeypatch):
+        orders = []
+        group_order = pc._group_order
+
+        def counted(gens, **kw):
+            orders.append(len(gens))
+            return group_order(gens, **kw)
+
+        monkeypatch.setattr(pc, "_group_order", counted)
+        spec = specio.parse_spec((CORPUS / "gconv-tied-z120.json").read_text())
+        parsed = len(orders)
+        structure = specio.build_structure(spec)
+        assert len(orders) == parsed  # sparse_design reuses the parse's verdict
+        assert structure.base_color_count > 0
+        # a library caller's unchecked ids are still checked
+        with pytest.raises(pc.GroupError, match="does not generate"):
+            designs.sparse_design(spec.joint, [0])
 
     def test_empty_document(self):
         with pytest.raises(SpecError, match="offset 0"):
@@ -301,6 +325,129 @@ class TestMaskExport:
         doc = specio.build_mask_document(spec, specio.build_structure(spec))
         assert doc["n_size"] == 6 and doc["m_size"] == 6
         assert doc["base_color_count"] == 4
+
+
+def reverse_conv_mask():
+    spec = specio.parse_spec(json.dumps(reverse_conv_doc()))
+    return specio.build_mask_document(spec, specio.build_structure(spec))
+
+
+# the block `certify unique` adds, with a witness so it holds nested lists
+CERTIFICATION = {
+    "verdict": "supergroup", "aut_order": 48, "joint_order": 24,
+    "witness": ["(0 1)", "()"], "seed": 0, "element_cap": 10_000, "node_budget": 64,
+}
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+)
+
+
+def assert_mask_bytes(doc):
+    """``dump_mask(doc)`` equals the reference; a failure shows the first difference only."""
+    got, expected = specio.dump_mask(doc), oracles.dump_mask_reference(doc)
+    if got != expected:
+        at = len(os.path.commonprefix([got, expected]))
+        near = slice(max(at - 30, 0), at + 30)
+        pytest.fail(f"bytes differ at offset {at}: {got[near]!r} != {expected[near]!r}")
+
+
+class TestMaskBytes:
+    """``dump_mask`` writes exactly ``json.dumps(doc, indent=2) + "\\n"`` for every dict."""
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+    def test_corpus_masks_match_the_indented_encoding(self, path):
+        conjugate = oracles.bench_conjugate_spec()
+        doc = json.loads(path.read_text())
+        texts = [json.dumps(doc)] + [
+            json.dumps(conjugate(doc, random.Random(f"{seed}:{path.stem}"))) for seed in (0, 5, 301)
+        ]
+        for text in texts:
+            spec = specio.parse_spec(text)
+            structure = specio.build_structure(spec)
+            for block in (None, CERTIFICATION):
+                mask = specio.build_mask_document(spec, structure, certification=block)
+                assert_mask_bytes(mask)
+
+    @pytest.mark.parametrize("grid", [
+        [], [7], [0, 0], (1, 2), 5, None, "grid", {"a": [1]}, {}, True,
+    ], ids=repr)
+    def test_grid_shapes(self, grid):
+        doc = dict(reverse_conv_mask(), grid=grid)
+        assert_mask_bytes(doc)
+
+    @pytest.mark.parametrize("cells", [
+        ['say "hi"', "a\\b", "x\ny", "\t"],
+        ["[", "]", "{", "}", "[1, 2]", '{"grid": []}', ",\n    "],
+        ["é", "日本語", "\u2028", "\U0001f600", "\x00"],
+        [1e300, -0.0, 0.0, 1.5, -2.5e-300, float("nan"), float("inf"), float("-inf")],
+        [2**63, 2**64 + 1, -(2**70), 0, -1],
+        [True, False, None, 1, 1.0, "1"],
+    ], ids=["quotes", "brackets", "non-ascii", "floats", "big-ints", "mixed"])
+    def test_scalar_cells(self, cells):
+        doc = dict(reverse_conv_mask(), grid=cells)
+        assert_mask_bytes(doc)
+
+    @pytest.mark.parametrize("cells", [
+        [[1, 2], [3]], [1, [2, [3]]], [[]], [{}], [{"a": [1, {"b": 2}]}, 4], [(1, 2)],
+    ], ids=repr)
+    def test_nested_cells(self, cells):
+        doc = dict(reverse_conv_mask(), grid=cells)
+        assert_mask_bytes(doc)
+
+    def test_only_the_top_level_grid_is_spliced(self):
+        mask = reverse_conv_mask()
+        nested = dict(mask, channels={"in": 1, "out": 1, "grid": []})
+        nested["base_colors"] = [dict(c, grid=[]) for c in mask["base_colors"]]
+        docs = [
+            nested,
+            dict(nested, grid=[]),
+            {"channels": {"grid": []}, **mask},
+            {"grid": mask["grid"], "other": {"grid": []}},  # grid first
+            {"other": {"grid": []}, "grid": mask["grid"]},  # grid last
+            {"grid": mask["grid"]},
+            {"n_size": 3},  # no grid at all
+            {},
+        ]
+        for doc in docs:
+            assert_mask_bytes(doc)
+
+    def test_unencodable_cells_raise_as_the_indented_encoding(self):
+        for grid in ([np.int64(1)], [object()], [1, {(1, 2): 3}]):
+            doc = dict(reverse_conv_mask(), grid=grid)
+            with pytest.raises(TypeError) as expected:
+                oracles.dump_mask_reference(doc)
+            with pytest.raises(TypeError) as got:
+                specio.dump_mask(doc)
+            assert str(got.value) == str(expected.value)
+        circular = []
+        circular.append(circular)
+        with pytest.raises(ValueError, match="Circular reference"):
+            specio.dump_mask(dict(reverse_conv_mask(), grid=[1, circular]))
+
+    def test_int_grid_is_not_indented_cell_by_cell(self, monkeypatch):
+        spec = specio.parse_spec((CORPUS / "gconv-tied-z240.json").read_text())
+        mask = specio.build_mask_document(spec, specio.build_structure(spec))
+        indented = []
+
+        def dumps(obj, **kwargs):
+            if "indent" in kwargs:
+                indented.append(len(obj.get("grid") or ()) if isinstance(obj, dict) else obj)
+            return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(specio, "json", types.SimpleNamespace(dumps=dumps))
+        assert_mask_bytes(mask)
+        assert indented == [0]  # the rest of the document only
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(JSON_SCALARS, max_size=12) | st.lists(
+        st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6),
+        max_size=6,
+    ))
+    def test_random_grids(self, grid):
+        doc = dict(reverse_conv_mask(), grid=grid)
+        assert_mask_bytes(doc)
 
 
 class TestDot:
