@@ -370,10 +370,8 @@ def _listing(
                 perm[n_size + src] = n_size + dst
         kernel.append(perm)
     # every element is u_0 u_1 ... u_{n-1} k, one transversal element per level
-    listed = np.array(kernel, dtype=np.intp).reshape(-1, degree)
-    for delta in reversed(transversals):
-        reps = np.array(list(delta.values()), dtype=np.intp)
-        listed = reps[:, listed].reshape(-1, degree)
+    levels = [np.array(list(delta.values()), dtype=np.intp) for delta in transversals]
+    listed = permcore._transversal_products(levels, np.array(kernel, dtype=np.intp))
     listed = listed[np.lexsort(listed.T[::-1])]
     pns, pms = listed[:, :n_size], listed[:, n_size:] - n_size
     if not _preserves_structure(s, pns, pms).all():
@@ -452,14 +450,11 @@ def _lex_walk(chain: permcore._StabilizerChain) -> Iterator[tuple[int, ...]]:
     therefore yields the elements in row order; the walk is depth-first and
     lazy, as deep as the chain is long.
     """
-    levels = []
-    for tree in chain.trees:
-        if chain.narrow:
-            levels.append(list(tree.items()))
-        else:  # (slot, reps): reps[slot[x]] maps the base point to x
-            slot, reps = tree
-            points = np.flatnonzero(slot >= 0)
-            levels.append(list(zip(points.tolist(), map(tuple, reps[slot[points]].tolist()))))
+    # (x, u) per level: u maps the level's base point to x
+    levels = [
+        list(zip(reps[:, b].tolist(), map(tuple, reps.tolist())))
+        for b, reps in zip(chain.base, chain.transversals)
+    ]
 
     def walk(level: int, h: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if level == len(levels):

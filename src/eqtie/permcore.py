@@ -24,15 +24,21 @@ works on tuples up to degree 32 and on int arrays above it, where the level's
 Schreier generators are formed as one array per block. No element is listed
 for these answers.
 
-The read-only int tables are built on first use. A group's (order x degree)
-element table comes from a breadth-first closure, one fancy index of the
-frontier by all generators per layer, which also records the Cayley
-right-multiplication table ``right[i, s]`` = index of ``elements[i]`` composed
-with generator s. It keys each candidate row by one vectorised code: up to
-degree 15 the row read as a base-degree numeral (one int64, ordered as the
-rows are), above it the row's big-endian bytes. An action's (|G| x
-target_size) table is its generator images carried along the Cayley tree, and
-a joint action's element ids come from both tables. ``elements``, ``images``
+The read-only int tables are built on first use, from the chains. A group
+keeps the chain ``close_generators`` built for its order. Its (order x
+degree) element table lists the chain's transversal products, one gather per
+level, sorted by their images of the base points: the base points increase,
+so that is the order of the image arrays. Every product times every
+generator is found by its images of the base points in one vectorised
+lookup, which gives the Cayley right-multiplication table ``right[i, s]`` =
+index of ``elements[i]`` composed with generator s. One walk over these ids
+puts the rows in breadth-first order and records the Cayley tree: narrow
+layers take one Python step per edge, wide ones one gather each. An action
+keeps the chain of its pairs (s^X, s) that ``build_action`` checked (other
+builders make it on first use); its (|G| x target_size) table lists that
+chain on the target points and G's base points, and the same lookup puts
+each image at its element's id. A natural action's table is G's own. A
+joint action's element ids come from both tables. ``elements``, ``images``
 and ``joint_elements`` are ``Permutation`` views built on first use.
 
 A group is always <generators>: ``close_generators`` is the one way to build
@@ -52,7 +58,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,33 +197,56 @@ def _image_table(rows, size: int) -> np.ndarray:
 
 
 class PermutationGroup:
-    """A finite permutation group: its generator rows, with the element table built on first use.
+    """A finite permutation group: generator rows and a stabilizer chain, tables built on first use.
 
     elements[0] is the identity; the rest follow breadth-first layers over the
     generators, each layer sorted by image array, so the element order is a
     deterministic function of the generator list. ``close_generators`` is the
     one constructor's caller: it takes the distinct generator rows, their
-    element ids and the order from a stabilizer chain. The element table, the
-    Cayley table and the element index are built on first use.
+    element ids and the chain that gave the order. The element table, the
+    Cayley table and tree, and the element index are built on first use.
     """
 
-    def __init__(self, rows: np.ndarray, generator_ids: Sequence[int], order: int):
+    def __init__(self, rows: np.ndarray, generator_ids: Sequence[int], chain: _StabilizerChain):
         self.degree = rows.shape[1]
         self.generator_ids = tuple(generator_ids)
-        self.order = order
+        self.order = chain.order
+        self._chain = chain
         # image rows of the generators, in ``generator_ids`` order
         self._generator_rows = _read_only(rows)
         # id sets ``symmetrize_genset`` has shown to be inverse-closed and generating
         self._generating_sets: set[frozenset[int]] = set()
 
     @cached_property
-    def _closure(self) -> tuple[np.ndarray, np.ndarray]:
-        """(element table, Cayley right table) of a generated group, closed breadth-first."""
-        return _close_rows(self._generator_rows)
+    def _closure(self) -> _Closure:
+        """The tables of a generated group, listed from its chain and walked breadth-first.
+
+        The chain's products sorted by their images of the base points are the
+        elements in row order. Every product times every generator is found by
+        those images in one lookup, and one walk over these ids puts the rows
+        in breadth-first order and records the Cayley tree.
+        """
+        chain = self._chain
+        base = np.array(chain.base, dtype=np.intp)
+        listing = _transversal_products(chain.transversals, np.arange(self.degree)[None, :])
+        lookup = _BaseLookup(listing, base, chain.orbit_lengths)
+        # (p s)(b) = p(s(b)): a product's base images are columns s(b) of p's row
+        columns = self._generator_rows[:, base]
+        images = listing[:, columns].reshape(len(listing) * len(columns), len(base))
+        right = lookup(images).reshape(len(listing), len(columns))[lookup.order]
+        order, *tree = _breadth_first(right)
+        ids = np.empty_like(order)
+        ids[order] = np.arange(len(order))
+        table = _read_only(listing[lookup.order[order]])
+        return _Closure(table, _read_only(ids[right[order]]), tree, lookup, ids)
 
     @cached_property
     def _table(self) -> np.ndarray:
-        return self._closure[0]
+        return self._closure.table
+
+    def _ids(self, base_images: np.ndarray) -> np.ndarray:
+        """Element ids of the elements with these images of the chain's base points, one per row."""
+        return self._closure.ids[self._closure.lookup(base_images)]
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
@@ -238,12 +267,13 @@ class PermutationGroup:
         return self.index_of(compose(self.elements[i], self.elements[j]))
 
     def inv(self, i: int) -> int:
-        return self._index[tuple(np.argsort(self._table[i]).tolist())]
+        # the inverse sends b to the position of b in the row: its base images
+        return int(self._ids(np.argsort(self._table[i])[None, self._chain.base])[0])
 
     @cached_property
     def _cayley_right(self) -> np.ndarray:
         """right[i, t] = index of elements[i] composed with generators[t] (generator first)."""
-        return self._closure[1]
+        return self._closure.right
 
     @cached_property
     def _cayley_tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -252,21 +282,13 @@ class PermutationGroup:
         Per layer, (elements, parents, generator columns); an element follows
         the first edge reaching it in (parent position, generator) order.
         """
-        right = self._cayley_right
-        reached = np.zeros(self.order, dtype=bool)
-        reached[0] = True
-        layer = np.zeros(1, dtype=np.intp)
-        tree = []
-        while True:
-            heads = right[layer].ravel()  # edge k * |S| + s leaves layer[k] by generator s
-            first = np.unique(heads, return_index=True)[1]
-            first = np.sort(first[~reached[heads[first]]])
-            if not len(first):
-                return tree
-            positions, columns = np.divmod(first, right.shape[1])
-            parents, layer = layer[positions], heads[first]
-            reached[layer] = True
-            tree.append((layer, parents, columns))
+        ids = self._closure.ids
+        child, parent, column, bounds = self._closure.tree
+        return [
+            (ids[child[lo:hi]], ids[parent[lo:hi]], column[lo:hi])
+            for lo, hi in zip(bounds[1:], bounds[2:])
+            if lo < hi
+        ]
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
@@ -286,27 +308,24 @@ class PermutationGroup:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
 
 
+class _Closure(NamedTuple):
+    """A group's tables: elements, Cayley right table and tree, and the lookup by base images.
+
+    ``lookup`` gives positions in base-image order, and ``ids`` maps them to
+    element ids. ``tree`` is ``_breadth_first``'s (child, parent, column,
+    bounds) in those positions.
+    """
+
+    table: np.ndarray
+    right: np.ndarray
+    tree: list
+    lookup: _BaseLookup
+    ids: np.ndarray
+
+
 def _read_only(table: np.ndarray) -> np.ndarray:
     table.flags.writeable = False
     return table
-
-
-# rows up to this degree are keyed by one int64: 15 ** 15 < 2 ** 63
-_INT_KEY_DEGREE = 15
-
-
-def _row_keys(table: np.ndarray) -> list[int] | list[bytes]:
-    """One hashable key per row of an image table; keys sort as the rows do.
-
-    Up to degree 15 a row is read as a base-degree numeral, first entry most
-    significant: one int, exact in int64. Wider rows are keyed by their
-    big-endian bytes, which compare in value order. Either way ``sorted`` on
-    keys is the lexicographic order of the image arrays.
-    """
-    degree = table.shape[1]
-    if degree <= _INT_KEY_DEGREE:
-        return (table @ degree ** np.arange(degree - 1, -1, -1, dtype=np.int64)).tolist()
-    return [row.tobytes() for row in table.astype(">u4")]
 
 
 # Stabilizer chains. Up to this degree a level works on tuples, one C-level
@@ -415,9 +434,9 @@ def _schreier_rows(point: int, gens: np.ndarray, slot: np.ndarray, reps: np.ndar
 
 def _distinct_rows(table: np.ndarray) -> np.ndarray:
     """The rows of an image table at their first occurrences."""
-    first: dict[int | bytes, int] = {}
-    for pos, key in enumerate(_row_keys(table)):
-        first.setdefault(key, pos)
+    first: dict[bytes, int] = {}
+    for pos, row in enumerate(table):
+        first.setdefault(row.tobytes(), pos)
     return table[list(first.values())]
 
 
@@ -465,6 +484,15 @@ class _StabilizerChain:
     def order(self) -> int:
         return math.prod(self.orbit_lengths)
 
+    @cached_property
+    def transversals(self) -> list[np.ndarray]:
+        """Each level's transversal as a read-only int table, the identity first."""
+        if self.narrow:
+            return [
+                _read_only(np.array(list(tree.values()), dtype=np.intp)) for tree in self.trees
+            ]
+        return [reps for _, reps in self.trees]
+
     def __contains__(self, images: tuple[int, ...]) -> bool:
         """Whether the permutation lies in the group: sift it through every level."""
         for point, tree in zip(self.base, self.trees):
@@ -485,12 +513,130 @@ def _group_order(gens: np.ndarray, limit: int | None = None) -> int:
     return _StabilizerChain(gens, limit).order
 
 
+def _transversal_products(levels: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Every product u_0 u_1 ... u_{k-1} r: one row u_l of each ``levels[l]``, then one of ``rows``.
+
+    ``levels`` are a chain's transversals as int tables. A product is read
+    only at the columns ``rows`` holds, so ``rows`` may hold chosen columns
+    of the right factor, e.g. an identity row restricted to some points.
+    One gather per level; u_0 varies slowest and the row of ``rows`` fastest.
+    """
+    for reps in reversed(levels):
+        rows = reps[:, rows].reshape(-1, rows.shape[1])
+    return rows
+
+
+class _BaseLookup:
+    """Sorts a listing of group elements by their images of a chain's base points, and finds rows.
+
+    An element is fixed by its images of b_0..b_{k-1}. In the sorted order
+    the elements with equal images of b_0..b_{l-1}, a coset of G_l, are
+    |G_l| consecutive rows: a block. A run of levels a..c-1 is found at once
+    by one integer key per row, the rank of its block at level a and then
+    the images of b_a..b_{c-1} as base-degree digits, which sorts as the
+    rows do. A run is as long as its keys fit in int64, so a group has one
+    run unless both its degree and its base are large.
+    """
+
+    def __init__(self, listing: np.ndarray, base: np.ndarray, orbit_lengths: Sequence[int]):
+        self.base = base
+        degree = listing.shape[1]
+        sizes = [math.prod(orbit_lengths[l:]) for l in range(len(base) + 1)]  # |G_l|
+        spans, keys = [], []
+        a = 0
+        while a < len(base):
+            c = a + 1
+            while c < len(base) and sizes[0] // sizes[a] * degree ** (c + 1 - a) < 2**63:
+                c += 1
+            digits = np.array([degree**e for e in range(c - a - 1, -1, -1)], dtype=np.int64)
+            spans.append((a, c, digits))
+            keys.append(listing[:, base[a:c]] @ digits)
+            a = c
+        # ``order`` sorts the listing's rows by base images. Keys are distinct, so one
+        # key needs no stable sort; a trivial group has one row and no key.
+        self.order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0] if keys else 0)
+        self.runs = []
+        for (a, c, digits), key in zip(spans, keys):
+            scale, heads = degree ** (c - a), key[self.order[::sizes[c]]]  # each block's first row
+            if a:  # the block ranks at level a, none before the first run
+                heads += np.arange(len(heads)) // (sizes[a] // sizes[c]) * scale
+            self.runs.append((a, c, digits, scale, heads))
+
+    def __call__(self, images: np.ndarray) -> np.ndarray:
+        """Sorted positions of the elements whose base images are the rows of ``images``."""
+        rank = None
+        for a, c, digits, scale, keys in self.runs:
+            key = images[:, a:c] @ digits
+            if a:
+                key += rank * scale
+            rank = keys.searchsorted(key)
+        return np.zeros(len(images), dtype=np.intp) if rank is None else rank
+
+
+# Layers with at most this many edges are walked one Python step per edge;
+# wider layers take one gather each.
+_NARROW_LAYER_EDGES = 64
+
+
+def _breadth_first(right: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Walk a Cayley right table from element 0: (order, child, parent, column) and bounds.
+
+    Positions bounds[l]..bounds[l + 1] of child, parent and column hold layer
+    l of the breadth-first tree, the root alone at layer 0: an element joins
+    by the first edge reaching it in (parent position, generator) order.
+    ``order`` lists the elements layer by layer, each layer sorted.
+    """
+    n, count = right.shape
+    seen = bytearray(n)
+    seen[0] = 1
+    entry = None  # entry[x]: the first edge of x's layer reaching x, made at the first wide layer
+    child, parent, column = np.zeros((3, n), dtype=np.intp)
+    heads, kids, dads, cols = map(memoryview, (right.ravel(), child, parent, column))
+    bounds = [0, 1]
+    lo, hi = 0, 1  # the layer being expanded
+    while lo < hi:
+        k = hi
+        if (hi - lo) * count > _NARROW_LAYER_EDGES:  # one gather of the layer's edges
+            if entry is None:
+                reached, entry = np.frombuffer(seen, dtype=bool), np.full(n, n * count)
+            edges = right[child[lo:hi]].ravel()  # edge e * |S| + s leaves layer[e] by generator s
+            fresh = np.flatnonzero(~reached[edges])
+            np.minimum.at(entry, edges[fresh], fresh)
+            first = fresh[entry[edges[fresh]] == fresh]
+            positions, columns = np.divmod(first, count)
+            k += len(first)
+            child[hi:k], parent[hi:k], column[hi:k] = edges[first], child[lo:hi][positions], columns
+            reached[child[hi:k]] = True
+            bounds.append(k)
+            lo, hi = hi, k
+        else:  # one Python step per edge, layer after layer while they stay narrow
+            i = lo
+            while lo < hi and (hi - lo) * count <= _NARROW_LAYER_EDGES:
+                p = kids[i]
+                for s in range(count):
+                    h = heads[p * count + s]
+                    if not seen[h]:
+                        seen[h] = 1
+                        kids[k], dads[k], cols[k] = h, p, s
+                        k += 1
+                i += 1
+                if i == hi:
+                    bounds.append(k)
+                    lo, hi = hi, k
+    order = child.copy()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo > 1:
+            order[lo:hi].sort()
+    return order, child, parent, column, bounds
+
+
 def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
     """The group generated by a generator list; its elements are listed on first use.
 
-    The order comes from a stabilizer chain. The generator ids are those of
-    the breadth-first closure: the identity is element 0, and the distinct
-    non-identity generators make up layer 1, sorted by image array.
+    The order comes from a stabilizer chain, which the group keeps. The
+    generator ids are those of the breadth-first closure: the identity is
+    element 0, and the distinct non-identity generators make up layer 1,
+    sorted by image array.
 
     Raises GroupError when the group has more than ``cap`` elements.
     """
@@ -506,44 +652,13 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
     # repeated generators add no products; the first occurrence fixes the order
     unique = list(dict.fromkeys(g.images for g in gens))
     rows = _read_only(np.array(unique, dtype=np.intp).reshape(len(unique), degree))
-    order = _group_order(rows, limit=cap)
-    if order > cap:
+    chain = _StabilizerChain(rows, limit=cap)
+    if chain.order > cap:
         raise GroupError(f"order cap exceeded: closure has more than {cap} elements; raise the cap")
     ident = tuple(range(degree))
     layer = sorted(row for row in unique if row != ident)
     gen_ids = [0 if row == ident else 1 + layer.index(row) for row in unique]
-    return PermutationGroup(rows, gen_ids, order)
-
-
-def _close_rows(gen_table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(element table, Cayley right table) of <gen_table>, closed breadth-first.
-
-    A layer's candidates are the frontier rows composed with every generator
-    in one fancy index, the new ones are kept by row key and sorted by image
-    array, and the index of each candidate becomes its entry in the Cayley
-    table.
-    """
-    degree = gen_table.shape[1]
-    frontier = np.arange(degree, dtype=np.intp).reshape(1, degree)
-    index = {_row_keys(frontier)[0]: 0}
-    layers = [frontier]
-    right: list[int] = []
-    while len(frontier):
-        # row k * |S| + s is frontier[k] composed with generator s: p(g(i)) = p[g[i]]
-        cand = frontier[:, gen_table].reshape(-1, degree)
-        keys = _row_keys(cand)
-        fresh: dict[int | bytes, int] = {}
-        for pos, key in enumerate(keys):
-            if key not in index:
-                fresh.setdefault(key, pos)
-        layer = sorted(fresh)
-        for key in layer:
-            index[key] = len(index)
-        right.extend(map(index.__getitem__, keys))
-        frontier = cand[[fresh[key] for key in layer]]
-        layers.append(frontier)
-    table = _read_only(np.concatenate(layers))
-    return table, np.array(right, dtype=np.intp).reshape(len(table), len(gen_table))
+    return PermutationGroup(rows, gen_ids, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -690,9 +805,12 @@ class GroupAction:
 
     An action is its generator image rows, in ``group.generator_ids`` order,
     which its builders know to extend to a homomorphism: ``build_action``
-    checks rows from outside, the others derive them. The (|G| x target_size)
-    table carries the rows along the Cayley tree on first read; ``images`` is
-    its ``Permutation`` view, built on first use.
+    checks rows from outside, the others derive them. The pairs (s^X, s)
+    generate a copy of G, the graph of the action; the (|G| x target_size)
+    table lists that pair group's chain on the target points and G's base
+    points, and puts each image at the id of its element. A natural action's
+    table is G's element table. ``images`` is the table's ``Permutation``
+    view, built on first use.
     """
 
     def __init__(self, group: PermutationGroup, target_size: int, generator_rows: np.ndarray):
@@ -701,13 +819,35 @@ class GroupAction:
         self._generator_rows = _read_only(generator_rows)
 
     @cached_property
+    def _pair_chain(self) -> _StabilizerChain:
+        """Stabilizer chain of the pairs (s^X, s): the target points, then G's points shifted."""
+        pairs = np.hstack([self._generator_rows, self.group._generator_rows + self.target_size])
+        return _StabilizerChain(pairs)
+
+    @cached_property
     def _table(self) -> np.ndarray:
-        return _read_only(_tree_images(self.group, self._generator_rows))
+        group = self.group
+        if self._generator_rows is group._generator_rows:  # the natural action
+            return group._table
+        size = self.target_size
+        # the pair group's rows at the target points and at G's base points, shifted
+        points = np.concatenate([np.arange(size), group._closure.lookup.base + size])
+        listing = _transversal_products(self._pair_chain.transversals, points[None, :])
+        table = np.empty((group.order, size), dtype=np.intp)
+        table[group._ids(listing[:, size:] - size)] = listing[:, :size]
+        return _read_only(table)
 
     @cached_property
     def _image_order(self) -> int:
         """Order of the image group, the permutations of the target set that G induces."""
         return _group_order(self._generator_rows)
+
+    @cached_property
+    def _orbits(self) -> OrbitPartition:
+        """The orbit partition of the target set, from the generator rows."""
+        low = _orbit_minima(self._generator_rows)
+        reps = np.unique(low)
+        return OrbitPartition(tuple(np.searchsorted(reps, low).tolist()), tuple(reps.tolist()))
 
     @cached_property
     def images(self) -> tuple[Permutation, ...]:
@@ -769,6 +909,7 @@ def build_action(
     if chain.order != group.order:
         raise GroupError(_first_failing_edge(group, gen_table))
     action = GroupAction(group, target_size, gen_table)
+    action._pair_chain = chain
     action._image_order = math.prod(
         size for b, size in zip(chain.base, chain.orbit_lengths) if b < target_size
     )
@@ -827,10 +968,11 @@ def _orbit_minima(gens: np.ndarray) -> np.ndarray:
 
 
 def orbits(action: GroupAction) -> OrbitPartition:
-    """Partition the target set into orbits; representative = smallest index."""
-    low = _orbit_minima(action._generator_rows)
-    reps = np.unique(low)
-    return OrbitPartition(tuple(np.searchsorted(reps, low).tolist()), tuple(reps.tolist()))
+    """Partition the target set into orbits; representative = smallest index.
+
+    The partition is computed once per action and kept on it.
+    """
+    return action._orbits
 
 
 def classify_action(action: GroupAction) -> ActionProfile:
@@ -845,7 +987,7 @@ def classify_action(action: GroupAction) -> ActionProfile:
     """
     image_order = action._image_order
     kernel_size = action.group.order // image_order
-    part = orbits(action)
+    part = action._orbits
     orbit_sizes = np.bincount(part.orbit_of, minlength=part.orbit_count)
     transitive = part.orbit_count == 1
     semi_regular = kernel_size == 1 and bool((orbit_sizes == action.group.order).all())

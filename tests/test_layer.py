@@ -321,6 +321,9 @@ class TestFloatRouteOracle:
 
     @staticmethod
     def peak_bytes(run):
+        # the process's first random generator allocates about 1 MiB of module state;
+        # made here, it stays out of the traced call whichever test runs first
+        np.random.default_rng()
         tracemalloc.start()
         try:
             result = run()

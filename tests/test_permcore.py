@@ -367,7 +367,7 @@ class TestTableClosureAndAction:
 
 
 class TestRowKeyBoundary:
-    """Closure keys switch from one int64 code (degree <= 15) to bytes (degree >= 16)."""
+    """Rows that first differ late keep their image-array order at degrees 14 to 17."""
 
     # layer 1 holds (0 10)(1 13) and (0 11): their rows first differ at 10 vs 11,
     # while the next entry (13 vs 1) would reverse the order under a too-small base

@@ -127,3 +127,36 @@ def test_writer_rule_sees_bare_and_dotted_calls():
     tree = ast.parse(source)
     assert json_writer_calls(tree, "_run_design") == [(3, "dumps")]
     assert json_writer_calls(tree, "_run_certify") == [(5, "dumps"), (6, "dump")]
+
+
+# only rejected images are walked along the Cayley tree; accepted ones are listed from a chain
+TREE_WALKERS = {"_tree_images": {"_first_failing_edge"}}
+
+
+def calling_functions(tree, name):
+    """Names of the functions whose bodies call ``name``, bare or dotted, nested ones included."""
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(
+                isinstance(node, ast.Call) and called_name(node) == name for node in ast.walk(func)
+            ):
+                found.add(func.name)
+    return found
+
+
+@pytest.mark.parametrize("name", list(TREE_WALKERS))
+def test_tree_walk_only_names_the_failing_edge(name):
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        callers |= calling_functions(ast.parse(path.read_text(), str(path)), name)
+    assert callers == TREE_WALKERS[name]
+
+
+def test_caller_rule_sees_methods_and_dotted_calls():
+    source = (
+        "class A:\n    @property\n    def t(self):\n        return pc._tree_images(g, r)\n"
+        "def _first_failing_edge(g, r):\n    return _tree_images(g, r)\n"
+        "def other():\n    return _tree_images\n"
+    )
+    assert calling_functions(ast.parse(source), "_tree_images") == {"t", "_first_failing_edge"}
