@@ -23,27 +23,27 @@ Every result carries one generator table at any order, two int tables (pi_N
 and pi_M rows): the kernel generators (a swap per set of equal M rows, and a
 cycle past two rows), then the strong generators. It passes one setwise
 check before the result is returned, and ``generators`` is its
-``Permutation`` view. The elements are listed, as products of orbit
-transversals times K, only when the order is at most ``element_cap``: the
-listing is built, sorted and checked on the first read of ``_listed``,
-``elements`` or ``pair_set()``, so a verdict that needs only |Aut| never
-lists. ``search_cap`` bounds the search-tree nodes, i.e. the accepted N
-assignments.
+``Permutation`` view. A stabilizer chain of that table, ``_chain``, is built
+on its first read and checked to have the search's order. The elements are
+listed only when the order is at most ``element_cap``: the chain's
+transversal products are sorted and setwise checked on the first read of
+``_listed``, ``elements`` or ``pair_set()``, so a verdict that needs only
+|Aut| never lists. ``search_cap`` bounds the search-tree nodes, i.e. the
+accepted N assignments.
 
 ``certify_unique`` lists nothing either. Its witness at or under the cap is
 the first row of the sorted listing outside the joint group, i.e. the
-lexicographically first automorphism outside it; a depth-first walk of a
-stabilizer chain of the generator table yields the automorphisms in that
-order, one at a time, and stops at the first one the joint group rejects.
+lexicographically first automorphism outside it; a depth-first walk of
+``_chain`` yields the automorphisms in that order, one at a time, and stops
+at the first one the joint group rejects.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Iterator, Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -92,18 +92,38 @@ class AutomorphismResult:
     verdict: Optional[str] = None  # equal | proper_supergroup | incomparable
     joint_order: Optional[int] = None
     stats: Optional[SearchStats] = None
-    _lister: Optional[Callable[[], tuple[np.ndarray, ...]]] = field(
-        default=None, repr=False, compare=False
-    )
+    # what the listing is checked against; None above ``element_cap``
+    _structure: Optional[SharingStructure] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def generators(self) -> tuple[tuple[Permutation, Permutation], ...]:
         return tuple(permcore._row_pairs(*self._generator_rows, perm))
 
     @cached_property
+    def _chain(self) -> permcore._StabilizerChain:
+        """Stabilizer chain of the generator table on N then M (M shifted by n_size)."""
+        pns, pms = self._generator_rows
+        chain = permcore._StabilizerChain(np.hstack([pns, pms + pns.shape[1]]))
+        if chain.order != self.order:
+            raise AutSearchError(
+                f"internal error: the generators' chain has order {chain.order}, not {self.order}"
+            )
+        return chain
+
+    @cached_property
     def _listed(self) -> Optional[tuple[np.ndarray, ...]]:
-        """(pi_N rows, pi_M rows) of every automorphism, built on first read."""
-        return None if self._lister is None else self._lister()
+        """Every automorphism as sorted (pi_N rows, pi_M rows), each pair setwise checked."""
+        if self._structure is None:
+            return None
+        listed = permcore._transversal_products(
+            self._chain.transversals, np.arange(self._chain.degree)[None, :]
+        )
+        listed = listed[np.lexsort(listed.T[::-1])]
+        n_size = self._structure.n_size
+        pns, pms = listed[:, :n_size], listed[:, n_size:] - n_size
+        if not _preserves_structure(self._structure, pns, pms).all():
+            raise AutSearchError("internal error: emitted pair fails the setwise check")
+        return pns, pms
 
     def _pairs(self, view=tuple):
         if self._listed is None:
@@ -286,7 +306,7 @@ def enumerate_automorphisms(
     # walking deepest first, every generator found so far fixes b_0..b_{level-1}
     degree = n_size + m_size
     strong: list[tuple[int, ...]] = []
-    transversals: list[dict[int, tuple[int, ...]]] = [{}] * n_size
+    base_orbits = [0] * n_size
     for level in range(n_size - 1, -1, -1):
         b = base[level]
         for k in range(n_size):
@@ -311,8 +331,7 @@ def enumerate_automorphisms(
             if hit is not None:
                 strong.append(hit)
                 delta = permcore._transversal(b, strong, degree)
-        transversals[level] = delta
-    base_orbits = tuple(len(delta) for delta in transversals)
+        base_orbits[level] = len(delta)
 
     # kernel generators first: per set of equal M rows, a swap and, past two
     # rows, a cycle, as rows over N followed by M like the strong generators
@@ -328,7 +347,6 @@ def enumerate_automorphisms(
     if not _preserves_structure(s, *generator_rows).all():
         raise AutSearchError("internal error: emitted pair fails the setwise check")
     total = kernel_order * math.prod(base_orbits)
-    lister = partial(_listing, s, kernel_groups, transversals) if total <= element_cap else None
 
     verdict = None
     joint_order = None
@@ -350,33 +368,9 @@ def enumerate_automorphisms(
         _generator_rows=generator_rows,
         verdict=verdict,
         joint_order=joint_order,
-        stats=SearchStats(nodes, leaves, orbit_pruned, base_orbits, kernel_order),
-        _lister=lister,
+        stats=SearchStats(nodes, leaves, orbit_pruned, tuple(base_orbits), kernel_order),
+        _structure=s if total <= element_cap else None,
     )
-
-
-def _listing(
-    s: SharingStructure,
-    kernel_groups: list[list[int]],
-    transversals: list[dict[int, tuple[int, ...]]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every automorphism as sorted (pi_N rows, pi_M rows), each pair setwise checked."""
-    n_size, degree = s.n_size, s.n_size + s.m_size
-    kernel = []
-    for combo in itertools.product(*(itertools.permutations(g) for g in kernel_groups)):
-        perm = list(range(degree))
-        for sources, images in zip(kernel_groups, combo):
-            for src, dst in zip(sources, images):
-                perm[n_size + src] = n_size + dst
-        kernel.append(perm)
-    # every element is u_0 u_1 ... u_{n-1} k, one transversal element per level
-    levels = [np.array(list(delta.values()), dtype=np.intp) for delta in transversals]
-    listed = permcore._transversal_products(levels, np.array(kernel, dtype=np.intp))
-    listed = listed[np.lexsort(listed.T[::-1])]
-    pns, pms = listed[:, :n_size], listed[:, n_size:] - n_size
-    if not _preserves_structure(s, pns, pms).all():
-        raise AutSearchError("internal error: emitted pair fails the setwise check")
-    return pns, pms
 
 
 @dataclass(frozen=True)
@@ -398,9 +392,10 @@ def certify_unique(
 
     The witness of a supergroup is the lexicographically first automorphism
     (N images, then M images) outside the joint group when |Aut| is at most
-    ``element_cap``, found by ``_lex_walk`` without listing Aut, and the
-    first generator outside it above the cap. Either way the pair passes the
-    setwise check before it is returned.
+    ``element_cap``, found by ``_lex_walk`` over the result's chain without
+    listing Aut, and the first generator outside it above the cap. Either
+    way membership is a sift through the joint group's chain, and the pair
+    passes the setwise check before it is returned.
 
     Raises when the joint elements do not preserve the colors, since every
     design in this package must embed its joint group (a broken upstream
@@ -418,19 +413,12 @@ def certify_unique(
         return Certification("unique", result.order, joint.joint_order, None)
 
     n_size = s.n_size
-    pns, pms = result._generator_rows
-    rows = np.hstack([pns, pms + n_size])
     if result.order <= element_cap:
-        chain = permcore._StabilizerChain(rows)
-        if chain.order != result.order:
-            raise AutSearchError(
-                f"internal error: the generators' chain has order {chain.order}, "
-                f"not {result.order}"
-            )
-        candidates = _lex_walk(chain)
+        candidates = _lex_walk(result._chain)
     else:
-        candidates = map(tuple, rows.tolist())
-    row = next((row for row in candidates if not joint._holds(row)), None)
+        pns, pms = result._generator_rows
+        candidates = map(tuple, np.hstack([pns, pms + n_size]).tolist())
+    row = next((row for row in candidates if row not in joint._chain), None)
     witness = None
     if row is not None:
         pn, pm = row[:n_size], [v - n_size for v in row[n_size:]]

@@ -32,14 +32,15 @@ so that is the order of the image arrays. Every product times every
 generator is found by its images of the base points in one vectorised
 lookup, which gives the Cayley right-multiplication table ``right[i, s]`` =
 index of ``elements[i]`` composed with generator s. One walk over these ids
-puts the rows in breadth-first order and records the Cayley tree: narrow
-layers take one Python step per edge, wide ones one gather each. An action
-keeps the chain of its pairs (s^X, s) that ``build_action`` checked (other
-builders make it on first use); its (|G| x target_size) table lists that
-chain on the target points and G's base points, and the same lookup puts
-each image at its element's id. A natural action's table is G's own. A
-joint action's element ids come from both tables. ``elements``, ``images``
-and ``joint_elements`` are ``Permutation`` views built on first use.
+puts the rows in breadth-first layers, each sorted: narrow layers take one
+Python step per edge, wide ones one gather each. An action's (|G| x
+target_size) table lists the chain of its pairs (s^X, s) on the target
+points and G's base points, and the same lookup puts each image at its
+element's id; the chain ``build_action`` checked is used for that and then
+released. A natural action's table is G's own. A joint action that tells
+fewer elements apart than G has its element ids from both tables, one
+distinct row per value on its chain's base. ``elements``, ``images`` and
+``joint_elements`` are ``Permutation`` views built on first use.
 
 A group is always <generators>: ``close_generators`` is the one way to build
 one. An action is always its generator image rows: ``build_action`` is the one
@@ -48,8 +49,8 @@ place that checks rows from outside, and ``natural_action``,
 rows that are images by construction. The element order, images and error
 texts are those of a closure with one ``compose`` per product and a per-edge
 action walk (``tests/oracles.py`` keeps both as references); rejected
-generator images are walked along the Cayley tree to name the first failing
-edge.
+generator images take that walk over the Cayley table, which stops at the
+first failing edge and names it.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ class PermutationGroup:
     deterministic function of the generator list. ``close_generators`` is the
     one constructor's caller: it takes the distinct generator rows, their
     element ids and the chain that gave the order. The element table, the
-    Cayley table and tree, and the element index are built on first use.
+    Cayley table and the element index are built on first use.
     """
 
     def __init__(self, rows: np.ndarray, generator_ids: Sequence[int], chain: _StabilizerChain):
@@ -224,7 +225,7 @@ class PermutationGroup:
         The chain's products sorted by their images of the base points are the
         elements in row order. Every product times every generator is found by
         those images in one lookup, and one walk over these ids puts the rows
-        in breadth-first order and records the Cayley tree.
+        in breadth-first order.
         """
         chain = self._chain
         base = np.array(chain.base, dtype=np.intp)
@@ -234,11 +235,11 @@ class PermutationGroup:
         columns = self._generator_rows[:, base]
         images = listing[:, columns].reshape(len(listing) * len(columns), len(base))
         right = lookup(images).reshape(len(listing), len(columns))[lookup.order]
-        order, *tree = _breadth_first(right)
+        order = _breadth_first(right)
         ids = np.empty_like(order)
         ids[order] = np.arange(len(order))
         table = _read_only(listing[lookup.order[order]])
-        return _Closure(table, _read_only(ids[right[order]]), tree, lookup, ids)
+        return _Closure(table, _read_only(ids[right[order]]), lookup, ids)
 
     @cached_property
     def _table(self) -> np.ndarray:
@@ -275,21 +276,6 @@ class PermutationGroup:
         """right[i, t] = index of elements[i] composed with generators[t] (generator first)."""
         return self._closure.right
 
-    @cached_property
-    def _cayley_tree(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Breadth-first spanning tree of the Cayley graph from the identity.
-
-        Per layer, (elements, parents, generator columns); an element follows
-        the first edge reaching it in (parent position, generator) order.
-        """
-        ids = self._closure.ids
-        child, parent, column, bounds = self._closure.tree
-        return [
-            (ids[child[lo:hi]], ids[parent[lo:hi]], column[lo:hi])
-            for lo, hi in zip(bounds[1:], bounds[2:])
-            if lo < hi
-        ]
-
     @property
     def generators(self) -> tuple[Permutation, ...]:
         return tuple(perm(row) for row in self._generator_rows.tolist())
@@ -309,16 +295,14 @@ class PermutationGroup:
 
 
 class _Closure(NamedTuple):
-    """A group's tables: elements, Cayley right table and tree, and the lookup by base images.
+    """A group's tables: elements, Cayley right table, and the lookup by base images.
 
     ``lookup`` gives positions in base-image order, and ``ids`` maps them to
-    element ids. ``tree`` is ``_breadth_first``'s (child, parent, column,
-    bounds) in those positions.
+    element ids.
     """
 
     table: np.ndarray
     right: np.ndarray
-    tree: list
     lookup: _BaseLookup
     ids: np.ndarray
 
@@ -578,36 +562,31 @@ class _BaseLookup:
 _NARROW_LAYER_EDGES = 64
 
 
-def _breadth_first(right: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Walk a Cayley right table from element 0: (order, child, parent, column) and bounds.
+def _breadth_first(right: np.ndarray) -> np.ndarray:
+    """The elements of a Cayley right table from element 0, layer by layer, each layer sorted.
 
-    Positions bounds[l]..bounds[l + 1] of child, parent and column hold layer
-    l of the breadth-first tree, the root alone at layer 0: an element joins
-    by the first edge reaching it in (parent position, generator) order.
-    ``order`` lists the elements layer by layer, each layer sorted.
+    Layer l holds the elements at distance l from element 0 in the Cayley
+    graph, element 0 alone at layer 0.
     """
     n, count = right.shape
     seen = bytearray(n)
     seen[0] = 1
     entry = None  # entry[x]: the first edge of x's layer reaching x, made at the first wide layer
-    child, parent, column = np.zeros((3, n), dtype=np.intp)
-    heads, kids, dads, cols = map(memoryview, (right.ravel(), child, parent, column))
-    bounds = [0, 1]
+    order = np.zeros(n, dtype=np.intp)
+    heads, kids = memoryview(right.ravel()), memoryview(order)
     lo, hi = 0, 1  # the layer being expanded
     while lo < hi:
         k = hi
         if (hi - lo) * count > _NARROW_LAYER_EDGES:  # one gather of the layer's edges
             if entry is None:
                 reached, entry = np.frombuffer(seen, dtype=bool), np.full(n, n * count)
-            edges = right[child[lo:hi]].ravel()  # edge e * |S| + s leaves layer[e] by generator s
+            edges = right[order[lo:hi]].ravel()
             fresh = np.flatnonzero(~reached[edges])
             np.minimum.at(entry, edges[fresh], fresh)
-            first = fresh[entry[edges[fresh]] == fresh]
-            positions, columns = np.divmod(first, count)
-            k += len(first)
-            child[hi:k], parent[hi:k], column[hi:k] = edges[first], child[lo:hi][positions], columns
-            reached[child[hi:k]] = True
-            bounds.append(k)
+            layer = np.sort(edges[fresh[entry[edges[fresh]] == fresh]])
+            k += len(layer)
+            order[hi:k] = layer
+            reached[layer] = True
             lo, hi = hi, k
         else:  # one Python step per edge, layer after layer while they stay narrow
             i = lo
@@ -617,17 +596,14 @@ def _breadth_first(right: np.ndarray) -> tuple[np.ndarray, ...]:
                     h = heads[p * count + s]
                     if not seen[h]:
                         seen[h] = 1
-                        kids[k], dads[k], cols[k] = h, p, s
+                        kids[k] = h
                         k += 1
                 i += 1
                 if i == hi:
-                    bounds.append(k)
+                    if k - hi > 1:
+                        order[hi:k].sort()
                     lo, hi = hi, k
-    order = child.copy()
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi - lo > 1:
-            order[lo:hi].sort()
-    return order, child, parent, column, bounds
+    return order
 
 
 def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
@@ -808,9 +784,10 @@ class GroupAction:
     checks rows from outside, the others derive them. The pairs (s^X, s)
     generate a copy of G, the graph of the action; the (|G| x target_size)
     table lists that pair group's chain on the target points and G's base
-    points, and puts each image at the id of its element. A natural action's
-    table is G's element table. ``images`` is the table's ``Permutation``
-    view, built on first use.
+    points, and puts each image at the id of its element; the chain is
+    released once the table is listed. A natural action's table is G's
+    element table. ``images`` is the table's ``Permutation`` view, built on
+    first use.
     """
 
     def __init__(self, group: PermutationGroup, target_size: int, generator_rows: np.ndarray):
@@ -833,6 +810,7 @@ class GroupAction:
         # the pair group's rows at the target points and at G's base points, shifted
         points = np.concatenate([np.arange(size), group._closure.lookup.base + size])
         listing = _transversal_products(self._pair_chain.transversals, points[None, :])
+        del self._pair_chain  # read only here; on the array route its transversals are tables
         table = np.empty((group.order, size), dtype=np.intp)
         table[group._ids(listing[:, size:] - size)] = listing[:, :size]
         return _read_only(table)
@@ -857,36 +835,27 @@ class GroupAction:
         return f"GroupAction(|G|={self.group.order}, target_size={self.target_size})"
 
 
-def _tree_images(group: PermutationGroup, gen_rows: np.ndarray) -> np.ndarray:
-    """Element images from generator images, each tree element's parent image then its generator's.
-
-    The tree does not reach an identity generator: its row stays the identity.
-    """
-    img = np.tile(np.arange(gen_rows.shape[1], dtype=np.intp), (group.order, 1))
-    for layer, parents, columns in group._cayley_tree:
-        img[layer] = img[parents[:, None], gen_rows[columns]]
-    return img
-
-
 def _first_failing_edge(group: PermutationGroup, gen_table: np.ndarray) -> str:
     """The error text of images that are no homomorphism: the first Cayley edge they break.
 
-    The images are carried along the Cayley tree, then img(x . g_s) ==
-    img(x) . img(g_s) is tested on every edge; the first failing edge in
-    breadth-first (element, generator) order names x . g_s. The tree does not
-    reach an identity generator; its image is compared first, as the edge
-    the walk would report first.
+    A FIFO walk from the identity over the Cayley table: each edge (x, s)
+    either gives x . g_s the image img(x) . img(g_s), or must agree with the
+    image it already has. The first edge that disagrees names x . g_s.
     """
-    img = _tree_images(group, gen_table)
-    if (img[list(group.generator_ids)] != gen_table).any():
-        return "inconsistent action: element () receives two distinct images"
-    right = group._cayley_right
-    queue = np.concatenate([[0]] + [layer for layer, _, _ in group._cayley_tree])
-    # bad[k, s]: the edge from the k-th element by generator s fails (one table-sized test each)
-    bad = np.stack([(img[right[:, s]] != img[:, g]).any(axis=1) for s, g in enumerate(gen_table)])
-    k, s = np.argwhere(bad.T[queue])[0]
-    x = format_cycles(perm(group._table[right[queue[k], s]].tolist()))
-    return f"inconsistent action: element {x} receives two distinct images"
+    right = group._cayley_right.tolist()
+    gens = list(map(tuple, gen_table.tolist()))
+    img = {0: tuple(range(gen_table.shape[1]))}
+    queue = [0]
+    for x in queue:  # the queue grows as the walk reaches new elements
+        for y, g in zip(right[x], gens):
+            cand = _compose_tuple(img[x], g)
+            if y not in img:
+                img[y] = cand
+                queue.append(y)
+            elif img[y] != cand:
+                name = format_cycles(perm(group._table[y].tolist()))
+                return f"inconsistent action: element {name} receives two distinct images"
+    raise AssertionError("images rejected by the order test satisfy every Cayley edge")
 
 
 def build_action(
@@ -933,21 +902,6 @@ def regular_action(group: PermutationGroup) -> GroupAction:
 def trivial_action(group: PermutationGroup, target_size: int) -> GroupAction:
     rows = np.tile(np.arange(target_size), (len(group.generator_ids), 1))
     return GroupAction(group, target_size, rows)
-
-
-def _first_rows(table: np.ndarray) -> np.ndarray:
-    """Ascending indices of each distinct row's first occurrence in an image table.
-
-    Rows agreeing on a base (points only the kernel fixes all of) agree everywhere.
-    """
-    moved = table != table[0]  # row 0 is the identity's
-    base, stabilizer = [], np.ones(len(table), dtype=bool)
-    while (where := moved[stabilizer].any(axis=0)).any():
-        base.append(int(np.argmax(where)))
-        stabilizer &= ~moved[:, base[-1]]
-    if stabilizer.sum() == 1:  # a trivial kernel: every row is distinct
-        return np.arange(len(table))
-    return np.sort(np.unique(table[:, base], axis=0, return_index=True)[1])
 
 
 def _orbit_minima(gens: np.ndarray) -> np.ndarray:
@@ -1018,7 +972,7 @@ class JointAction:
 
     ``joint_order`` is the order of the group generated by the generator
     pairs (s^N, s^M); the element ids of the distinct pairs are found in the
-    two image tables on first use.
+    two image tables on first use. Membership is a sift through ``_chain``.
     """
 
     def __init__(self, n_action: GroupAction, m_action: GroupAction):
@@ -1034,20 +988,21 @@ class JointAction:
 
     @cached_property
     def _chain(self) -> _StabilizerChain:
-        """Stabilizer chain of the pairs on N followed by M."""
+        """Stabilizer chain of the pairs on N followed by M (M shifted by n_size)."""
         n_rows, m_rows = self.n_action._generator_rows, self.m_action._generator_rows
         return _StabilizerChain(np.hstack([n_rows, m_rows + self.n_size]))
 
-    def _holds(self, row: tuple[int, ...]) -> bool:
-        """Whether a row on N then M (M shifted by n_size) is a joint element; nothing is listed."""
-        return row in self._chain
-
     @cached_property
     def _element_ids(self) -> np.ndarray:
-        """Element ids of the distinct (g^N, g^M) pairs, each at its first occurrence."""
+        """Element ids of the distinct (g^N, g^M) pairs, each at its first occurrence.
+
+        Below |G| the joint order came from ``_chain``, and pairs that agree
+        on its base agree everywhere (all of them, when the base is empty).
+        """
         if self.joint_order == self.group.order:  # a faithful pairing: every element
             return np.arange(self.group.order)
-        return _first_rows(np.hstack([self.n_action._table, self.m_action._table]))
+        table = np.hstack([self.n_action._table, self.m_action._table])
+        return np.sort(np.unique(table[:, self._chain.base], axis=0, return_index=True)[1])
 
     def _pairs(self, view=tuple):
         ids = self._element_ids
@@ -1082,16 +1037,17 @@ def joint_action(n_action: GroupAction, m_action: GroupAction) -> JointAction:
 def symmetrize_genset(group: PermutationGroup, element_ids: Iterable[int]) -> tuple[int, ...]:
     """Close a set of element ids under inverse and verify it generates the group.
 
-    The subgroup's order comes from a stabilizer chain of the id rows; nothing
-    of it is listed. A set shown to generate is kept on the group, so the
-    same set is not checked twice.
+    A set holding every non-identity generator id generates by definition.
+    Otherwise the subgroup's order comes from a stabilizer chain of the id
+    rows; nothing of it is listed. A set shown to generate is kept on the
+    group, so the same set is not checked twice.
     """
     ids = set(element_ids)
     for i in ids:
         if not 0 <= i < group.order:
             raise GroupError(f"element id {i} out of range for a group of order {group.order}")
     ids = frozenset(ids | {group.inv(i) for i in ids})
-    if ids not in group._generating_sets:
+    if not ids.union([0]).issuperset(group.generator_ids) and ids not in group._generating_sets:
         order = _group_order(group._table[sorted(ids)])
         if order != group.order:
             raise GroupError(

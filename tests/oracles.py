@@ -102,7 +102,7 @@ def certify_witness(result, joint):
     images; else the first generator outside it. None when there is none.
     """
     inside = joint.pair_set()
-    if result._lister is None:
+    if result.elements is None:
         candidates = [(pn.images, pm.images) for pn, pm in result.generators]
     else:
         candidates = sorted(result.pair_set())
@@ -233,30 +233,6 @@ def cayley_right_per_element(elements, generator_ids):
     """
     index = {p.images: i for i, p in enumerate(elements)}
     return [[index[compose(p, elements[g]).images] for g in generator_ids] for p in elements]
-
-
-def cayley_tree_per_element(elements, generator_ids):
-    """Layers (element ids, parent ids, generator columns) of the breadth-first Cayley tree.
-
-    The reference for ``PermutationGroup._cayley_tree``: each layer scans its
-    edges in (parent, generator) order, and an element not reached before
-    joins the next layer by the first edge that reaches it.
-    """
-    right = cayley_right_per_element(elements, generator_ids)
-    reached = {0}
-    layer = [0]
-    tree = []
-    while True:
-        grown = []
-        for parent in layer:
-            for s, child in enumerate(right[parent]):
-                if child not in reached:
-                    reached.add(child)
-                    grown.append((child, parent, s))
-        if not grown:
-            return tree
-        tree.append(tuple(list(column) for column in zip(*grown)))
-        layer = tree[-1][0]
 
 
 def action_per_edge(elements, generator_ids, gen_images, target_size):

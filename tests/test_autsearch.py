@@ -543,11 +543,9 @@ class TestLexWalk:
             reverse_conv_structure,
         ):
             result = autsearch.enumerate_automorphisms(s)
-            pns, pms = result._generator_rows
-            chain = pc._StabilizerChain(np.hstack([pns, pms + s.n_size]))
             pns, pms = result._listed
             listed = np.hstack([pns, pms + s.n_size]).tolist()
-            assert list(autsearch._lex_walk(chain)) == list(map(tuple, listed))
+            assert list(autsearch._lex_walk(result._chain)) == list(map(tuple, listed))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_narrow_chains(self, seed):
@@ -633,7 +631,7 @@ class TestLazyListing:
         def listing(*args):
             raise AssertionError("certify listed Aut")
 
-        monkeypatch.setattr(autsearch, "_listing", listing)
+        monkeypatch.setattr(autsearch.permcore, "_transversal_products", listing)
         monkeypatch.setattr(
             autsearch, "enumerate_automorphisms",
             lambda *args, **kwargs: results.append(enumerate_(*args, **kwargs)) or results[-1],
@@ -661,6 +659,15 @@ class TestLazyListing:
             assert again.pair_set() == set(brute)
             assert [(pn.images, pm.images) for pn, pm in again.elements] == brute
 
+    def test_listing_is_sorted_where_the_chain_products_are_not(self):
+        s = specio.build_structure(specio.parse_spec((CORPUS / "wreath3x3.json").read_text()))
+        result = autsearch.enumerate_automorphisms(s)
+        chain = result._chain
+        products = pc._transversal_products(chain.transversals, np.arange(chain.degree)[None, :])
+        assert products.tolist() != sorted(products.tolist())
+        pairs = [(pn.images, pm.images) for pn, pm in result.elements]
+        assert pairs == sorted(set(pairs)) and len(pairs) == result.order
+
     def test_strong_generator_is_checked_eagerly(self, monkeypatch):
         s = designs.dense_design(diagonal_symmetric_joint(4))
         pn, pm = autsearch.enumerate_automorphisms(s, element_cap=1).generators[-1]
@@ -672,7 +679,7 @@ class TestLazyListing:
     def test_certify_checks_its_walk(self, monkeypatch):
         spec = specio.parse_spec((CORPUS / "kk6.json").read_text())
         s, joint = specio.build_structure(spec), specio.expanded_joint(spec)
-        joint._holds(tuple(range(s.n_size + s.m_size)))  # the joint's chain, built unpatched
+        joint._chain  # built unpatched
         witness = ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4))  # the walk's, not a generator
         with monkeypatch.context() as patched:
             patched.setattr(autsearch, "_preserves_structure", rejecting(witness))

@@ -1,13 +1,14 @@
 """Element and action tables listed from stabilizer chains, against the per-element references.
 
-A group's element table, Cayley right table and tree come from its chain's
+A group's element table and Cayley right table come from its chain's
 transversal products, found by their images of the base points; an action's
 table comes from the chain of its pairs (s^X, s). Each is compared with the
 breadth-first references in ``oracles.py``: a closure with one ``compose``
-per product, a Cayley table and tree built from it, and a per-edge action
-walk. The cases cover repeated and identity generators, degrees on both sides
-of 15 and 32 (the chain's tuple and array routes) and a base long enough
-that the lookup splits its keys over two runs.
+per product, a Cayley table built from it, and a per-edge action walk, whose
+error texts rejected images must also give. The cases cover repeated and
+identity generators, degrees on both sides of 15 and 32 (the chain's tuple
+and array routes) and a base long enough that the lookup splits its keys
+over two runs.
 """
 
 from __future__ import annotations
@@ -84,10 +85,18 @@ class TestGroupTables:
         assert not group._table.flags.writeable
 
     def test_cayley_right_and_tree(self, case):
+        """The right table, and ids that grow with distance from the identity along it."""
         _, _, group, elements, gen_ids = case
-        assert group._cayley_right.tolist() == oracles.cayley_right_per_element(elements, gen_ids)
-        tree = [tuple(a.tolist() for a in layer) for layer in group._cayley_tree]
-        assert tree == oracles.cayley_tree_per_element(elements, gen_ids)
+        right = group._cayley_right.tolist()
+        assert right == oracles.cayley_right_per_element(elements, gen_ids)
+        depth, queue = {0: 0}, [0]
+        for x in queue:  # a breadth-first walk of the table's spanning tree
+            for y in right[x]:
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    queue.append(y)
+        assert sorted(depth) == list(range(group.order))
+        assert [depth[i] for i in range(group.order)] == sorted(depth.values())
 
     def test_inverses(self, case):
         _, _, group, elements, _ = case
@@ -143,13 +152,19 @@ class TestActionTables:
         group = case[2]
         assert pc.natural_action(group)._table is group._table
 
-    def test_built_action_keeps_its_checked_chain(self, case):
+    def test_built_action_keeps_its_checked_chain(self, case, monkeypatch):
+        """Until its table is listed from it: then the chain is released."""
         group = case[2]
         action = dict(actions_of(group))["built"]
-        chain = action.__dict__["_pair_chain"]
-        assert chain.order == group.order
-        action._table
-        assert action.__dict__["_pair_chain"] is chain
+        assert action.__dict__["_pair_chain"].order == group.order
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second chain was built")
+
+        group._table
+        monkeypatch.setattr(pc, "_StabilizerChain", refuse)
+        assert len(action._table) == group.order
+        assert "_pair_chain" not in action.__dict__
 
 
 def test_transversal_products_read_only_the_chosen_columns():
@@ -166,20 +181,84 @@ def test_transversal_products_read_only_the_chosen_columns():
     assert np.array_equal(paired[1::2], full[:, starts[1]])
 
 
-@pytest.mark.parametrize("narrow", [0, 10_000], ids=["every-layer-gathered", "every-layer-in-python"])
+LAYER_WIDTHS = pytest.mark.parametrize(
+    "narrow", [0, 10_000], ids=["every-layer-gathered", "every-layer-in-python"]
+)
+
+
+@LAYER_WIDTHS
 def test_walk_is_the_same_at_any_layer_width(narrow, monkeypatch):
     gens = pc.symmetric_generators(5)
     elements, gen_ids = oracles.closure_per_element(gens)
     monkeypatch.setattr(pc, "_NARROW_LAYER_EDGES", narrow)
     group = pc.close_generators(gens)
     assert group._table.tolist() == [list(p.images) for p in elements]
-    tree = [tuple(a.tolist() for a in layer) for layer in group._cayley_tree]
-    assert tree == oracles.cayley_tree_per_element(elements, gen_ids)
+    assert group._cayley_right.tolist() == oracles.cayley_right_per_element(elements, gen_ids)
+
+
+def error_texts(group, gen_images, target_size):
+    """The GroupError texts of ``build_action`` and of the per-edge reference walk."""
+    texts = []
+    for build, args in (
+        (pc.build_action, (group,)),
+        (oracles.action_per_edge, (group.elements, group.generator_ids)),
+    ):
+        with pytest.raises(pc.GroupError) as info:
+            build(*args, gen_images, target_size)
+        texts.append(str(info.value))
+    return texts
+
+
+class TestErrorWalk:
+    """Rejected images name the first Cayley edge they break, as the per-edge walk does."""
+
+    def test_late_conflict(self):
+        # Z240 sent onto a 480-cycle: every edge agrees until g^240 would be the cycle's 240th power
+        group = pc.close_generators(pc.cyclic_generators(240))
+        shift = [Permutation(tuple((i + 1) % 480 for i in range(480)))]
+        expected = "inconsistent action: element () receives two distinct images"
+        assert error_texts(group, shift, 480) == [expected] * 2
+
+    @pytest.mark.parametrize("name", ["degree-33", "degree-48", "d20-on-40"])
+    def test_conflicts_off_the_identity_above_degree_32(self, name):
+        group = pc.close_generators(CASES[name])
+        rng = random.Random(name)
+        named = set()
+        for _ in range(6):
+            images = [Permutation(tuple(rng.sample(range(5), 5))) for _ in group.generator_ids]
+            built, walked = error_texts(group, images, 5)
+            assert built == walked
+            named.add(built.split()[3])
+        assert named - {"()"}, "every conflict was at the identity"
+
+    @LAYER_WIDTHS
+    def test_the_same_at_any_layer_width(self, narrow, monkeypatch):
+        monkeypatch.setattr(pc, "_NARROW_LAYER_EDGES", narrow)
+        group = pc.close_generators(pc.symmetric_generators(5))
+        rng = random.Random(narrow)
+        for _ in range(10):
+            images = [Permutation(tuple(rng.sample(range(6), 6))) for _ in group.generator_ids]
+            built, walked = error_texts(group, images, 6)
+            assert built == walked
 
 
 def run_cli(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return cli.main(argv)
+
+
+def test_parsing_z240_builds_three_chains(monkeypatch):
+    """The group's chain and each action's pair chain; the genset holds G's generator."""
+    built = []
+    chain = pc._StabilizerChain
+
+    def counted(gens, limit=None):
+        built.append(gens.shape)
+        return chain(gens, limit)
+
+    monkeypatch.setattr(pc, "_StabilizerChain", counted)
+    specio.parse_spec((CORPUS / "gconv-tied-z240.json").read_text())
+    assert sorted(built) == [(1, 240), (1, 480), (1, 480)]
 
 
 def test_sparse_z240_never_builds_the_tuple_index(monkeypatch, tmp_path):

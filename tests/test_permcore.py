@@ -560,14 +560,22 @@ class TestSymmetrizeGenset:
             return group_order(gens, **kw)
 
         monkeypatch.setattr(pc, "_group_order", counted)
-        # the same set, given either way round, is checked once
+        # a set holding the group's generator generates without a check
         assert [pc.symmetrize_genset(z5, ids) for ids in ([1], [4], [1, 4])] == [(1, 4)] * 3
-        assert orders == [2]
-        # ids are still range-checked, and another set is checked on its own
+        assert orders == []
+        # ids are still range-checked, and another set is checked once, either way round
         with pytest.raises(GroupError, match="out of range"):
             pc.symmetrize_genset(z5, [1, 5])
-        assert pc.symmetrize_genset(z5, [2]) == (2, 3)
-        assert orders == [2, 2]
+        assert [pc.symmetrize_genset(z5, ids) for ids in ([2], [3])] == [(2, 3)] * 2
+        assert orders == [2]
+
+    def test_some_generators_are_checked(self):
+        # S4 from (0 1) and (0 1 2 3): either generator alone, with its inverse, falls short
+        s4 = pc.close_generators(pc.symmetric_generators(4))
+        for gen_id in s4.generator_ids:
+            with pytest.raises(GroupError, match="does not generate"):
+                pc.symmetrize_genset(s4, [gen_id])
+        assert pc.symmetrize_genset(s4, s4.generator_ids) == (1, 2, 9)
 
     def test_non_generating_set_raises_every_time(self, z6):
         for _ in range(2):

@@ -65,7 +65,7 @@ def test_rule_sees_bare_and_dotted_calls():
 
 
 # what reads or builds the automorphism listing; certify finds its witness without it
-LISTING_NAMES = {"_listed", "_lister", "_listing", "elements", "pair_set"}
+LISTING_NAMES = {"_listed", "elements", "pair_set"}
 
 
 def listing_reads(tree, function):
@@ -89,11 +89,11 @@ def test_certify_reads_no_listing():
 def test_listing_rule_sees_attribute_and_name_reads():
     source = (
         "def certify_unique(s):\n    r = f(s)\n    return r._listed or r.elements\n"
-        "def g(r):\n    return r.pair_set(), _listing\n"
+        "def g(r):\n    return r.pair_set(), _listed\n"
     )
     tree = ast.parse(source)
     assert listing_reads(tree, "certify_unique") == [(3, "_listed"), (3, "elements")]
-    assert listing_reads(tree, "g") == [(5, "_listing"), (5, "pair_set")]
+    assert listing_reads(tree, "g") == [(5, "_listed"), (5, "pair_set")]
 
 
 # every mask leaves the package through specio.dump_mask, which keeps its bytes
@@ -129,10 +129,6 @@ def test_writer_rule_sees_bare_and_dotted_calls():
     assert json_writer_calls(tree, "_run_certify") == [(5, "dumps"), (6, "dump")]
 
 
-# only rejected images are walked along the Cayley tree; accepted ones are listed from a chain
-TREE_WALKERS = {"_tree_images": {"_first_failing_edge"}}
-
-
 def calling_functions(tree, name):
     """Names of the functions whose bodies call ``name``, bare or dotted, nested ones included."""
     found = set()
@@ -145,18 +141,30 @@ def calling_functions(tree, name):
     return found
 
 
-@pytest.mark.parametrize("name", list(TREE_WALKERS))
-def test_tree_walk_only_names_the_failing_edge(name):
-    callers = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        callers |= calling_functions(ast.parse(path.read_text(), str(path)), name)
-    assert callers == TREE_WALKERS[name]
+def attribute_reads(tree, function):
+    """Source text of every attribute read inside ``function``, e.g. ``result._chain``."""
+    return {
+        ast.unparse(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == function
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def test_certify_walks_the_results_chain():
+    """Aut has one chain, built on the result; certify builds none of its own."""
+    tree = ast.parse((PACKAGE / "autsearch.py").read_text())
+    assert "certify_unique" not in calling_functions(tree, "_StabilizerChain")
+    assert "result._chain" in attribute_reads(tree, "certify_unique")
 
 
 def test_caller_rule_sees_methods_and_dotted_calls():
     source = (
-        "class A:\n    @property\n    def t(self):\n        return pc._tree_images(g, r)\n"
-        "def _first_failing_edge(g, r):\n    return _tree_images(g, r)\n"
-        "def other():\n    return _tree_images\n"
+        "class A:\n    @property\n    def t(self):\n        return pc._StabilizerChain(r)\n"
+        "def certify_unique(s):\n    return _StabilizerChain(r), result._chain\n"
+        "def other():\n    return _StabilizerChain\n"
     )
-    assert calling_functions(ast.parse(source), "_tree_images") == {"t", "_first_failing_edge"}
+    tree = ast.parse(source)
+    assert calling_functions(tree, "_StabilizerChain") == {"t", "certify_unique"}
+    assert attribute_reads(tree, "certify_unique") == {"result._chain"}

@@ -141,14 +141,12 @@ class TestChainOrder:
 class TestLazyGroupTables:
     @pytest.mark.parametrize("index", LISTED)
     def test_random_group_tables_match_the_eager_ones(self, index):
-        """The closed tables against the per-element closure, Cayley table and tree."""
+        """The closed tables against the per-element closure and Cayley table."""
         gens = RANDOM_LISTS[index]
         group = pc.close_generators(gens)
         elements, gen_ids = oracles.closure_per_element(gens)
         assert group._table.tolist() == [list(p.images) for p in elements]
         assert group._cayley_right.tolist() == oracles.cayley_right_per_element(elements, gen_ids)
-        tree = [tuple(a.tolist() for a in layer) for layer in group._cayley_tree]
-        assert tree == oracles.cayley_tree_per_element(elements, gen_ids)
 
     def test_equality_does_not_list(self):
         group = pc.close_generators(pc.symmetric_generators(6))
@@ -258,6 +256,14 @@ def actions_of(group: pc.PermutationGroup, rng: random.Random):
     yield designs.replicate_action(pc.natural_action(group), 2)
 
 
+def first_pair_ids(n_act, m_act):
+    """Ids of the first element of each distinct (g^N, g^M) pair, in id order."""
+    first = {}
+    for i, pair in enumerate(zip(n_act._table.tolist(), m_act._table.tolist())):
+        first.setdefault(tuple(map(tuple, pair)), i)
+    return sorted(first.values())
+
+
 class TestGeneratorColumns:
     def test_orbits_and_profiles_match_the_tables(self):
         rng = random.Random(11)
@@ -282,10 +288,20 @@ class TestGeneratorColumns:
                     [p.images for p in n_act.images], [p.images for p in m_act.images]
                 )
                 assert joint.joint_order == len(pairs)
-                first = {}
-                for i, pair in enumerate(zip(n_act._table.tolist(), m_act._table.tolist())):
-                    first.setdefault(tuple(map(tuple, pair)), i)
-                assert joint._element_ids.tolist() == sorted(first.values())
+                assert joint._element_ids.tolist() == first_pair_ids(n_act, m_act)
+
+    def test_element_ids_of_joint_groups_below_g(self):
+        s4 = pc.close_generators(pc.symmetric_generators(4))
+        # the sign on 2 points (kernel A4), and S4 -> S3 on the 3 splittings of
+        # {0..3} into two pairs (kernel V4): together the kernel is V4
+        sign = pc.build_action(s4, [(1, 0), (1, 0)], 2)
+        s3 = pc.build_action(s4, [(0, 2, 1), (2, 1, 0)], 3)
+        trivial = pc.joint_action(pc.trivial_action(s4, 2), pc.trivial_action(s4, 3))
+        for joint, order in [(pc.joint_action(sign, s3), 6), (trivial, 1)]:
+            assert joint.joint_order == order < s4.order
+            ids = joint._element_ids.tolist()
+            assert ids == first_pair_ids(joint.n_action, joint.m_action)
+            assert len(ids) == order and ids[0] == 0
 
     def test_sift_decides_joint_membership(self):
         rng = random.Random(17)
@@ -299,11 +315,11 @@ class TestGeneratorColumns:
                 return pn + tuple(v + joint.n_size for v in pm)
 
             for pn, pm in inside:
-                assert joint._holds(stacked(pn, pm))
+                assert stacked(pn, pm) in joint._chain
             for _ in range(20):
                 pn = random_perm(rng, joint.n_size).images
                 pm = random_perm(rng, joint.m_size).images
-                assert joint._holds(stacked(pn, pm)) == ((pn, pm) in inside)
+                assert (stacked(pn, pm) in joint._chain) == ((pn, pm) in inside)
 
 
 class TestListsNothing:
