@@ -5,19 +5,21 @@ preserving the color set of every cell. Multi-edges are handled by treating
 the full color set of a cell (its merged label) as the atomic edge label.
 
 The N nodes, in increasing refinement-class size, form a base b_0..b_{n-1}.
-Mapping N nodes one at a time keeps a candidate set per M node, and each N
-assignment filters those sets by cell-label consistency; a complete pi_N lifts
-to a pi_M exactly when the sets pair off. The levels are walked from the
-deepest to the shallowest. At level l, every same-class image gamma of b_l
-that is neither a fixed point b_0..b_{l-1} nor already in the orbit of b_l
-under the generators found so far (all of which fix b_0..b_{l-1}) gets one
-depth-first search for a single pi_N that fixes b_0..b_{l-1} and maps
-b_l -> gamma. Each hit is a strong generator. Since every coset of the
-stabilizer of b_0..b_l in the stabilizer of b_0..b_{l-1} is either found or
-ruled out exhaustively, the exact order is |K| * prod_l |Delta_l|, where
-Delta_l is the fundamental orbit of b_l and K is the kernel of automorphisms
-with pi_N = id (any bijection between equal rows), with no Schreier-Sims pass
-and no leaf counting.
+Mapping N nodes one at a time keeps a candidate set per M node as an int
+bitmask (bit k: the node may still map to k), and each N assignment filters
+those sets by cell-label consistency, one ``&`` per M node against a mask
+built once per N node and label; a complete pi_N lifts to a pi_M exactly when
+the sets pair off. The levels are walked from the deepest to the shallowest.
+At level l, every same-class image gamma of b_l that is neither a fixed point
+b_0..b_{l-1} nor already in the orbit of b_l under the generators found so
+far (all of which fix b_0..b_{l-1}) gets one depth-first search for a single
+pi_N that fixes b_0..b_{l-1} and maps b_l -> gamma; one routine tries the
+images at every depth, with the taken N nodes as one int. Each hit is a
+strong generator. Since every coset of the stabilizer of b_0..b_l in the
+stabilizer of b_0..b_{l-1} is either found or ruled out exhaustively, the
+exact order is |K| * prod_l |Delta_l|, where Delta_l is the fundamental orbit
+of b_l and K is the kernel of automorphisms with pi_N = id (any bijection
+between equal rows), with no Schreier-Sims pass and no leaf counting.
 
 Every result carries one generator table at any order, two int tables (pi_N
 and pi_M rows): the kernel generators (a swap per set of equal M rows, and a
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -202,102 +204,115 @@ def enumerate_automorphisms(
     ``reference`` joint action the verdict states whether aut equals it,
     strictly contains it, or the reference does not even preserve the colors
     (incomparable). More than ``search_cap`` search nodes (accepted N
-    assignments) raise, and so does a negative ``element_cap``.
+    assignments) raise, and so do a negative ``element_cap`` and a
+    ``reference`` whose sizes are not the structure's.
     """
     if element_cap < 0:
         raise AutSearchError("element_cap must be >= 0")
     n_size, m_size = s.n_size, s.m_size
+    if reference is not None and (reference.n_size, reference.m_size) != (n_size, m_size):
+        raise AutSearchError(
+            f"structure is {m_size} x {n_size} but the joint action targets "
+            f"{reference.m_size} x {reference.n_size}"
+        )
     if n_size + m_size > node_budget:
         raise AutSearchError(
             f"node budget exceeded: {n_size} + {m_size} > {node_budget}; raise node_budget"
         )
     grid = s.color_matrix.grid.tolist()
     table = _refine(grid, n_size, m_size)
+    nc, mc = table.n_classes, table.m_classes
 
-    class_size_n = {c: table.n_classes.count(c) for c in set(table.n_classes)}
-    base = sorted(range(n_size), key=lambda i: (class_size_n[table.n_classes[i]], i))
-    n_candidates = {
-        i: [j for j in range(n_size) if table.n_classes[j] == table.n_classes[i]]
-        for i in range(n_size)
-    }
-    m_class_members = {
-        j: frozenset(k for k in range(m_size) if table.m_classes[k] == table.m_classes[j])
-        for j in range(m_size)
-    }
+    base = sorted(range(n_size), key=lambda i: (nc.count(nc[i]), i))
+    # same-class images of each base point, increasing; the leaf level tries none
+    images_at = [[j for j in range(n_size) if nc[j] == nc[b]] for b in base] + [[]]
+    # masks[j][label]: bit k set when cell (k, j) carries label
+    masks: list[dict[int, int]] = [{} for _ in range(n_size)]
+    for k, row in enumerate(grid):
+        for j, label in enumerate(row):
+            masks[j][label] = masks[j].get(label, 0) | 1 << k
 
     nodes = 0
     leaves = 0
     orbit_pruned = 0
 
-    def assign(i: int, j: int, cand_m: list[frozenset[int]]) -> Optional[list[frozenset[int]]]:
-        """M candidate sets after mapping N node i to j, or None if one empties."""
+    def assign(i: int, j: int, cand: list[int]) -> Optional[list[int]]:
+        """M candidate masks after mapping N node i to j, or None if one empties.
+
+        Bit k of ``cand[mm]`` says M node mm may still map to k; mapping i to j
+        keeps the k with cell (k, j) labelled as cell (mm, i), one ``&`` per M node.
+        """
         nonlocal nodes
         new_cand = []
-        for mm in range(m_size):
-            label = grid[mm][i]
-            filtered = frozenset(m2 for m2 in cand_m[mm] if grid[m2][j] == label)
-            if not filtered:
+        for mm, c in enumerate(cand):
+            c &= masks[j].get(grid[mm][i], 0)
+            if not c:
                 return None
-            new_cand.append(filtered)
+            new_cand.append(c)
         nodes += 1
         if nodes > search_cap:
             raise AutSearchError(f"search cap exceeded: more than {search_cap} search nodes")
         return new_cand
 
-    def pairing(cand_m: list[frozenset[int]]) -> Optional[list[tuple[frozenset[int], list[int]]]]:
-        """(targets, sources) groups when the M candidate sets pair off, else None."""
+    def pairing(cand: list[int]) -> Optional[dict[int, list[int]]]:
+        """Sources per target mask when the M candidate masks pair off, else None.
+
+        A lift is a bijection inside each group of M nodes with one mask, so
+        every mask must have as many bits as sources. With the sizes matched,
+        the masks sum to all m bits only if they are disjoint: an overlap carries.
+        """
         nonlocal leaves
         leaves += 1
-        # group source M nodes by their candidate target set; a lift is a
-        # bijection inside each group, so they must pair off exactly
-        groups: dict[frozenset[int], list[int]] = {}
-        for mm in range(m_size):
-            groups.setdefault(cand_m[mm], []).append(mm)
-        covered: set[int] = set()
-        for targets, sources in groups.items():
-            if len(targets) != len(sources):
-                return None
-            covered |= targets
-        if len(covered) != m_size:
+        groups: dict[int, list[int]] = {}
+        for mm, c in enumerate(cand):
+            groups.setdefault(c, []).append(mm)
+        if any(t.bit_count() != len(sources) for t, sources in groups.items()):
             return None
-        return sorted(groups.items(), key=lambda kv: kv[1])
+        return groups if sum(groups) == (1 << m_size) - 1 else None
 
-    # the identity path: M candidates with b_0..b_{l-1} fixed, for every l
-    prefix_cand = [[m_class_members[j] for j in range(m_size)]]
+    # the identity path: M candidates with b_0..b_{l-1} fixed, for every l,
+    # starting from one mask per M refinement class
+    prefix_cand = [[sum(1 << k for k, c in enumerate(mc) if c == own) for own in mc]]
     for b in base:
         cand = assign(b, b, prefix_cand[-1])
         assert cand is not None, "the identity preserves every label"
         prefix_cand.append(cand)
-    kernel_pairing = pairing(prefix_cand[-1])
-    assert kernel_pairing is not None, "the identity always lifts"
-    kernel_groups = [sources for _, sources in kernel_pairing]
-    kernel_order = math.prod(math.factorial(len(g)) for g in kernel_groups)
+    kernel_groups = pairing(prefix_cand[-1])
+    assert kernel_groups is not None, "the identity always lifts"
+    kernel_order = math.prod(math.factorial(len(g)) for g in kernel_groups.values())
 
+    # levels are walked deepest first and a search at level l writes only
+    # base[l:], so base[:l] still holds the identity when level l is walked
     pi_n = list(range(n_size))
-    used_n = [False] * n_size
 
-    def search(level: int, cand_m: list[frozenset[int]]) -> Optional[tuple[int, ...]]:
-        """First lift of the current partial pi_N, as images on N then M."""
+    def search(level: int, cand: list[int], used: int, images: Sequence[int]) -> Optional[tuple]:
+        """First lift of pi_N with base[level] sent into ``images``, as images on N then M.
+
+        ``cand`` holds the M candidate masks of pi_N on base[:level] and ``used``
+        one bit per N node it takes. The level loop passes its one gamma; deeper
+        levels try each same-class image in increasing order. A complete pi_N
+        sends each group's M sources, in order, to its mask's bits, lowest first.
+        """
         if level == n_size:
-            groups = pairing(cand_m)
+            groups = pairing(cand)
             if groups is None:
                 return None
             lift = [0] * m_size
-            for targets, sources in groups:
-                for src, dst in zip(sources, sorted(targets)):
-                    lift[src] = dst
+            for targets, sources in groups.items():
+                for src in sources:
+                    low = targets & -targets
+                    lift[src] = low.bit_length() - 1
+                    targets ^= low
             return tuple(pi_n) + tuple(n_size + v for v in lift)
         i = base[level]
-        for j in n_candidates[i]:
-            if used_n[j]:
+        for j in images:
+            if used >> j & 1:
                 continue
-            new_cand = assign(i, j, cand_m)
+            new_cand = assign(i, j, cand)
             if new_cand is None:
                 continue
             pi_n[i] = j
-            used_n[j] = True
-            hit = search(level + 1, new_cand)
-            used_n[j] = False
+            hit = search(level + 1, new_cand, used | 1 << j, images_at[level + 1])
             if hit is not None:
                 return hit
         return None
@@ -309,25 +324,15 @@ def enumerate_automorphisms(
     base_orbits = [0] * n_size
     for level in range(n_size - 1, -1, -1):
         b = base[level]
-        for k in range(n_size):
-            used_n[k] = False
-            pi_n[k] = k
-        for k in range(level):
-            used_n[base[k]] = True
+        fixed = sum(1 << p for p in base[:level])
         delta = permcore._transversal(b, strong, degree)
-        for gamma in n_candidates[b]:
-            if used_n[gamma] or gamma == b:
+        for gamma in images_at[level]:
+            if fixed >> gamma & 1 or gamma == b:
                 continue
             if gamma in delta:
                 orbit_pruned += 1
                 continue
-            cand = assign(b, gamma, prefix_cand[level])
-            if cand is None:
-                continue
-            pi_n[b] = gamma
-            used_n[gamma] = True
-            hit = search(level + 1, cand)
-            used_n[gamma] = False
+            hit = search(level, prefix_cand[level], fixed, (gamma,))
             if hit is not None:
                 strong.append(hit)
                 delta = permcore._transversal(b, strong, degree)
@@ -336,7 +341,7 @@ def enumerate_automorphisms(
     # kernel generators first: per set of equal M rows, a swap and, past two
     # rows, a cycle, as rows over N followed by M like the strong generators
     kernel_gens = []
-    for group_nodes in kernel_groups:
+    for group_nodes in kernel_groups.values():
         for cyc in [group_nodes[:2], group_nodes][:len(group_nodes) - 1]:
             row = list(range(degree))
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):

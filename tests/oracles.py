@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from eqtie.autsearch import SearchStats, color_refine
 from eqtie.layer import LayerError, check_equivariance
 from eqtie.permcore import GroupError, compose, format_cycles, identity
 
@@ -92,6 +93,158 @@ def brute_force_automorphisms(s):
                 found.append((pn, pm))
     return found
 
+
+
+def preserves_edges(s, pn, pm):
+    """Whether (pn, pm) maps every relation's edge set onto itself, one pair at a time."""
+    return all(
+        frozenset((pn[n], pm[m]) for n, m in rel.edges.tolist()) == edge_set(rel)
+        for rel in s.relations
+    )
+
+
+def frozenset_automorphism_search(s, reference=None):
+    """(pi_N rows, pi_M rows), order, stats and verdict of the frozenset-set search.
+
+    The reference for ``autsearch.enumerate_automorphisms``, whose search
+    keeps each M node's candidates as an int bitmask: the same base, levels
+    and depth-first order, written with a frozenset of candidates per M node,
+    a list of used N nodes reset at every level, and the level loop's own
+    copy of the search step. Orbits are closed as sets, the verdict checks
+    each reference generator pair edge by edge, and no budget or cap applies.
+    """
+    n_size, m_size = s.n_size, s.m_size
+    grid = s.color_matrix.grid.tolist()
+    table = color_refine(s)
+
+    class_size_n = {c: table.n_classes.count(c) for c in set(table.n_classes)}
+    base = sorted(range(n_size), key=lambda i: (class_size_n[table.n_classes[i]], i))
+    n_candidates = {
+        i: [j for j in range(n_size) if table.n_classes[j] == table.n_classes[i]]
+        for i in range(n_size)
+    }
+    m_class_members = {
+        j: frozenset(k for k in range(m_size) if table.m_classes[k] == table.m_classes[j])
+        for j in range(m_size)
+    }
+    counts = {"nodes": 0, "leaves": 0, "orbit_pruned": 0}
+
+    def assign(i, j, cand_m):
+        new_cand = []
+        for mm in range(m_size):
+            label = grid[mm][i]
+            filtered = frozenset(m2 for m2 in cand_m[mm] if grid[m2][j] == label)
+            if not filtered:
+                return None
+            new_cand.append(filtered)
+        counts["nodes"] += 1
+        return new_cand
+
+    def pairing(cand_m):
+        counts["leaves"] += 1
+        groups = {}
+        for mm in range(m_size):
+            groups.setdefault(cand_m[mm], []).append(mm)
+        covered = set()
+        for targets, sources in groups.items():
+            if len(targets) != len(sources):
+                return None
+            covered |= targets
+        if len(covered) != m_size:
+            return None
+        return sorted(groups.items(), key=lambda kv: kv[1])
+
+    prefix_cand = [[m_class_members[j] for j in range(m_size)]]
+    for b in base:
+        prefix_cand.append(assign(b, b, prefix_cand[-1]))
+    kernel_groups = [sources for _, sources in pairing(prefix_cand[-1])]
+    kernel_order = math.prod(math.factorial(len(g)) for g in kernel_groups)
+
+    pi_n = list(range(n_size))
+    used_n = [False] * n_size
+
+    def search(level, cand_m):
+        if level == n_size:
+            groups = pairing(cand_m)
+            if groups is None:
+                return None
+            lift = [0] * m_size
+            for targets, sources in groups:
+                for src, dst in zip(sources, sorted(targets)):
+                    lift[src] = dst
+            return tuple(pi_n) + tuple(n_size + v for v in lift)
+        i = base[level]
+        for j in n_candidates[i]:
+            if used_n[j]:
+                continue
+            new_cand = assign(i, j, cand_m)
+            if new_cand is None:
+                continue
+            pi_n[i] = j
+            used_n[j] = True
+            hit = search(level + 1, new_cand)
+            used_n[j] = False
+            if hit is not None:
+                return hit
+        return None
+
+    def orbit(point, gens):
+        seen, frontier = {point}, [point]
+        while frontier:
+            frontier = [g[p] for p in frontier for g in gens if g[p] not in seen]
+            seen.update(frontier)
+        return seen
+
+    degree = n_size + m_size
+    strong = []
+    base_orbits = [0] * n_size
+    for level in range(n_size - 1, -1, -1):
+        b = base[level]
+        for k in range(n_size):
+            used_n[k] = False
+            pi_n[k] = k
+        for k in range(level):
+            used_n[base[k]] = True
+        delta = orbit(b, strong)
+        for gamma in n_candidates[b]:
+            if used_n[gamma] or gamma == b:
+                continue
+            if gamma in delta:
+                counts["orbit_pruned"] += 1
+                continue
+            cand = assign(b, gamma, prefix_cand[level])
+            if cand is None:
+                continue
+            pi_n[b] = gamma
+            used_n[gamma] = True
+            hit = search(level + 1, cand)
+            used_n[gamma] = False
+            if hit is not None:
+                strong.append(hit)
+                delta = orbit(b, strong)
+        base_orbits[level] = len(delta)
+
+    kernel_gens = []
+    for group_nodes in kernel_groups:
+        for cyc in [group_nodes[:2], group_nodes][:len(group_nodes) - 1]:
+            row = list(range(degree))
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                row[n_size + a] = n_size + b
+            kernel_gens.append(row)
+    rows = np.array(kernel_gens + strong, dtype=np.intp).reshape(-1, degree)
+    order = kernel_order * math.prod(base_orbits)
+    stats = SearchStats(
+        counts["nodes"], counts["leaves"], counts["orbit_pruned"], tuple(base_orbits), kernel_order
+    )
+    verdict = None
+    if reference is not None:
+        pairs = zip(reference.n_action._generator_rows.tolist(),
+                    reference.m_action._generator_rows.tolist())
+        if not all(preserves_edges(s, pn, pm) for pn, pm in pairs):
+            verdict = "incomparable"
+        else:
+            verdict = "equal" if order == reference.joint_order else "proper_supergroup"
+    return (rows[:, :n_size], rows[:, n_size:] - n_size), order, stats, verdict
 
 def certify_witness(result, joint):
     """(pi_N, pi_M) images of the supergroup witness, read from the listing.

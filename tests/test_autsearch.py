@@ -337,14 +337,6 @@ class TestGeneratorTable:
             assert checked[-1] == 1
 
 
-def setwise_reference(s, pn, pm):
-    """The per-pair predicate the batched check replaces."""
-    return all(
-        frozenset((pn[n], pm[m]) for n, m in rel.edges.tolist()) == oracles.edge_set(rel)
-        for rel in s.relations
-    )
-
-
 def all_pairs(s):
     return list(itertools.product(
         itertools.permutations(range(s.n_size)), itertools.permutations(range(s.m_size))
@@ -356,7 +348,7 @@ def all_pairs(s):
 def test_batched_setwise_check_matches_per_pair_predicate(s):
     pairs = all_pairs(s)
     got = autsearch._preserves_structure(s, [pn for pn, _ in pairs], [pm for _, pm in pairs])
-    assert got.tolist() == [setwise_reference(s, pn, pm) for pn, pm in pairs]
+    assert got.tolist() == [oracles.preserves_edges(s, pn, pm) for pn, pm in pairs]
 
 
 def test_batched_setwise_check_across_batches(reverse_conv_structure, monkeypatch):
@@ -365,7 +357,7 @@ def test_batched_setwise_check_across_batches(reverse_conv_structure, monkeypatc
     s = reverse_conv_structure
     pairs = all_pairs(s)[::7]
     got = autsearch._preserves_structure(s, [pn for pn, _ in pairs], [pm for _, pm in pairs])
-    assert got.tolist() == [setwise_reference(s, pn, pm) for pn, pm in pairs]
+    assert got.tolist() == [oracles.preserves_edges(s, pn, pm) for pn, pm in pairs]
     assert 0 < sum(got) < len(pairs)
 
 
@@ -703,3 +695,160 @@ class TestLazyListing:
             with pytest.raises(AutSearchError) as info:
                 read()
             assert str(info.value) == "internal error: emitted pair fails the setwise check"
+
+
+def cyclic_joint(n, m_size=None):
+    """Z_n on N naturally, and on M naturally or, given ``m_size``, trivially."""
+    z = pc.close_generators(pc.cyclic_generators(n))
+    m_action = pc.natural_action(z) if m_size is None else pc.trivial_action(z, m_size)
+    return pc.joint_action(pc.natural_action(z), m_action)
+
+
+@pytest.mark.parametrize("joint_sizes", [(3,), (5,), (4, 2)], ids=["Z3", "Z5", "Z4-M2"])
+@pytest.mark.parametrize("run", [autsearch.enumerate_automorphisms, autsearch.certify_unique])
+def test_reference_of_other_sizes_is_refused(run, joint_sizes):
+    # unchecked, a Z5 joint indexes past a Z4 structure, and a Z3 joint or a
+    # 2-point M side fails to broadcast in the setwise check
+    joint = cyclic_joint(*joint_sizes)
+    with pytest.raises(AutSearchError) as info:
+        run(designs.dense_design(cyclic_joint(4)), joint)
+    expected = f"structure is 4 x 4 but the joint action targets {joint.m_size} x {joint.n_size}"
+    assert str(info.value) == expected
+
+
+def pair_joint(pn, pm):
+    """The joint action of the cyclic group generated by (pn on N, pm on M)."""
+    n = len(pn)
+    group = pc.close_generators([pc.perm(list(pn) + [n + v for v in pm])])
+    return pc.joint_action(pc.build_action(group, [pn], n), pc.build_action(group, [pm], len(pm)))
+
+
+@st.composite
+def orbit_structures(draw):
+    """(structure, joint action): cells colored by orbits of a drawn (pi_N, pi_M).
+
+    Each M row is repeated 1-3 times, so kernels have several groups of equal
+    rows; an orbit may carry several colors (a multi-edge) or none. The joint
+    action is generated by that pair, or by a second pair that need not
+    preserve the colors.
+    """
+    n = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 4))
+    copies = draw(st.integers(1, 3))
+    pn, pr = draw(st.permutations(range(n))), draw(st.permutations(range(rows)))
+    orbit_colors = {}
+    for cell in itertools.product(range(n), range(rows)):
+        if cell not in orbit_colors:
+            colors = draw(st.frozensets(st.integers(1, 3), max_size=3))
+            while cell not in orbit_colors:
+                orbit_colors[cell] = colors
+                cell = (pn[cell[0]], pr[cell[1]])
+    relations = tuple(
+        Relation(c, [
+            (i, r * copies + k) for (i, r), colors in orbit_colors.items() if c in colors
+            for k in range(copies)
+        ], {"kind": "dense"})
+        for c in (1, 2, 3)
+    )
+    s = SharingStructure(n, rows * copies, relations)
+    pm = [pr[j // copies] * copies + j % copies for j in range(rows * copies)]
+    if draw(st.booleans()):
+        pn, pm = draw(st.permutations(range(n))), draw(st.permutations(range(rows * copies)))
+    return s, pair_joint(pn, pm)
+
+
+def structure_from_rows(rows):
+    """One-color structure whose M node j is joined to the N nodes i with rows[j][i] = 1."""
+    edges = [(i, j) for j, row in enumerate(rows) for i, bit in enumerate(row) if bit]
+    return SharingStructure(len(rows[0]), len(rows), (Relation(1, edges, {"kind": "dense"}),))
+
+
+def assert_matches_frozenset_search(s, reference=None, **kwargs):
+    res = autsearch.enumerate_automorphisms(s, reference=reference, **kwargs)
+    rows, order, stats, verdict = oracles.frozenset_automorphism_search(s, reference)
+    assert [r.tolist() for r in res._generator_rows] == [r.tolist() for r in rows]
+    assert (res.order, res.stats, res.verdict) == (order, stats, verdict)
+    return res
+
+
+class TestFrozensetOracle:
+    """The bitmask search walks the frozenset search's tree: same generators, counters and verdict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(orbit_structures())
+    def test_orbit_colored_structures(self, case):
+        assert_matches_frozenset_search(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_structures())
+    def test_random_structures(self, s):
+        assert_matches_frozenset_search(s)
+
+    def test_uneven_classes_give_a_non_increasing_base(self):
+        # N nodes 0 and 1 swap with M nodes 0 and 1; node 2 sits alone, so
+        # the base starts at 2, and the class of 0 and 1 is larger
+        s = SharingStructure(3, 2, (
+            Relation(1, [(0, 0), (1, 1)], {"kind": "dense"}),
+            Relation(2, [(2, 0), (2, 1)], {"kind": "dense"}),
+        ))
+        classes = autsearch.color_refine(s).n_classes
+        assert [classes.count(c) for c in classes] == [2, 2, 1]
+        res = assert_matches_frozenset_search(s)
+        assert (res.order, res.stats.base_orbits) == (2, (1, 2, 1))
+
+    def test_class_masks_prune_before_the_leaf(self):
+        # starting from all of M instead of one mask per M class, the same
+        # search accepts two more N assignments before it rejects them
+        s = structure_from_rows(
+            [(1, 1, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1), (1, 0, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)]
+        )
+        res = assert_matches_frozenset_search(s)
+        assert (res.order, res.stats.nodes) == (2, 8)
+
+    def test_leaves_whose_masks_outnumber_their_sources(self):
+        # refinement leaves one class per part; some complete pi_N send the
+        # three rows 0011 onto the two rows 1010, so their masks have 2 bits
+        # for 3 sources and two of the five leaves are rejected
+        s = structure_from_rows(
+            [(0, 0, 1, 1)] * 3 + [(1, 1, 0, 0)] * 3 + [(1, 0, 1, 0)] * 2 + [(0, 1, 0, 1)] * 2
+        )
+        res = assert_matches_frozenset_search(s)
+        assert (res.order, res.stats.leaves, res.stats.kernel_order) == (576, 5, 144)
+
+    def test_kernels_with_several_groups_of_equal_rows(self):
+        readme = specio.build_structure(specio.parse_spec((CORPUS / "readme.json").read_text()))
+        for s in (readme, complete_bipartite(3, 3)):
+            res = assert_matches_frozenset_search(s)
+            assert res.stats.kernel_order > 1
+
+    def test_multi_edges(self):
+        # a self-loop puts both colors on one diagonal cell
+        adjacency = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
+        s = layer.graph_conv_structure(adjacency)
+        assert s.color_matrix.merged_color_count > s.color_matrix.base_color_count
+        assert assert_matches_frozenset_search(s).order == 2
+
+    @pytest.mark.parametrize(
+        "name",
+        # the gconv-tied searches take minutes past the default node budget
+        [p.stem for p in sorted(CORPUS.glob("*.json")) if not p.stem.startswith("gconv-tied")],
+    )
+    def test_corpus(self, name):
+        spec = specio.parse_spec((CORPUS / f"{name}.json").read_text())
+        s = specio.build_structure(spec)
+        assert_matches_frozenset_search(s, specio.expanded_joint(spec), node_budget=s.n_size + s.m_size)
+
+
+class TestPastAMachineWord:
+    """Candidate masks are Python ints: more than 64 M nodes need no second path."""
+
+    def test_complete_bipartite_3_70(self):
+        s = complete_bipartite(3, 70)
+        res = assert_matches_frozenset_search(s, node_budget=73)
+        assert (res.order, res.stats.kernel_order) == (6 * math.factorial(70), math.factorial(70))
+
+    def test_path_graph_70(self):
+        adjacency = np.eye(70, k=1, dtype=int) + np.eye(70, k=-1, dtype=int)
+        s = layer.graph_conv_structure(adjacency)
+        res = assert_matches_frozenset_search(s, node_budget=140)
+        assert res.order == 2

@@ -168,3 +168,32 @@ def test_caller_rule_sees_methods_and_dotted_calls():
     tree = ast.parse(source)
     assert calling_functions(tree, "_StabilizerChain") == {"t", "certify_unique"}
     assert attribute_reads(tree, "certify_unique") == {"result._chain"}
+
+
+# the automorphism search keeps candidate sets as int bitmasks
+SEARCH_SET_NAMES = {"frozenset"}
+
+
+def names_read(tree, names):
+    """(line, name) of every bare or dotted name in ``names``, annotations included."""
+    found = []
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in names:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_search_names_no_frozenset():
+    tree = ast.parse((PACKAGE / "autsearch.py").read_text())
+    assert names_read(tree, SEARCH_SET_NAMES) == []
+
+
+def test_set_rule_sees_calls_annotations_and_attributes():
+    source = (
+        "def f(c: list[frozenset[int]]) -> int:\n    return frozenset(c)\n"
+        "g = builtins.frozenset\nh = 'frozenset'\n"
+    )
+    assert names_read(ast.parse(source), SEARCH_SET_NAMES) == [
+        (1, "frozenset"), (2, "frozenset"), (3, "frozenset"),
+    ]
