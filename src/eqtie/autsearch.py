@@ -15,7 +15,9 @@ b_0..b_{l-1} nor already in the orbit of b_l under the generators found so
 far (all of which fix b_0..b_{l-1}) gets one depth-first search for a single
 pi_N that fixes b_0..b_{l-1} and maps b_l -> gamma; one routine tries the
 images at every depth, with the taken N nodes as one int. Each hit is a
-strong generator. Since every coset of the stabilizer of b_0..b_l in the
+strong generator. That orbit is only a set of points, closed under the
+generators' images: the search forms no product of generators and builds no
+transversal. Since every coset of the stabilizer of b_0..b_l in the
 stabilizer of b_0..b_{l-1} is either found or ruled out exhaustively, the
 exact order is |K| * prod_l |Delta_l|, where Delta_l is the fundamental orbit
 of b_l and K is the kernel of automorphisms with pi_N = id (any bijection
@@ -120,7 +122,8 @@ class AutomorphismResult:
         listed = permcore._transversal_products(
             self._chain.transversals, np.arange(self._chain.degree)[None, :]
         )
-        listed = listed[np.lexsort(listed.T[::-1])]
+        if len(listed) > 1:  # one row needs no sort, and a 0-node structure has no key
+            listed = listed[np.lexsort(listed.T[::-1])]
         n_size = self._structure.n_size
         pns, pms = listed[:, :n_size], listed[:, n_size:] - n_size
         if not _preserves_structure(self._structure, pns, pms).all():
@@ -187,6 +190,18 @@ def _preserves_structure(s: SharingStructure, pns: ArrayLike, pms: ArrayLike) ->
         moved = inc[:, pns[lo:lo + batch, :, None], pms[lo:lo + batch, None, :]]
         ok[lo:lo + batch] = (moved == inc[:, None]).all(axis=(0, 2, 3))
     return ok
+
+
+def _orbit(point: int, gens: Sequence[tuple[int, ...]]) -> set[int]:
+    """The orbit of ``point`` under the image rows ``gens``, as a set: no products are formed."""
+    orbit = {point}
+    frontier = [point]
+    for p in frontier:  # the frontier grows as the orbit does
+        for g in gens:
+            if g[p] not in orbit:
+                orbit.add(g[p])
+                frontier.append(g[p])
+    return orbit
 
 
 def enumerate_automorphisms(
@@ -258,8 +273,10 @@ def enumerate_automorphisms(
         """Sources per target mask when the M candidate masks pair off, else None.
 
         A lift is a bijection inside each group of M nodes with one mask, so
-        every mask must have as many bits as sources. With the sizes matched,
-        the masks sum to all m bits only if they are disjoint: an overlap carries.
+        every mask must have as many bits as sources. No further check is
+        needed: the mask of M node mm is the set of k in its class whose row
+        agrees with mm's on the mapped N nodes, so two masks are equal or
+        disjoint, and with the sizes matched they cover M.
         """
         nonlocal leaves
         leaves += 1
@@ -268,7 +285,7 @@ def enumerate_automorphisms(
             groups.setdefault(c, []).append(mm)
         if any(t.bit_count() != len(sources) for t, sources in groups.items()):
             return None
-        return groups if sum(groups) == (1 << m_size) - 1 else None
+        return groups
 
     # the identity path: M candidates with b_0..b_{l-1} fixed, for every l,
     # starting from one mask per M refinement class
@@ -325,7 +342,7 @@ def enumerate_automorphisms(
     for level in range(n_size - 1, -1, -1):
         b = base[level]
         fixed = sum(1 << p for p in base[:level])
-        delta = permcore._transversal(b, strong, degree)
+        delta = _orbit(b, strong)
         for gamma in images_at[level]:
             if fixed >> gamma & 1 or gamma == b:
                 continue
@@ -335,7 +352,7 @@ def enumerate_automorphisms(
             hit = search(level, prefix_cand[level], fixed, (gamma,))
             if hit is not None:
                 strong.append(hit)
-                delta = permcore._transversal(b, strong, degree)
+                delta = _orbit(b, strong)
         base_orbits[level] = len(delta)
 
     # kernel generators first: per set of equal M rows, a swap and, past two
@@ -347,7 +364,9 @@ def enumerate_automorphisms(
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 row[n_size + a] = n_size + b
             kernel_gens.append(row)
-    rows = np.array(kernel_gens + strong, dtype=np.intp).reshape(-1, degree)
+    rows = np.array(kernel_gens + strong, dtype=np.intp).reshape(
+        len(kernel_gens) + len(strong), degree
+    )
     generator_rows = (rows[:, :n_size], rows[:, n_size:] - n_size)
     if not _preserves_structure(s, *generator_rows).all():
         raise AutSearchError("internal error: emitted pair fails the setwise check")

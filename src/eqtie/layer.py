@@ -19,6 +19,7 @@ commuting with W are closed under products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,14 +71,19 @@ def leaky(slope: float = 0.5) -> Nonlinearity:
 
 
 def first_primes(count: int) -> np.ndarray:
-    """The first ``count`` primes, used as certification parameters."""
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < count:
-        if all(candidate % p for p in primes):
-            primes.append(candidate)
-        candidate += 1
-    return np.array(primes, dtype=np.int64)
+    """The first ``count`` primes, used as certification parameters.
+
+    A sieve of Eratosthenes up to Rosser's bound: for n >= 6 the n-th prime
+    is below n (ln n + ln ln n), and the fifth prime is 11.
+    """
+    count = max(count, 0)
+    limit = 12 if count < 6 else int(count * (math.log(count) + math.log(math.log(count))))
+    composite = np.zeros(limit + 1, dtype=bool)
+    composite[:2] = True
+    for p in range(2, math.isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p::p] = True
+    return np.flatnonzero(~composite)[:count].astype(np.int64)
 
 
 def materialize(cm: ColorMatrix, theta) -> np.ndarray:

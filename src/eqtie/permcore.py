@@ -19,10 +19,12 @@ checks its cap against |G|, ``build_action`` accepts generator images exactly
 when |<(s, s^X)>| = |G| (the images then define a homomorphism),
 ``JointAction.joint_order`` is |<(s^N, s^M)>|, and ``orbits`` and
 ``classify_action`` read only the generator columns (kernel size =
-|G| / |image|; semi-regular when every orbit has |G| points). A chain level
-works on tuples up to degree 32 and on int arrays above it, where the level's
-Schreier generators are formed as one array per block. No element is listed
-for these answers.
+|G| / |image|; semi-regular when every orbit has |G| points). Up to degree
+256, the width of a ``bytes.translate`` table, a chain keeps each permutation
+as a ``bytes`` row: a product is one ``translate`` call, an inverse one
+``bytes.maketrans`` table, and a level's transversal one ``np.frombuffer``.
+Above 256 a level works on int arrays, and its Schreier generators are formed
+as one array per block. No element is listed for these answers.
 
 The read-only int tables are built on first use, from the chains. A group
 keeps the chain ``close_generators`` built for its order. Its (order x
@@ -312,11 +314,11 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
-# Stabilizer chains. Up to this degree a level works on tuples, one C-level
-# map per product; wider, on int arrays, one array op per step of a level.
-_TUPLE_DEGREE = 32
 # Schreier generators (rows x degree) formed per block on the array route
 _SCHREIER_BLOCK_CELLS = 1 << 16
+# The identity as a ``bytes.translate`` table. A byte row of degree d permutes
+# its first d entries, and its last 256 - d pad the row out to a table.
+_BYTE_IDENTITY = bytes(range(256))
 
 
 def _compose_tuple(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -328,37 +330,48 @@ def _inverse_tuple(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
-def _transversal(point: int, gens, degree: int) -> dict[int, tuple[int, ...]]:
+def _translate_tables(gens: list[bytes]) -> list[bytes]:
+    """Each byte row g padded to a 256-entry table: ``q.translate(table)`` is g after q."""
+    pad = _BYTE_IDENTITY[len(gens[0]):]
+    return [g + pad for g in gens]
+
+
+def _transversal(point: int, gens: list[bytes]) -> dict[int, bytes]:
     """Schreier tree of ``point``: one product of ``gens`` mapping it to each orbit point."""
-    reps = {point: tuple(range(degree))}
+    reps = {point: _BYTE_IDENTITY[:len(gens[0])]}
     frontier = [point]
+    tables = _translate_tables(gens)
     while frontier:
         grown = []
         for p in frontier:
-            for g in gens:
+            u = reps[p]
+            for g, table in zip(gens, tables):
                 q = g[p]
                 if q not in reps:
-                    reps[q] = _compose_tuple(g, reps[p])
+                    reps[q] = u.translate(table)
                     grown.append(q)
         frontier = grown
     return reps
 
 
-def _schreier_tuples(point: int, gens: list[tuple[int, ...]], reps) -> list[tuple[int, ...]]:
+def _schreier_bytes(point: int, gens: list[bytes], reps: dict[int, bytes]) -> list[bytes]:
     """Distinct non-identity Schreier generators u_{g x}^-1 g u_x of the stabilizer of ``point``.
 
-    ``reps`` is the Schreier tree of ``point`` under ``gens``.
+    ``reps`` is the Schreier tree of ``point`` under ``gens``;
+    ``bytes.maketrans(u, ident)`` is u^-1 as a translate table.
     """
-    inverses: dict[int, tuple[int, ...]] = {}
-    found: dict[tuple[int, ...], None] = {}
+    ident = reps[point]
+    tables = _translate_tables(gens)
+    inverses: dict[int, bytes] = {}
+    found: dict[bytes, None] = {}
     for u in reps.values():
-        for g in gens:
-            gu = _compose_tuple(g, u)
+        for table in tables:
+            gu = u.translate(table)
             x = gu[point]
             if gu != reps[x]:  # u_x^-1 g u is not the identity
                 if x not in inverses:
-                    inverses[x] = _inverse_tuple(reps[x])
-                found[_compose_tuple(inverses[x], gu)] = None
+                    inverses[x] = bytes.maketrans(reps[x], ident)
+                found[gu.translate(inverses[x])] = None
     return list(found)
 
 
@@ -398,7 +411,7 @@ def _transversal_rows(
 
 
 def _schreier_rows(point: int, gens: np.ndarray, slot: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """``_schreier_tuples`` on int arrays, formed per block of reps."""
+    """``_schreier_bytes`` on int arrays, formed per block of reps."""
     count, degree = gens.shape
     flat = gens.ravel()
     block = max(1, _SCHREIER_BLOCK_CELLS // (count * degree))
@@ -435,21 +448,34 @@ class _StabilizerChain:
     transversal of b_l under G_l, and |G| is the product of the orbit
     lengths. Past ``limit`` the chain stops: that product only grows, so it
     then exceeds ``limit`` without being the order.
+
+    Up to degree 256, the width of a ``bytes.translate`` table, a
+    permutation is a ``bytes`` row, a product one ``translate`` and a tree a
+    dict from orbit point to rep. Wider, a level works on int arrays.
     """
 
     def __init__(self, gens: np.ndarray, limit: int | None = None):
         self.degree = degree = gens.shape[1]
-        self.narrow = degree <= _TUPLE_DEGREE
-        level = gens[(gens != np.arange(degree)).any(axis=1)]
+        self.narrow = degree <= 256
         if self.narrow:
-            level = list(dict.fromkeys(map(tuple, level.tolist())))
+            self._ident = _BYTE_IDENTITY[:degree]
+            level = dict.fromkeys(map(bytes, gens.astype(np.uint8)))
+            level.pop(self._ident, None)
+            level = list(level)
+            ident_bits = int.from_bytes(self._ident, "little")
+        else:
+            level = gens[(gens != np.arange(degree)).any(axis=1)]
         self.base: list[int] = []
         self.orbit_lengths: list[int] = []
         self.trees: list = []
         while len(level):
             if self.narrow:
-                point = min(next(i for i, v in enumerate(g) if v != i) for g in level)
-                tree = _transversal(point, level, degree)
+                # byte i of ``moved`` is nonzero when some row moves point i
+                moved = 0
+                for g in level:
+                    moved |= int.from_bytes(g, "little") ^ ident_bits
+                point = ((moved & -moved).bit_length() - 1) // 8
+                tree = _transversal(point, level)
             else:
                 point = int(np.argmax((level != np.arange(degree)).any(axis=0)))
                 room = None if limit is None else limit // self.order
@@ -460,7 +486,7 @@ class _StabilizerChain:
             if limit is not None and self.order > limit:
                 return
             if self.narrow:
-                level = _schreier_tuples(point, level, tree)
+                level = _schreier_bytes(point, level, tree)
             else:
                 level = _schreier_rows(point, level, *tree)
 
@@ -473,22 +499,30 @@ class _StabilizerChain:
         """Each level's transversal as a read-only int table, the identity first."""
         if self.narrow:
             return [
-                _read_only(np.array(list(tree.values()), dtype=np.intp)) for tree in self.trees
+                _read_only(
+                    np.frombuffer(b"".join(tree.values()), dtype=np.uint8)
+                    .reshape(len(tree), self.degree)
+                    .astype(np.intp)
+                )
+                for tree in self.trees
             ]
         return [reps for _, reps in self.trees]
 
     def __contains__(self, images: tuple[int, ...]) -> bool:
         """Whether the permutation lies in the group: sift it through every level."""
-        for point, tree in zip(self.base, self.trees):
-            if self.narrow:
-                u = tree.get(images[point])
-            else:
-                slot, reps = tree
-                k = slot[images[point]]
-                u = tuple(reps[k].tolist()) if k >= 0 else None
-            if u is None:
+        if self.narrow:
+            h = bytes(images)
+            for point, tree in zip(self.base, self.trees):
+                u = tree.get(h[point])
+                if u is None:
+                    return False
+                h = h.translate(bytes.maketrans(u, self._ident))  # u^-1 after h fixes b_l
+            return h == self._ident
+        for point, (slot, reps) in zip(self.base, self.trees):
+            k = slot[images[point]]
+            if k < 0:
                 return False
-            images = _compose_tuple(_inverse_tuple(u), images)  # u^-1 after h fixes b_l
+            images = _compose_tuple(_inverse_tuple(tuple(reps[k].tolist())), images)
         return images == tuple(range(self.degree))
 
 

@@ -103,7 +103,7 @@ def preserves_edges(s, pn, pm):
     )
 
 
-def frozenset_automorphism_search(s, reference=None):
+def frozenset_automorphism_search(s, reference=None, leaves=None):
     """(pi_N rows, pi_M rows), order, stats and verdict of the frozenset-set search.
 
     The reference for ``autsearch.enumerate_automorphisms``, whose search
@@ -112,6 +112,7 @@ def frozenset_automorphism_search(s, reference=None):
     a list of used N nodes reset at every level, and the level loop's own
     copy of the search step. Orbits are closed as sets, the verdict checks
     each reference generator pair edge by edge, and no budget or cap applies.
+    A ``leaves`` list receives the M candidate sets of every leaf, in order.
     """
     n_size, m_size = s.n_size, s.m_size
     grid = s.color_matrix.grid.tolist()
@@ -142,6 +143,8 @@ def frozenset_automorphism_search(s, reference=None):
 
     def pairing(cand_m):
         counts["leaves"] += 1
+        if leaves is not None:
+            leaves.append(cand_m)
         groups = {}
         for mm in range(m_size):
             groups.setdefault(cand_m[mm], []).append(mm)
@@ -313,6 +316,17 @@ def orbit_stabilizer_counts(image_perms, point):
 
 def wreath_order(d, blocks):
     return math.factorial(d) ** blocks * math.factorial(blocks)
+
+
+def primes_by_trial_division(count):
+    """The first ``count`` primes, each candidate divided by every earlier prime."""
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
 
 def float_residual_per_trial(apply, pairs, n_size, trials, seed):

@@ -170,6 +170,13 @@ class TestEnumerate:
         assert res.order == 6
         assert all(pn == pm for pn, pm in res.elements)
 
+    def test_empty_structure_has_only_the_identity(self):
+        res = autsearch.enumerate_automorphisms(SharingStructure(0, 0, ()))
+        assert res.order == 1 and res.generators == ()
+        assert [r.shape for r in res._generator_rows] == [(0, 0), (0, 0)]
+        assert res.stats == autsearch.SearchStats(0, 1, 0, (), 1)
+        assert res.pair_set() == {((), ())}
+
 
 class TestOverCap:
     def test_generators_only_beyond_element_cap(self):
@@ -549,14 +556,25 @@ class TestLexWalk:
         assert list(autsearch._lex_walk(chain)) == sorted(p.images for p in elements)
 
     @pytest.mark.parametrize("gens", [
-        pc.dihedral_generators(60),
-        pc.direct_product_generators(pc.symmetric_generators(4), pc.dihedral_generators(30)),
-    ], ids=["d60", "s4xd30"])
-    def test_array_trees_above_degree_32(self, gens):
+        pc.dihedral_generators(60), pc.dihedral_generators(128),
+    ], ids=["d60", "d128-on-256"])
+    def test_byte_trees_up_to_degree_256(self, gens):
         chain = pc._StabilizerChain(np.array([g.images for g in gens]))
-        assert not chain.narrow and len(chain.trees) > 1
+        assert chain.narrow and len(chain.trees) > 1
         elements, _ = oracles.closure_per_element(gens)
         assert list(autsearch._lex_walk(chain)) == sorted(p.images for p in elements)
+
+    @pytest.mark.parametrize("gens, degree", [
+        (pc.dihedral_generators(130), 260),
+        (pc.direct_product_generators(pc.symmetric_generators(4), pc.dihedral_generators(127)), 258),
+    ], ids=["d130-on-260", "s4xd127-on-258"])
+    def test_array_trees_above_degree_256(self, gens, degree):
+        # fixed points pad the rows past the 256 points of the byte route
+        pad = tuple(range(gens[0].degree, degree))
+        chain = pc._StabilizerChain(np.array([g.images + pad for g in gens]))
+        assert not chain.narrow and len(chain.trees) > 1
+        elements, _ = oracles.closure_per_element(gens)
+        assert list(autsearch._lex_walk(chain)) == sorted(p.images + pad for p in elements)
 
 
 class TestGraphEquivalences:
@@ -783,6 +801,23 @@ class TestFrozensetOracle:
     @given(small_structures())
     def test_random_structures(self, s):
         assert_matches_frozenset_search(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(orbit_structures())
+    def test_leaf_masks_are_equal_or_disjoint(self, case):
+        """Why ``pairing`` checks only sizes: matched masks pair off and cover M.
+
+        The search walks the frozenset search's tree, so its leaves are these.
+        """
+        s, _ = case
+        leaves = []
+        oracles.frozenset_automorphism_search(s, leaves=leaves)
+        assert leaves
+        for cand in leaves:
+            masks = set(cand)
+            assert all(a == b or not a & b for a, b in itertools.combinations(masks, 2))
+            if all(len(t) == cand.count(t) for t in masks):
+                assert frozenset().union(*masks) == frozenset(range(s.m_size))
 
     def test_uneven_classes_give_a_non_increasing_base(self):
         # N nodes 0 and 1 swap with M nodes 0 and 1; node 2 sits alone, so

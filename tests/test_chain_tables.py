@@ -6,8 +6,9 @@ table comes from the chain of its pairs (s^X, s). Each is compared with the
 breadth-first references in ``oracles.py``: a closure with one ``compose``
 per product, a Cayley table built from it, and a per-edge action walk, whose
 error texts rejected images must also give. The cases cover repeated and
-identity generators, degrees on both sides of 15 and 32 (the chain's tuple
-and array routes) and a base long enough that the lookup splits its keys
+identity generators, degrees on both sides of 15 and of 256 (the chain's
+byte and array routes; a pair chain of more than 256 points takes the
+array route too) and a base long enough that the lookup splits its keys
 over two runs.
 """
 
@@ -50,18 +51,22 @@ CASES = {
     "identity-only": cycles(3, "()", "()"),
     "s4": pc.symmetric_generators(4),
     "wreath-2x3": pc.wreath_generators(2, 3),
-    # degree 15 and 16: the old row-key boundary; 31 and 32: the tuple route's last degrees
+    # degree 15 and 16: the old row-key boundary; 31, 32 and 33: the old tuple route's
+    # last degree and past it; 255 and 256: the byte route's last; 257: the array route
     **{
         f"degree-{d}": cycles(d, "(0 10)(1 13)", "(0 11)", "(3 12)", f"(2 {d - 1})")
-        for d in (15, 16, 31, 32)
+        for d in (15, 16, 31, 32, 255, 256, 257)
     },
-    # the chain's array route, with several levels
+    # several levels on the byte route, then on the array route
     "degree-33": cycles(33, "(0 1 2 3)(10 20 30)", "(0 1)(32 5)", "(4 6 8)"),
     "degree-48": disjoint_factors(48, [(3, ["(0 1)", "(0 1 2)"]), (4, ["(0 1 2 3)", "(0 2)"])]),
     "d20-on-40": [
         Permutation(tuple(list(g.images) + list(range(20, 40))))
         for g in pc.dihedral_generators(20)
     ],
+    "degree-300": disjoint_factors(
+        300, [(3, ["(0 1)", "(0 1 2)"]), (4, ["(0 1 2 3)", "(0 2)"]), (5, ["(0 1 2 3 4)"])]
+    ),
     # degree 128 and a base of 9 points: 128 ** 9 = 2 ** 63 splits the keys into two runs
     "two-runs": disjoint_factors(
         128, [(3, ["(0 1)", "(0 1 2)"]), (3, ["(0 1)", "(0 1 2)"])] + [(2, ["(0 1)"])] * 5
@@ -83,6 +88,9 @@ class TestGroupTables:
         assert group._table.tolist() == [list(p.images) for p in elements]
         assert group.generator_ids == tuple(gen_ids)
         assert not group._table.flags.writeable
+        # byte rows are listed as ints: a table adds offsets past 255 without wrapping
+        assert group._table.dtype == np.intp
+        assert all(t.dtype == np.intp for t in group._chain.transversals)
 
     def test_cayley_right_and_tree(self, case):
         """The right table, and ids that grow with distance from the identity along it."""
@@ -219,7 +227,7 @@ class TestErrorWalk:
         expected = "inconsistent action: element () receives two distinct images"
         assert error_texts(group, shift, 480) == [expected] * 2
 
-    @pytest.mark.parametrize("name", ["degree-33", "degree-48", "d20-on-40"])
+    @pytest.mark.parametrize("name", ["degree-33", "degree-48", "d20-on-40", "degree-300"])
     def test_conflicts_off_the_identity_above_degree_32(self, name):
         group = pc.close_generators(CASES[name])
         rng = random.Random(name)

@@ -75,6 +75,12 @@ class TestMaterializeForward:
     def test_first_primes(self):
         assert layer.first_primes(5).tolist() == [2, 3, 5, 7, 11]
 
+    def test_first_primes_match_trial_division(self):
+        primes = oracles.primes_by_trial_division(2000)
+        for count in range(2001):
+            got = layer.first_primes(count)
+            assert got.dtype == np.int64 and got.tolist() == primes[:count], count
+
     def test_require_distinct_theta(self, reverse_conv_structure):
         tied = layer.tied_layer_from_structure(reverse_conv_structure, np.array([1.0, 1.0]))
         with pytest.raises(LayerError, match="distinct"):

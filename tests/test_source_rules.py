@@ -197,3 +197,17 @@ def test_set_rule_sees_calls_annotations_and_attributes():
     assert names_read(ast.parse(source), SEARCH_SET_NAMES) == [
         (1, "frozenset"), (2, "frozenset"), (3, "frozenset"),
     ]
+
+
+# the search keeps each base orbit as a set of points: no transversal, no chain
+TRANSVERSAL_NAMES = {"_transversal", "_transversal_rows", "transversals", "_StabilizerChain"}
+
+
+def test_search_builds_no_transversal():
+    tree = ast.parse((PACKAGE / "autsearch.py").read_text())
+    search = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "enumerate_automorphisms"
+    )
+    assert names_read(search, TRANSVERSAL_NAMES) == []
+    assert names_read(tree, TRANSVERSAL_NAMES) != []  # the rule sees the listing's use

@@ -6,7 +6,9 @@ generators and list no element. These tests compare them with the references
 in ``oracles.py`` (a closure with one ``compose`` per product, a per-edge
 action walk, table-based orbits and profiles) and with sympy, on seeded random
 generator lists of degree at most 8 and on cyclic and dihedral groups of
-degree up to 240. Tables built on first use must equal the eager ones.
+degree up to 240. Tables built on first use must equal the eager ones. The
+chain's own order, base and membership are checked against sympy on sparse
+generator sets of degree 1 to 300, across the byte route's 256-point bound.
 """
 
 from __future__ import annotations
@@ -136,6 +138,62 @@ class TestChainOrder:
         group = pc.close_generators([pc.identity(1), pc.identity(1)])
         assert (group.order, group.generator_ids) == (1, (0,))
         assert group._table.tolist() == [[0]]
+
+
+def sparse_generators(rng: random.Random, degree: int) -> list[list[int]]:
+    """1-3 image rows that cycle points of one small random support, so sympy stays quick."""
+    support = rng.sample(range(degree), min(degree, rng.randint(1, 9)))
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        moved = rng.sample(support, rng.randint(0, len(support)))
+        images = list(range(degree))
+        for a, b in zip(moved, moved[1:] + moved[:1]):
+            images[a] = b
+        rows.append(images)
+    return rows
+
+
+def sympy_base(group) -> list[int]:
+    """Smallest point moved by the pointwise stabilizer of the points so far, level by level."""
+    base = []
+    while True:
+        stab = group.pointwise_stabilizer(base) if base else group
+        moved = set().union(*(g.support() for g in stab.generators))
+        if not moved:
+            return base
+        base.append(min(moved))
+
+
+# the byte route's widths and both sides of its 256-point bound, then random degrees
+CHAIN_DEGREES = [1, 2, 33, 255, 256, 257, 300] + random.Random(31).choices(range(1, 301), k=33)
+
+
+@pytest.mark.parametrize("seed", range(len(CHAIN_DEGREES)))
+def test_chain_matches_sympy(seed):
+    """Order, base and membership of a chain against sympy's Schreier-Sims."""
+    rng = random.Random(seed)
+    degree = CHAIN_DEGREES[seed]
+    rows = sparse_generators(rng, degree)
+    chain = pc._StabilizerChain(np.array(rows))
+    assert chain.narrow == (degree <= 256)
+    group = combinatorics.PermutationGroup([combinatorics.Permutation(r) for r in rows])
+    assert chain.order == group.order()
+    assert chain.base == sympy_base(group)
+    # products of the generators lie in the group; a shuffle of the moved points may not
+    members = [rng.choice(rows)]
+    for _ in range(4):
+        members.append([members[-1][v] for v in rng.choice(rows)])
+    moved = sorted({i for r in rows for i, v in enumerate(r) if v != i})
+    shuffles = []
+    for _ in range(4):
+        images = list(range(degree))
+        for a, b in zip(moved, rng.sample(moved, len(moved))):
+            images[a] = b
+        shuffles.append(images)
+    for images in members + shuffles + [rng.sample(range(degree), degree)]:
+        expected = group.contains(combinatorics.Permutation(images))
+        assert (tuple(images) in chain) == expected
+    assert all(tuple(images) in chain for images in members)
 
 
 class TestLazyGroupTables:
