@@ -8,13 +8,14 @@ blocks of k, with k sized by the widest vector the layers pass (input, output
 or middle), so that its scratch stays bounded when m is far larger than n.
 A block's k x trials inputs are one draw from the seeded stream
 (the same values, in the same order, as drawing them one input at a time),
-permuted by one gather through the block's input-table rows and evaluated as
-the columns of one n x (k * trials) matrix, and the outputs are compared by
-one gather through the output-table rows. The exact route is the authority:
-it materializes W with the first C primes as parameters (pairwise distinct,
-exact in int64) and checks P_gM @ W == W @ P_gN by integer indexing for each
-generator g, which decides it for every element because the matrices
-commuting with W are closed under products.
+permuted by one flat scatter through the block's input-table rows and
+evaluated as the columns of one n x (k * trials) matrix, and the outputs are
+compared by one gather of trial rows through the output-table rows. The
+exact route is the authority: it materializes W with the first C primes as
+parameters (pairwise distinct, exact in int64) and checks P_gM @ W == W @ P_gN
+by integer indexing for each generator's int image rows, which decides it
+for every element because the matrices commuting with W are closed under
+products.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import numpy as np
 
 from . import designs, permcore
 from .designs import ColorMatrix, Relation, SharingStructure
-from .permcore import JointAction, Permutation
+from .permcore import JointAction
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_TRIALS = 8
 
 # cells (elements x trials x widest vector size) per block of the float route:
-# bounds each of its scratch arrays, on the input, output and any middle side
+# bounds each of its scratch arrays, float and int64 index alike, on the input,
+# output and any middle side
 _FLOAT_BATCH_CELLS = 1 << 14
 
 
@@ -163,9 +165,13 @@ class EquivarianceReport:
     passed: bool
 
 
-def matrix_commutes(w: np.ndarray, gn: Permutation, gm: Permutation) -> bool:
-    """Exact check of P_gm @ W == W @ P_gn, i.e. W[gm(i), gn(j)] == W[i, j] for every cell."""
-    return bool(np.array_equal(w[np.ix_(gm.images, gn.images)], w))
+def matrix_commutes(w: np.ndarray, gn, gm) -> bool:
+    """Exact check of P_gm @ W == W @ P_gn, i.e. W[gm(i), gn(j)] == W[i, j] for every cell.
+
+    ``gn`` and ``gm`` are ``Permutation`` objects or int image rows.
+    """
+    rows_m, rows_n = getattr(gm, "images", gm), getattr(gn, "images", gn)
+    return bool(np.array_equal(w[np.ix_(rows_m, rows_n)], w))
 
 
 def _verify(
@@ -182,10 +188,15 @@ def _verify(
     ``apply`` maps an n x K matrix of input columns to the m x K outputs, and
     ``widest`` is the largest row count it passes through: n, m, or that of a
     middle layer. The float route takes the joint elements in blocks of k,
-    sized so that k x max(trials, 1) x widest stays within
+    sized so that k x max(trials, 1) x max(widest, 1) stays within
     ``_FLOAT_BATCH_CELLS``, and evaluates ``apply`` twice per block, on the
-    inputs and on their images. A non-finite residual (overflow in W x) is
-    kept as the maximum and fails.
+    inputs and on their images. Column c of a block replays element
+    g[c // trials]. The inputs' images are one scatter at flat positions
+    c * n + g_c(i). The outputs' are one take of rows of trials values: row
+    g_a(i) * k + a of the (m * k) x trials view holds f(g . x)[g_a(i)] for
+    element g[a]. The int64 index arrays hold at most one cell per float
+    cell, so the cell bound covers them too. A non-finite residual (overflow
+    in W x) is kept as the maximum and fails.
     """
     if trials < 0:
         raise LayerError("trials must be >= 0")
@@ -194,29 +205,32 @@ def _verify(
     if seed < 0:
         raise LayerError("seed must be >= 0")
     n_gens, m_gens = joint.n_action._generator_rows, joint.m_action._generator_rows
-    exact_pass = all(
-        matrix_commutes(w_exact, permcore.perm(gn), permcore.perm(gm))
-        for gn, gm in zip(n_gens.tolist(), m_gens.tolist())
-    )
+    exact_pass = all(matrix_commutes(w_exact, gn, gm) for gn, gm in zip(n_gens, m_gens))
 
     n_table, m_table = joint.n_action._table, joint.m_action._table
     m_size, n_size = w_exact.shape
     ids = joint._element_ids
-    block = max(1, _FLOAT_BATCH_CELLS // (max(1, trials) * widest))
+    block = max(1, _FLOAT_BATCH_CELLS // (max(1, trials) * max(1, widest)))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for lo in range(0, len(ids), block):
         g = ids[lo:lo + block]
         k = len(g)
-        x = rng.integers(-9, 10, size=(k, trials, n_size)).astype(float)
-        # (g . x)[g(i)] = x[i], so (g . x)[j] = x[g^-1(j)]: the argsort of a row is its inverse
-        gx = np.take_along_axis(x, np.argsort(n_table[g], axis=1)[:, None, :], axis=2)
-        fx = apply(x.reshape(k * trials, n_size).T).reshape(m_size, k, trials)
-        fgx = apply(gx.reshape(k * trials, n_size).T).reshape(m_size, k, trials)
-        # f(x)[i] is compared with f(g . x)[g(i)]
-        moved = np.take_along_axis(fgx, m_table[g].T[:, :, None], axis=0)
+        cols = k * trials
+        x = rng.integers(-9, 10, size=(cols, n_size)).astype(float)
+        # (g . x)[g(i)] = x[i]: one scatter into the flat cols x n rows
+        gx = np.empty_like(x)
+        at = np.arange(cols).reshape(k, trials, 1) * n_size + n_table[g][:, None, :]
+        gx.ravel()[at.ravel()] = x.ravel()
+        fx = apply(x.T)
+        # f(x)[i] is compared with f(g . x)[g(i)]: one take of the m x k rows of
+        # trials outputs, row g(i) * k + a for element g[a]
+        fgx = apply(gx.T).reshape(m_size * k, trials)
+        diff = fgx.take(m_table[g].T * k + np.arange(k), axis=0).reshape(m_size, cols)
+        np.subtract(fx, diff, out=diff)
+        np.abs(diff, out=diff)
         # np.maximum keeps NaN, Python max drops it
-        worst = np.maximum(worst, np.max(np.abs(fx - moved), initial=0.0))
+        worst = np.maximum(worst, np.max(diff, initial=0.0))
     max_residual = float(worst)
     return EquivarianceReport(
         tested_elements=joint.joint_order,

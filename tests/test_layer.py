@@ -1,8 +1,12 @@
+import functools
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from eqtie import designs, layer, permcore as pc
@@ -139,11 +143,15 @@ class TestCheckEquivariance:
         calls = []
         commutes = layer.matrix_commutes
         monkeypatch.setattr(
-            layer, "matrix_commutes", lambda w, gn, gm: calls.append(gn) or commutes(w, gn, gm)
+            layer, "matrix_commutes",
+            lambda w, gn, gm: calls.append((gn, gm)) or commutes(w, gn, gm),
         )
         report = layer.check_equivariance(tied, joint, trials=1)
         assert report.exact_pass and report.tested_elements == 120
-        assert calls == list(joint.group.generators)
+        # the generator pairs' int rows, in order: no Permutation is built
+        assert all(isinstance(row, np.ndarray) for pair in calls for row in pair)
+        gens = [list(g.images) for g in joint.group.generators]
+        assert [(gn.tolist(), gm.tolist()) for gn, gm in calls] == [(g, g) for g in gens]
         calls.clear()
         report = layer.compose_layers(tied, tied, joint, joint, trials=1)
         assert report.exact_pass and len(calls) == len(joint.group.generator_ids) == 2
@@ -163,6 +171,7 @@ class TestCheckEquivariance:
                 oracles.permutation_matrix(gm) @ w, w @ oracles.permutation_matrix(gn)
             )
             assert layer.matrix_commutes(w, gn, gm) == literal
+            assert layer.matrix_commutes(w, np.array(gn.images), np.array(gm.images)) == literal
             assert oracles.commutes_exactly(w, gn.images, gm.images) == literal
 
 
@@ -376,6 +385,22 @@ class TestFloatRouteOracle:
         rep = layer.compose_layers(tied, second, reverse_conv, swapped, trials=0)
         assert rep.trials == 0 and rep.max_residual == 0.0
 
+    @pytest.mark.parametrize("trials", [0, 1, 8])
+    def test_zero_point_layers(self, trials):
+        # 0 x 0 layers: blocks are sized as if one point wide, and the one
+        # joint element replays empty vectors
+        g = pc.close_generators(pc.symmetric_generators(3))
+        empty = pc.trivial_action(g, 0)
+        joint = pc.joint_action(empty, empty)
+        tied = layer.tied_layer_from_structure(designs.dense_design(joint))
+        assert (tied.n_size, tied.m_size) == (0, 0)
+        for rep in (
+            layer.check_equivariance(tied, joint, trials=trials),
+            layer.compose_layers(tied, tied, joint, joint, trials=trials),
+        ):
+            assert rep.passed and rep.exact_pass and rep.max_residual == 0.0
+            assert rep.tested_elements == joint.joint_order and rep.trials == trials
+
     def test_negative_trials_rejected(self, rc_layer, reverse_conv):
         with pytest.raises(LayerError, match="trials must be >= 0"):
             layer.check_equivariance(rc_layer, reverse_conv, trials=-3)
@@ -405,6 +430,83 @@ class TestFloatRouteOracle:
         rep = layer.compose_layers(rc_layer, second, reverse_conv, swapped, trials=2,
                                    tolerance=0.0)
         assert rep.tolerance == 0.0 and rep.passed
+
+
+@functools.cache
+def small_group_actions(kind, n):
+    """A small group's natural and regular actions, and its trivial actions on 1-3 points."""
+    g = pc.close_generators(getattr(pc, f"{kind}_generators")(n))
+    trivial = tuple(pc.trivial_action(g, size) for size in (1, 2, 3))
+    return pc.natural_action(g), pc.regular_action(g), trivial
+
+
+SMALL_GROUPS = [("cyclic", n) for n in range(2, 7)] + [
+    ("dihedral", n) for n in (3, 4, 5)
+] + [("symmetric", n) for n in (2, 3, 4)]
+
+
+def perturbed_dense_layer(draw, joint):
+    """The dense layer of ``joint``, maybe with one extra color on a drawn cell."""
+    s = designs.dense_design(joint)
+    if draw(st.booleans()):
+        cell = (draw(st.integers(0, s.n_size - 1)), draw(st.integers(0, s.m_size - 1)))
+        extra = Relation(s.base_color_count + 1, [cell], {"kind": "dense", "representative": cell})
+        s = SharingStructure(s.n_size, s.m_size, s.relations + (extra,))
+    sigma = draw(st.sampled_from([layer.IDENTITY, layer.leaky(0.5)]))
+    return layer.tied_layer_from_structure(s, nonlinearity=sigma)
+
+
+@st.composite
+def replay_stacks(draw, depth):
+    """``depth`` perturbed dense layers over drawn actions of one small group."""
+    natural, regular, trivial = small_group_actions(*draw(st.sampled_from(SMALL_GROUPS)))
+    # one trivial choice in three: a trivial side hides which element a column replays
+    action = st.one_of(st.just(natural), st.just(regular), st.sampled_from(trivial))
+    chain = draw(st.lists(action, min_size=depth + 1, max_size=depth + 1))
+    joints = [pc.joint_action(a, b) for a, b in zip(chain, chain[1:])]
+    return chain, joints, [perturbed_dense_layer(draw, j) for j in joints]
+
+
+def same_float(a, b):
+    """Bitwise-equal floats, with NaN equal to NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+# the default first: hypothesis leans to the first choice, and only blocks of
+# several elements mix elements and trials in one index array
+REPLAY_CELLS = st.sampled_from([layer._FLOAT_BATCH_CELLS, 1, 7])
+
+
+@settings(max_examples=200, deadline=None)
+@given(replay_stacks(1), st.integers(0, 8), st.integers(0, 500), REPLAY_CELLS)
+def test_replay_matches_the_per_trial_oracle(stack, trials, seed, cells):
+    _, (joint,), (tied,) = stack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layer, "_FLOAT_BATCH_CELLS", cells)
+        rep = layer.check_equivariance(tied, joint, trials=trials, seed=seed)
+    pairs = [(gn.images, gm.images) for gn, gm in joint.joint_elements]
+    expected = oracles.float_residual_per_trial(
+        lambda x: layer.forward(tied, x), pairs, tied.n_size, trials, seed
+    )
+    assert same_float(rep.max_residual, expected)
+    assert rep.tested_elements == len(pairs) and rep.trials == trials
+
+
+@settings(max_examples=150, deadline=None)
+@given(replay_stacks(2), st.integers(0, 8), st.integers(0, 500), REPLAY_CELLS)
+def test_stack_replay_matches_the_per_trial_oracle(stack, trials, seed, cells):
+    (n_action, _, o_action), (joint_nm, joint_mo), (first, second) = stack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layer, "_FLOAT_BATCH_CELLS", cells)
+        rep = layer.compose_layers(first, second, joint_nm, joint_mo, trials=trials, seed=seed)
+    pairs = oracles.distinct_pairs(
+        [g.images for g in n_action.images], [g.images for g in o_action.images]
+    )
+    expected = oracles.float_residual_per_trial(
+        lambda x: layer.forward(second, layer.forward(first, x)), pairs, first.n_size, trials, seed
+    )
+    assert same_float(rep.max_residual, expected)
+    assert rep.tested_elements == len(pairs) and rep.trials == trials
 
 
 class TestWeightCache:

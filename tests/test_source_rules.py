@@ -211,3 +211,18 @@ def test_search_builds_no_transversal():
     )
     assert names_read(search, TRANSVERSAL_NAMES) == []
     assert names_read(tree, TRANSVERSAL_NAMES) != []  # the rule sees the listing's use
+
+
+# the float replay permutes by one flat scatter and one flat take: no inverse
+# rows and no broadcast index per element
+REPLAY_NAMES = {"argsort", "take_along_axis"}
+
+
+def test_replay_sorts_no_rows_and_broadcasts_no_index():
+    tree = ast.parse((PACKAGE / "layer.py").read_text())
+    verify = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_verify"
+    )
+    assert names_read(verify, REPLAY_NAMES) == []
+    assert names_read(verify, {"take"}) != []  # the rule sees the replay's own calls
