@@ -168,9 +168,12 @@ def dense_design(joint: JointAction) -> SharingStructure:
 def sparse_design(joint: JointAction, genset: Sequence[int]) -> SharingStructure:
     """One color per (input orbit, output orbit, generator) triple.
 
-    ``genset`` lists element ids of the reference group; it must be symmetric
-    (closed under inverse) and generating. Edges of relation (p, q, a) are
-    {(g(a(n_p)), g(m_q))} over the whole group; relations may overlap.
+    ``genset`` lists element ids of the reference group, which number its
+    elements in the lexicographic order of their image arrays
+    (``PermutationGroup.word_ids`` gives the ids of generator words); it must
+    be symmetric (closed under inverse) and generating. Edges of relation
+    (p, q, a) are {(g(a(n_p)), g(m_q))} over the whole group; relations may
+    overlap.
 
     Uniqueness of the resulting symmetry group rests on semi-regular actions
     (every point stabilizer in G trivial, see ``permcore.classify_action``);

@@ -8,9 +8,10 @@ Conventions used across the package:
 * the action on a vector moves values onto permuted slots: ``(p . x)[p(i)] = x[i]``,
   equivalently ``(p . x)[i] = x[p^-1(i)]``.
 
-Group elements are enumerated breadth-first from the generating set, layers
-sorted lexicographically by image array, so every construction downstream
-(orbit ids, colors, exports) is reproducible.
+Group elements are numbered in the lexicographic order of their image
+arrays, the identity first. The order depends on the group alone, not on its
+generator list, so every construction downstream (orbit ids, colors, exports)
+is reproducible.
 
 Groups and actions are handled through their generators. Every order question
 is answered by a deterministic stabilizer chain over the generator rows (Sims
@@ -30,29 +31,26 @@ The read-only int tables are built on first use, from the chains. A group
 keeps the chain ``close_generators`` built for its order. Its (order x
 degree) element table lists the chain's transversal products, one gather per
 level, sorted by their images of the base points: the base points increase,
-so that is the order of the image arrays. Every product times every
-generator is found by its images of the base points in one vectorised
-lookup, which gives the Cayley right-multiplication table ``right[i, s]`` =
-index of ``elements[i]`` composed with generator s. One walk over these ids
-puts the rows in breadth-first layers, each sorted: narrow layers take one
-Python step per edge, wide ones one gather each. An action's (|G| x
-target_size) table lists the chain of its pairs (s^X, s) on the target
-points and G's base points, and the same lookup puts each image at its
-element's id; the chain ``build_action`` checked is used for that and then
-released. A natural action's table is G's own. A joint action that tells
-fewer elements apart than G has its element ids from both tables, one
-distinct row per value on its chain's base. ``elements``, ``images`` and
-``joint_elements`` are ``Permutation`` views built on first use.
+so that is the order of the image arrays, and one vectorised lookup of those
+images finds any element's id. An action's (|G| x target_size) table lists
+the chain of its pairs (s^X, s) on the target points and G's base points,
+and the same lookup puts each image at its element's id; the chain
+``build_action`` checked is used for that and then released. A natural
+action's table is G's own. A joint action that tells fewer elements apart
+than G has its element ids from both tables, one distinct row per value on
+its chain's base. ``elements``, ``images`` and ``joint_elements`` are
+``Permutation`` views built on first use.
 
 A group is always <generators>: ``close_generators`` is the one way to build
 one. An action is always its generator image rows: ``build_action`` is the one
 place that checks rows from outside, and ``natural_action``,
 ``regular_action``, ``trivial_action`` and ``designs.replicate_action`` derive
-rows that are images by construction. The element order, images and error
-texts are those of a closure with one ``compose`` per product and a per-edge
-action walk (``tests/oracles.py`` keeps both as references); rejected
-generator images take that walk over the Cayley table, which stops at the
-first failing edge and names it.
+rows that are images by construction. The elements are those of a closure
+with one ``compose`` per product, sorted, and the images and error texts
+those of a per-edge action walk (``tests/oracles.py`` keeps both as
+references); rejected generator images take that walk, a FIFO walk from the
+identity keyed by element images, which stops at the first failing edge and
+names it.
 """
 
 from __future__ import annotations
@@ -202,46 +200,35 @@ def _image_table(rows, size: int) -> np.ndarray:
 class PermutationGroup:
     """A finite permutation group: generator rows and a stabilizer chain, tables built on first use.
 
-    elements[0] is the identity; the rest follow breadth-first layers over the
-    generators, each layer sorted by image array, so the element order is a
-    deterministic function of the generator list. ``close_generators`` is the
-    one constructor's caller: it takes the distinct generator rows, their
-    element ids and the chain that gave the order. The element table, the
-    Cayley table and the element index are built on first use.
+    Element ids follow the lexicographic order of the image arrays, so
+    elements[0] is the identity and the order depends on the group alone, not
+    on its generator list. ``close_generators`` is the one constructor's
+    caller: it takes the distinct generator rows and the chain that gave the
+    order. The element table, the element index and ``generator_ids`` are
+    built on first use.
     """
 
-    def __init__(self, rows: np.ndarray, generator_ids: Sequence[int], chain: _StabilizerChain):
+    def __init__(self, rows: np.ndarray, chain: _StabilizerChain):
         self.degree = rows.shape[1]
-        self.generator_ids = tuple(generator_ids)
         self.order = chain.order
         self._chain = chain
-        # image rows of the generators, in ``generator_ids`` order
+        # image rows of the distinct generators, in ``generators`` order
         self._generator_rows = _read_only(rows)
         # id sets ``symmetrize_genset`` has shown to be inverse-closed and generating
         self._generating_sets: set[frozenset[int]] = set()
 
     @cached_property
     def _closure(self) -> _Closure:
-        """The tables of a generated group, listed from its chain and walked breadth-first.
+        """The chain's products sorted by their images of the base points, and their lookup.
 
-        The chain's products sorted by their images of the base points are the
-        elements in row order. Every product times every generator is found by
-        those images in one lookup, and one walk over these ids puts the rows
-        in breadth-first order.
+        The base points increase, and two elements that agree on b_0..b_{l-1}
+        agree on every point below b_l, so that sort is the lexicographic
+        order of the image arrays.
         """
         chain = self._chain
-        base = np.array(chain.base, dtype=np.intp)
         listing = _transversal_products(chain.transversals, np.arange(self.degree)[None, :])
-        lookup = _BaseLookup(listing, base, chain.orbit_lengths)
-        # (p s)(b) = p(s(b)): a product's base images are columns s(b) of p's row
-        columns = self._generator_rows[:, base]
-        images = listing[:, columns].reshape(len(listing) * len(columns), len(base))
-        right = lookup(images).reshape(len(listing), len(columns))[lookup.order]
-        order = _breadth_first(right)
-        ids = np.empty_like(order)
-        ids[order] = np.arange(len(order))
-        table = _read_only(listing[lookup.order[order]])
-        return _Closure(table, _read_only(ids[right[order]]), lookup, ids)
+        lookup = _BaseLookup(listing, np.array(chain.base, dtype=np.intp), chain.orbit_lengths)
+        return _Closure(_read_only(listing[lookup.order]), lookup)
 
     @cached_property
     def _table(self) -> np.ndarray:
@@ -249,7 +236,28 @@ class PermutationGroup:
 
     def _ids(self, base_images: np.ndarray) -> np.ndarray:
         """Element ids of the elements with these images of the chain's base points, one per row."""
-        return self._closure.ids[self._closure.lookup(base_images)]
+        return self._closure.lookup(base_images)
+
+    def word_ids(self, words: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """Element ids of words in the generators, one per word; the empty word is the identity.
+
+        Letter s names ``generators[s]``, and the word [s_0, ..., s_k] is the
+        product g_{s_0} ... g_{s_k}, g_{s_k} applied first. A word is applied
+        to the chain's base points alone, and all words are found in one lookup.
+        """
+        base = np.array(self._chain.base, dtype=np.intp)
+        images = np.empty((len(words), len(base)), dtype=np.intp)
+        for k, word in enumerate(words):
+            points = base
+            for s in reversed(word):
+                points = self._generator_rows[s, points]
+            images[k] = points
+        return tuple(self._ids(images).tolist())
+
+    @cached_property
+    def generator_ids(self) -> tuple[int, ...]:
+        """Element ids of the distinct generators, in ``generators`` order."""
+        return self.word_ids([[s] for s in range(len(self._generator_rows))])
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
@@ -273,11 +281,6 @@ class PermutationGroup:
         # the inverse sends b to the position of b in the row: its base images
         return int(self._ids(np.argsort(self._table[i])[None, self._chain.base])[0])
 
-    @cached_property
-    def _cayley_right(self) -> np.ndarray:
-        """right[i, t] = index of elements[i] composed with generators[t] (generator first)."""
-        return self._closure.right
-
     @property
     def generators(self) -> tuple[Permutation, ...]:
         return tuple(perm(row) for row in self._generator_rows.tolist())
@@ -297,16 +300,10 @@ class PermutationGroup:
 
 
 class _Closure(NamedTuple):
-    """A group's tables: elements, Cayley right table, and the lookup by base images.
-
-    ``lookup`` gives positions in base-image order, and ``ids`` maps them to
-    element ids.
-    """
+    """A group's element table and the lookup of its rows by base images."""
 
     table: np.ndarray
-    right: np.ndarray
     lookup: _BaseLookup
-    ids: np.ndarray
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -591,62 +588,11 @@ class _BaseLookup:
         return np.zeros(len(images), dtype=np.intp) if rank is None else rank
 
 
-# Layers with at most this many edges are walked one Python step per edge;
-# wider layers take one gather each.
-_NARROW_LAYER_EDGES = 64
-
-
-def _breadth_first(right: np.ndarray) -> np.ndarray:
-    """The elements of a Cayley right table from element 0, layer by layer, each layer sorted.
-
-    Layer l holds the elements at distance l from element 0 in the Cayley
-    graph, element 0 alone at layer 0.
-    """
-    n, count = right.shape
-    seen = bytearray(n)
-    seen[0] = 1
-    entry = None  # entry[x]: the first edge of x's layer reaching x, made at the first wide layer
-    order = np.zeros(n, dtype=np.intp)
-    heads, kids = memoryview(right.ravel()), memoryview(order)
-    lo, hi = 0, 1  # the layer being expanded
-    while lo < hi:
-        k = hi
-        if (hi - lo) * count > _NARROW_LAYER_EDGES:  # one gather of the layer's edges
-            if entry is None:
-                reached, entry = np.frombuffer(seen, dtype=bool), np.full(n, n * count)
-            edges = right[order[lo:hi]].ravel()
-            fresh = np.flatnonzero(~reached[edges])
-            np.minimum.at(entry, edges[fresh], fresh)
-            layer = np.sort(edges[fresh[entry[edges[fresh]] == fresh]])
-            k += len(layer)
-            order[hi:k] = layer
-            reached[layer] = True
-            lo, hi = hi, k
-        else:  # one Python step per edge, layer after layer while they stay narrow
-            i = lo
-            while lo < hi and (hi - lo) * count <= _NARROW_LAYER_EDGES:
-                p = kids[i]
-                for s in range(count):
-                    h = heads[p * count + s]
-                    if not seen[h]:
-                        seen[h] = 1
-                        kids[k] = h
-                        k += 1
-                i += 1
-                if i == hi:
-                    if k - hi > 1:
-                        order[hi:k].sort()
-                    lo, hi = hi, k
-    return order
-
-
 def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
     """The group generated by a generator list; its elements are listed on first use.
 
-    The order comes from a stabilizer chain, which the group keeps. The
-    generator ids are those of the breadth-first closure: the identity is
-    element 0, and the distinct non-identity generators make up layer 1,
-    sorted by image array.
+    The order comes from a stabilizer chain, which the group keeps. Repeated
+    generators are kept once, at their first occurrence.
 
     Raises GroupError when the group has more than ``cap`` elements.
     """
@@ -659,16 +605,12 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
         if g.degree != degree:
             raise GroupError(f"degree mismatch among generators: {g.degree} != {degree}")
 
-    # repeated generators add no products; the first occurrence fixes the order
     unique = list(dict.fromkeys(g.images for g in gens))
     rows = _read_only(np.array(unique, dtype=np.intp).reshape(len(unique), degree))
     chain = _StabilizerChain(rows, limit=cap)
     if chain.order > cap:
         raise GroupError(f"order cap exceeded: closure has more than {cap} elements; raise the cap")
-    ident = tuple(range(degree))
-    layer = sorted(row for row in unique if row != ident)
-    gen_ids = [0 if row == ident else 1 + layer.index(row) for row in unique]
-    return PermutationGroup(rows, gen_ids, chain)
+    return PermutationGroup(rows, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +755,7 @@ class ActionProfile:
 class GroupAction:
     """One permutation of the target set per group element, homomorphically.
 
-    An action is its generator image rows, in ``group.generator_ids`` order,
+    An action is its generator image rows, in ``group.generators`` order,
     which its builders know to extend to a homomorphism: ``build_action``
     checks rows from outside, the others derive them. The pairs (s^X, s)
     generate a copy of G, the graph of the action; the (|G| x target_size)
@@ -872,22 +814,25 @@ class GroupAction:
 def _first_failing_edge(group: PermutationGroup, gen_table: np.ndarray) -> str:
     """The error text of images that are no homomorphism: the first Cayley edge they break.
 
-    A FIFO walk from the identity over the Cayley table: each edge (x, s)
-    either gives x . g_s the image img(x) . img(g_s), or must agree with the
-    image it already has. The first edge that disagrees names x . g_s.
+    A FIFO walk from the identity over the Cayley graph, keyed by element
+    images: each edge (x, s) either gives x . g_s the image img(x) . img(g_s),
+    or must agree with the image it already has. The first edge that
+    disagrees names x . g_s.
     """
-    right = group._cayley_right.tolist()
-    gens = list(map(tuple, gen_table.tolist()))
-    img = {0: tuple(range(gen_table.shape[1]))}
-    queue = [0]
+    gens = list(map(tuple, group._generator_rows.tolist()))
+    targets = list(map(tuple, gen_table.tolist()))
+    ident = tuple(range(group.degree))
+    img = {ident: tuple(range(gen_table.shape[1]))}
+    queue = [ident]
     for x in queue:  # the queue grows as the walk reaches new elements
-        for y, g in zip(right[x], gens):
-            cand = _compose_tuple(img[x], g)
+        for g, t in zip(gens, targets):
+            y = _compose_tuple(x, g)
+            cand = _compose_tuple(img[x], t)
             if y not in img:
                 img[y] = cand
                 queue.append(y)
             elif img[y] != cand:
-                name = format_cycles(perm(group._table[y].tolist()))
+                name = format_cycles(perm(y))
                 return f"inconsistent action: element {name} receives two distinct images"
     raise AssertionError("images rejected by the order test satisfy every Cayley edge")
 
@@ -902,9 +847,9 @@ def build_action(
     exactly when the pairs (s, s^X) generate a group no larger than G;
     rejected images raise GroupError naming the first Cayley edge they break.
     """
-    gen_ids = group.generator_ids
-    if len(gen_images) != len(gen_ids):
-        raise GroupError(f"need {len(gen_ids)} generator images, got {len(gen_images)}")
+    count = len(group._generator_rows)
+    if len(gen_images) != count:
+        raise GroupError(f"need {count} generator images, got {len(gen_images)}")
     gen_table = _image_table(gen_images, target_size)
     # the target points come first, so the chain's levels on them measure the image
     pairs = np.hstack([gen_table, group._generator_rows + target_size])
@@ -925,7 +870,11 @@ def natural_action(group: PermutationGroup) -> GroupAction:
 
 
 def regular_action(group: PermutationGroup) -> GroupAction:
-    """The group acting on its own element indices by left multiplication."""
+    """The group acting on its own element ids by left multiplication.
+
+    The points are element ids, in the lexicographic order of the image
+    arrays: for Z_n with its one n-cycle generator s, point k is s^k.
+    """
     table = [[group.mul(i, j) for j in range(group.order)] for i in range(group.order)]
     table = _read_only(np.array(table, dtype=np.intp))
     action = GroupAction(group, group.order, table[list(group.generator_ids)])
@@ -934,7 +883,7 @@ def regular_action(group: PermutationGroup) -> GroupAction:
 
 
 def trivial_action(group: PermutationGroup, target_size: int) -> GroupAction:
-    rows = np.tile(np.arange(target_size), (len(group.generator_ids), 1))
+    rows = np.tile(np.arange(target_size), (len(group._generator_rows), 1))
     return GroupAction(group, target_size, rows)
 
 

@@ -163,8 +163,8 @@ def parse_spec(text: str) -> ProblemSpec:
     except permcore.GroupError as exc:
         raise SpecError("$.group", str(exc).replace("the cap", "the spec's order_cap")) from None
 
-    # a listed generator's row, which is also its Cayley column; repeats share one
-    slot = {row: s for s, row in enumerate(map(tuple, group._generator_rows.tolist()))}
+    # a listed generator's place among the group's distinct generators; repeats share one
+    slot = {g.images: s for s, g in enumerate(group.generators)}
     column = [slot[g.images] for g in generators]
     n_action = _parse_action(doc["n_action"], "$.n_action", group, column)
     m_action = _parse_action(doc["m_action"], "$.m_action", group, column)
@@ -180,20 +180,16 @@ def parse_spec(text: str) -> ProblemSpec:
         raw = doc["genset"]
         if not isinstance(raw, list) or not raw:
             raise SpecError("$.genset", "expected a non-empty list of generator words")
-        right = group._cayley_right
-        ids = set()
         for i, word in enumerate(raw):
             if not isinstance(word, list):
                 raise SpecError(f"$.genset[{i}]", "expected a list of generator indices")
-            element = 0
             for j, g in enumerate(word):
                 if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < len(generators):
                     raise SpecError(
                         f"$.genset[{i}][{j}]",
                         f"expected a generator index in 0..{len(generators) - 1}",
                     )
-                element = int(right[element, column[g]])
-            ids.add(element)
+        ids = set(group.word_ids([[column[g] for g in word] for word in raw]))
         try:
             symmetric = permcore.symmetrize_genset(group, ids)
         except permcore.GroupError as exc:

@@ -3,12 +3,12 @@ import json
 import math
 import random
 import time
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -887,3 +887,67 @@ class TestPastAMachineWord:
         s = layer.graph_conv_structure(adjacency)
         res = assert_matches_frozenset_search(s, node_budget=140)
         assert res.order == 2
+
+
+REGULAR_GROUPS = {
+    **{f"Z{n}": pc.cyclic_generators(n) for n in range(2, 9)},
+    "V4": pc.direct_product_generators(pc.cyclic_generators(2), pc.cyclic_generators(2)),
+    "S3": pc.symmetric_generators(3),
+    "D4": pc.dihedral_generators(4),
+    "D5": pc.dihedral_generators(5),
+    "Z4xZ4": pc.direct_product_generators(pc.cyclic_generators(4), pc.cyclic_generators(4)),
+}
+
+
+@cache
+def regular_joint(name):
+    """G acting regularly, by left multiplication on its element ids, on both sides."""
+    regular = pc.regular_action(pc.close_generators(REGULAR_GROUPS[name]))
+    return pc.joint_action(regular, regular)
+
+
+@cache
+def regular_aut_order(name, genset):
+    """|Aut| of the sparse design over ``regular_joint(name)``: brute force up to |G| = 6."""
+    joint = regular_joint(name)
+    s = designs.sparse_design(joint, genset)
+    if joint.group.order <= 6:
+        return len(oracles.brute_force_automorphisms(s))
+    return autsearch.enumerate_automorphisms(s, node_budget=s.n_size + s.m_size).order
+
+
+def predicted_aut_order(group, genset):
+    """r! |H|^r, where H = <A A> and r = [G : H]."""
+    elements = group.elements
+    products = [pc.compose(elements[a], elements[b]) for a in genset for b in genset]
+    h = pc.close_generators(products).order
+    r = group.order // h
+    return math.factorial(r) * h**r
+
+
+class TestRegularActionTheorem:
+    """Regular actions on both sides and a symmetric generating A: |Aut| = r! |H|^r."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([name for name in REGULAR_GROUPS if name != "Z4xZ4"]), st.data())
+    def test_aut_order(self, name, data):
+        group = regular_joint(name).group
+        drawn = data.draw(st.sets(st.integers(1, group.order - 1), min_size=1, max_size=3))
+        try:
+            genset = pc.symmetrize_genset(group, drawn)
+        except pc.GroupError:  # A does not generate G
+            assume(False)
+        assert regular_aut_order(name, genset) == predicted_aut_order(group, genset)
+
+    def test_z2(self):
+        """A = {s}: H = <s s> is trivial and r = 2, so |Aut| = 2! = |G|."""
+        group = regular_joint("Z2").group
+        assert group.generator_ids == (1,)
+        assert predicted_aut_order(group, (1,)) == regular_aut_order("Z2", (1,)) == 2
+
+    def test_even_torus(self):
+        """Z4 x Z4 with A = {s, t}^{+-1}: the 4 x 4 torus is bipartite, so r = 2 and |Aut| = 2 * 8^2."""
+        group = regular_joint("Z4xZ4").group
+        genset = pc.symmetrize_genset(group, group.generator_ids)
+        assert len(genset) == 4
+        assert predicted_aut_order(group, genset) == regular_aut_order("Z4xZ4", genset) == 128

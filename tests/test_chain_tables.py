@@ -1,11 +1,10 @@
 """Element and action tables listed from stabilizer chains, against the per-element references.
 
-A group's element table and Cayley right table come from its chain's
-transversal products, found by their images of the base points; an action's
-table comes from the chain of its pairs (s^X, s). Each is compared with the
-breadth-first references in ``oracles.py``: a closure with one ``compose``
-per product, a Cayley table built from it, and a per-edge action walk, whose
-error texts rejected images must also give. The cases cover repeated and
+A group's element table comes from its chain's transversal products, sorted
+and found by their images of the base points; an action's table comes from
+the chain of its pairs (s^X, s). Each is compared with the references in
+``oracles.py``: a closure with one ``compose`` per product, sorted, and a
+per-edge action walk, whose error texts rejected images must also give. The cases cover repeated and
 identity generators, degrees on both sides of 15 and of 256 (the chain's
 byte and array routes; a pair chain of more than 256 points takes the
 array route too) and a base long enough that the lookup splits its keys
@@ -16,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import random
 from pathlib import Path
 
@@ -91,20 +91,6 @@ class TestGroupTables:
         # byte rows are listed as ints: a table adds offsets past 255 without wrapping
         assert group._table.dtype == np.intp
         assert all(t.dtype == np.intp for t in group._chain.transversals)
-
-    def test_cayley_right_and_tree(self, case):
-        """The right table, and ids that grow with distance from the identity along it."""
-        _, _, group, elements, gen_ids = case
-        right = group._cayley_right.tolist()
-        assert right == oracles.cayley_right_per_element(elements, gen_ids)
-        depth, queue = {0: 0}, [0]
-        for x in queue:  # a breadth-first walk of the table's spanning tree
-            for y in right[x]:
-                if y not in depth:
-                    depth[y] = depth[x] + 1
-                    queue.append(y)
-        assert sorted(depth) == list(range(group.order))
-        assert [depth[i] for i in range(group.order)] == sorted(depth.values())
 
     def test_inverses(self, case):
         _, _, group, elements, _ = case
@@ -189,21 +175,6 @@ def test_transversal_products_read_only_the_chosen_columns():
     assert np.array_equal(paired[1::2], full[:, starts[1]])
 
 
-LAYER_WIDTHS = pytest.mark.parametrize(
-    "narrow", [0, 10_000], ids=["every-layer-gathered", "every-layer-in-python"]
-)
-
-
-@LAYER_WIDTHS
-def test_walk_is_the_same_at_any_layer_width(narrow, monkeypatch):
-    gens = pc.symmetric_generators(5)
-    elements, gen_ids = oracles.closure_per_element(gens)
-    monkeypatch.setattr(pc, "_NARROW_LAYER_EDGES", narrow)
-    group = pc.close_generators(gens)
-    assert group._table.tolist() == [list(p.images) for p in elements]
-    assert group._cayley_right.tolist() == oracles.cayley_right_per_element(elements, gen_ids)
-
-
 def error_texts(group, gen_images, target_size):
     """The GroupError texts of ``build_action`` and of the per-edge reference walk."""
     texts = []
@@ -239,11 +210,9 @@ class TestErrorWalk:
             named.add(built.split()[3])
         assert named - {"()"}, "every conflict was at the identity"
 
-    @LAYER_WIDTHS
-    def test_the_same_at_any_layer_width(self, narrow, monkeypatch):
-        monkeypatch.setattr(pc, "_NARROW_LAYER_EDGES", narrow)
+    def test_random_images_on_s5(self):
         group = pc.close_generators(pc.symmetric_generators(5))
-        rng = random.Random(narrow)
+        rng = random.Random(0)
         for _ in range(10):
             images = [Permutation(tuple(rng.sample(range(6), 6))) for _ in group.generator_ids]
             built, walked = error_texts(group, images, 6)
@@ -278,6 +247,28 @@ def test_sparse_z240_never_builds_the_tuple_index(monkeypatch, tmp_path):
     structure = specio.build_structure(specio.parse_spec(path.read_text()))
     assert structure.base_color_count > 0
     assert run_cli(["design", "--spec", str(path), "--dot", str(tmp_path / "g.dot")]) == 0
+
+
+DENSE_SPECS = sorted(
+    path.stem for path in CORPUS.glob("*.json") if json.loads(path.read_text())["design"] == "dense"
+)
+
+
+@pytest.mark.parametrize(
+    "command", [["group", "info"], ["design"], ["certify", "unique"]],
+    ids=["group_info", "design", "certify"],
+)
+@pytest.mark.parametrize("spec", DENSE_SPECS)
+def test_dense_paths_list_no_element(spec, command, monkeypatch):
+    """A dense spec's parse, design and certificate read generators and chains, never G's table."""
+    argv = command + ["--spec", str(CORPUS / f"{spec}.json")]
+    expected = run_cli(argv)
+
+    def refuse(self):
+        raise AssertionError("the group's elements were listed")
+
+    monkeypatch.setattr(pc.PermutationGroup, "_closure", property(refuse))
+    assert run_cli(argv) == expected
 
 
 COMMANDS = {"group_info": ["group", "info"], "design": ["design"], "check": ["check", "equivariance"]}

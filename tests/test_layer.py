@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -453,7 +453,21 @@ def perturbed_dense_layer(draw, joint):
         extra = Relation(s.base_color_count + 1, [cell], {"kind": "dense", "representative": cell})
         s = SharingStructure(s.n_size, s.m_size, s.relations + (extra,))
     sigma = draw(st.sampled_from([layer.IDENTITY, layer.leaky(0.5)]))
-    return layer.tied_layer_from_structure(s, nonlinearity=sigma)
+    # weights near 1e308 overflow W x, so the replay meets inf and NaN residuals too
+    theta = layer.first_primes(s.color_matrix.base_color_count)
+    if draw(st.booleans()):
+        theta = theta / theta.max(initial=1) * 1e308
+    with np.errstate(over="ignore"):  # a merged cell's weights may sum past 1e308
+        return layer.tied_layer_from_structure(s, theta, nonlinearity=sigma)
+
+
+@functools.cache
+def overflowing_s3_stack(depth):
+    """``depth`` dense layers over S3's natural action, every weight 1e308."""
+    natural = small_group_actions("symmetric", 3)[0]
+    joint = pc.joint_action(natural, natural)
+    tied = layer.tied_layer_from_structure(designs.dense_design(joint), np.array([1e308, 1e308]))
+    return [natural] * (depth + 1), [joint] * depth, [tied] * depth
 
 
 @st.composite
@@ -479,32 +493,37 @@ REPLAY_CELLS = st.sampled_from([layer._FLOAT_BATCH_CELLS, 1, 7])
 
 @settings(max_examples=200, deadline=None)
 @given(replay_stacks(1), st.integers(0, 8), st.integers(0, 500), REPLAY_CELLS)
+@example(overflowing_s3_stack(1), 2, 0, layer._FLOAT_BATCH_CELLS)
 def test_replay_matches_the_per_trial_oracle(stack, trials, seed, cells):
     _, (joint,), (tied,) = stack
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(layer, "_FLOAT_BATCH_CELLS", cells)
         rep = layer.check_equivariance(tied, joint, trials=trials, seed=seed)
     pairs = [(gn.images, gm.images) for gn, gm in joint.joint_elements]
-    expected = oracles.float_residual_per_trial(
-        lambda x: layer.forward(tied, x), pairs, tied.n_size, trials, seed
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = oracles.float_residual_per_trial(
+            lambda x: layer.forward(tied, x), pairs, tied.n_size, trials, seed
+        )
     assert same_float(rep.max_residual, expected)
     assert rep.tested_elements == len(pairs) and rep.trials == trials
 
 
 @settings(max_examples=150, deadline=None)
 @given(replay_stacks(2), st.integers(0, 8), st.integers(0, 500), REPLAY_CELLS)
+@example(overflowing_s3_stack(2), 2, 0, layer._FLOAT_BATCH_CELLS)
 def test_stack_replay_matches_the_per_trial_oracle(stack, trials, seed, cells):
     (n_action, _, o_action), (joint_nm, joint_mo), (first, second) = stack
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(layer, "_FLOAT_BATCH_CELLS", cells)
         rep = layer.compose_layers(first, second, joint_nm, joint_mo, trials=trials, seed=seed)
     pairs = oracles.distinct_pairs(
         [g.images for g in n_action.images], [g.images for g in o_action.images]
     )
-    expected = oracles.float_residual_per_trial(
-        lambda x: layer.forward(second, layer.forward(first, x)), pairs, first.n_size, trials, seed
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = oracles.float_residual_per_trial(
+            lambda x: layer.forward(second, layer.forward(first, x)),
+            pairs, first.n_size, trials, seed,
+        )
     assert same_float(rep.max_residual, expected)
     assert rep.tested_elements == len(pairs) and rep.trials == trials
 

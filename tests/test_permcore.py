@@ -301,13 +301,14 @@ class TestTableClosureAndAction:
             assert not isinstance(expected, str)
 
     def test_closure_order_with_images_past_255(self):
-        # one layer holds (0 1) and (0 256): their images differ first at 1 vs 256
+        # (0 1) and (0 256) differ first at 1 vs 256, and (1 256) fixes 0: it sorts first
         gens = [pc.parse_cycles("(0 256)", 257), pc.parse_cycles("(0 1)", 257)]
         group = pc.close_generators(gens)
         elements, gen_ids = oracles.closure_per_element(gens)
         assert group.order == 6
         assert group.elements == tuple(elements)
-        assert group.generator_ids == tuple(gen_ids) == (2, 1)
+        assert group.generator_ids == tuple(gen_ids) == (5, 2)
+        assert group.elements[1] == pc.parse_cycles("(1 256)", 257)
 
     @pytest.mark.parametrize(
         "gens, degree, images, target_size, element",
@@ -337,7 +338,7 @@ class TestTableClosureAndAction:
         trivial = pc.close_generators([pc.identity(3), pc.identity(3)])
         assert trivial.order == 1
         assert trivial.generator_ids == (0,)
-        assert trivial._cayley_right.tolist() == [[0]]
+        assert trivial._table.tolist() == [[0, 1, 2]]
         act = pc.build_action(trivial, [pc.identity(2)], 2)
         assert act.images == (pc.identity(2),)
         swap = [P(1, 0)]
@@ -350,27 +351,68 @@ class TestTableClosureAndAction:
                                                            [pc.identity(1)], 1))
         assert all(img == pc.identity(1) for img in act.images)
 
-    @pytest.mark.parametrize(
-        "gens",
-        [pc.cyclic_generators(6), pc.symmetric_generators(4), pc.wreath_generators(3, 2)],
-        ids=["z6", "s4", "s3wrs2"],
-    )
-    def test_right_table_matches_compose(self, gens):
+
+@st.composite
+def small_support_lists(draw, max_degree=9):
+    """1-3 generators of degree 1..max_degree, each moving points of one shared support of <= 6."""
+    degree = draw(st.integers(1, max_degree))
+    support = draw(st.lists(st.integers(0, degree - 1), min_size=1, max_size=6, unique=True))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        images = list(range(degree))
+        for a, b in zip(support, draw(st.permutations(support))):
+            images[a] = b
+        gens.append(Permutation(tuple(images)))
+    return gens
+
+
+def assert_order_contract(gens, other):
+    """The element order of <gens>: sorted image arrays, the identity first, from any generators.
+
+    ``other`` generates the same group from another list.
+    """
+    group = pc.close_generators(gens)
+    elements, _ = oracles.closure_per_element(gens)
+    rows = list(map(tuple, group._table.tolist()))
+    assert rows == [p.images for p in elements]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert rows[0] == tuple(range(group.degree))
+    assert np.array_equal(group._table[list(group.generator_ids)], group._generator_rows)
+    assert np.array_equal(pc.close_generators(other)._table, group._table)
+
+
+class TestElementOrder:
+    """Element ids follow the lexicographic order of the image arrays: a function of the group."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_support_lists(), st.data())
+    def test_sorted_rows_from_any_generating_list(self, gens, data):
         group = pc.close_generators(gens)
-        right = group._cayley_right
-        assert right.shape == (group.order, len(group.generator_ids))
-        for i, p in enumerate(group.elements):
-            for s, g in enumerate(group.generators):
-                assert right[i, s] == group.index_of(pc.compose(p, g))
-        elements, gen_ids = oracles.closure_per_element(gens)
-        assert right.tolist() == oracles.cayley_right_per_element(elements, gen_ids)
+        picks = data.draw(st.lists(st.integers(0, group.order - 1), max_size=3))
+        other = [group.elements[i] for i in picks] + gens[::-1]
+        assert_order_contract(gens, other)
+
+    def test_above_degree_256(self):
+        gens = [pc.parse_cycles("(0 257 299)(5 150)", 300), pc.parse_cycles("(0 150)", 300)]
+        other = [pc.compose(gens[1], gens[0]), gens[1], pc.identity(300)]
+        assert pc.close_generators(gens)._chain.narrow is False
+        assert_order_contract(gens, other)
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 120, 240])
+    def test_cyclic_element_k_is_the_kth_power(self, n):
+        """Z_n from its n-cycle s: element k is s^k, so ``regular_action`` labels point k by s^k."""
+        group = pc.close_generators(pc.cyclic_generators(n))
+        shifts = (np.arange(n)[:, None] + np.arange(n)) % n  # row k sends i to i + k
+        assert np.array_equal(group._table, shifts)
+        assert group.generator_ids == ((1,) if n > 1 else (0,))
+        assert np.array_equal(pc.regular_action(group)._table, shifts)  # s^j s^k = s^(j+k)
 
 
 class TestRowKeyBoundary:
     """Rows that first differ late keep their image-array order at degrees 14 to 17."""
 
-    # layer 1 holds (0 10)(1 13) and (0 11): their rows first differ at 10 vs 11,
-    # while the next entry (13 vs 1) would reverse the order under a too-small base
+    # (0 10)(1 13) and (0 11): their rows first differ at 10 vs 11, while the
+    # next entry (13 vs 1) would reverse the order under a too-small base
     CYCLES = ["(0 10)(1 13)", "(0 11)", "(3 12)", "(0 11)"]
 
     @pytest.mark.parametrize("degree", [14, 15, 16, 17])
@@ -381,13 +423,8 @@ class TestRowKeyBoundary:
         assert 1 < group.order < 200
         assert group.elements == tuple(elements)
         assert group.generator_ids == tuple(gen_ids)
-        index = {p: i for i, p in enumerate(elements)}
-        distinct = list(dict.fromkeys(gens))
-        assert group._cayley_right.tolist() == [
-            [index[pc.compose(p, g)] for g in distinct] for p in elements
-        ]
-        # layer 1, sorted by image array: (3 12), then (0 10)(1 13) before (0 11)
-        assert group.elements[1:4] == (gens[2], gens[0], gens[1])
+        # sorted by image array: (3 12) fixes 0, then (0 10)(1 13) before (0 11)
+        assert group.generator_ids == (12, 17, 2)
 
 
 class TestFaithfulImage:
@@ -575,7 +612,8 @@ class TestSymmetrizeGenset:
         for gen_id in s4.generator_ids:
             with pytest.raises(GroupError, match="does not generate"):
                 pc.symmetrize_genset(s4, [gen_id])
-        assert pc.symmetrize_genset(s4, s4.generator_ids) == (1, 2, 9)
+        # (0 1), (0 1 2 3) and (0 3 2 1) at their ranks in the lexicographic order of S4
+        assert pc.symmetrize_genset(s4, s4.generator_ids) == (6, 9, 18)
 
     def test_non_generating_set_raises_every_time(self, z6):
         for _ in range(2):

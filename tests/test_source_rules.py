@@ -226,3 +226,49 @@ def test_replay_sorts_no_rows_and_broadcasts_no_index():
     )
     assert names_read(verify, REPLAY_NAMES) == []
     assert names_read(verify, {"take"}) != []  # the rule sees the replay's own calls
+
+
+# retired with the breadth-first ids: element ids are the chain's sorted listing
+RETIRED_PERMCORE_NAMES = {"_breadth_first", "_NARROW_LAYER_EDGES", "_cayley_right"}
+
+
+def defined_names(tree):
+    """Every function, class and assignment target a module binds, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+    return found
+
+
+def test_permcore_keeps_no_breadth_first_walk_or_cayley_table():
+    tree = ast.parse((PACKAGE / "permcore.py").read_text())
+    assert defined_names(tree) & RETIRED_PERMCORE_NAMES == set()
+
+
+def private_group_reads(tree):
+    """(line, source) of every private attribute read off ``group`` or ``<anything>.group``."""
+    return sorted(
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and ast.unparse(node.value).split(".")[-1] == "group"
+    )
+
+
+def test_specio_reads_no_private_attribute_of_a_group():
+    """Genset words go through ``PermutationGroup.word_ids``; generators through ``generators``."""
+    assert private_group_reads(ast.parse((PACKAGE / "specio.py").read_text())) == []
+
+
+def test_retired_rules_see_their_targets():
+    source = (
+        "_NARROW_LAYER_EDGES = 64\nclass G:\n    def _cayley_right(self):\n        pass\n"
+        "r = group._cayley_right\nc = spec.group._chain\nk = group.order\nd = grouping._x\n"
+    )
+    tree = ast.parse(source)
+    assert defined_names(tree) & RETIRED_PERMCORE_NAMES == {"_NARROW_LAYER_EDGES", "_cayley_right"}
+    assert private_group_reads(tree) == [(5, "group._cayley_right"), (6, "spec.group._chain")]
