@@ -210,9 +210,13 @@ class TestErrorWalk:
             named.add(built.split()[3])
         assert named - {"()"}, "every conflict was at the identity"
 
-    def test_random_images_on_s5(self):
+    # The ids name the walk's two former layer routes; each now picks the seed of its images.
+    @pytest.mark.parametrize(
+        "seed", [0, 10_000], ids=["every-layer-gathered", "every-layer-in-python"]
+    )
+    def test_the_same_at_any_layer_width(self, seed):
         group = pc.close_generators(pc.symmetric_generators(5))
-        rng = random.Random(0)
+        rng = random.Random(seed)
         for _ in range(10):
             images = [Permutation(tuple(rng.sample(range(6), 6))) for _ in group.generator_ids]
             built, walked = error_texts(group, images, 6)
