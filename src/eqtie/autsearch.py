@@ -27,19 +27,21 @@ Every result carries one generator table at any order, two int tables (pi_N
 and pi_M rows): the kernel generators (a swap per set of equal M rows, and a
 cycle past two rows), then the strong generators. It passes one setwise
 check before the result is returned, and ``generators`` is its
-``Permutation`` view. A stabilizer chain of that table, ``_chain``, is built
-on its first read and checked to have the search's order. The elements are
-listed only when the order is at most ``element_cap``: the chain's
-transversal products are sorted and setwise checked on the first read of
-``_listed``, ``elements`` or ``pair_set()``, so a verdict that needs only
-|Aut| never lists. ``search_cap`` bounds the search-tree nodes, i.e. the
+``Permutation`` view. The group of that table, ``_group``, a
+``permcore.PermutationGroup`` like G and the joint group, is built on its
+first read and checked to have the search's order. The elements are listed
+only when the order is at most ``element_cap``: the group's sorted element
+table is setwise checked on the first read of ``_listed``, ``elements`` or
+``pair_set()``, so a verdict that needs only |Aut| never lists. This module
+reads none of a group's chain: order, membership, the table and the walk are
+the group's own. ``search_cap`` bounds the search-tree nodes, i.e. the
 accepted N assignments.
 
 ``certify_unique`` lists nothing either. Its witness at or under the cap is
 the first row of the sorted listing outside the joint group, i.e. the
-lexicographically first automorphism outside it; a depth-first walk of
-``_chain`` yields the automorphisms in that order, one at a time, and stops
-at the first one the joint group rejects.
+lexicographically first automorphism outside it; ``_group._lex_walk()``
+yields the automorphisms in that order, one at a time, and stops at the
+first one the joint group rejects.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -90,6 +92,12 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class AutomorphismResult:
+    """|Aut|, its generator table and, with a reference, the verdict.
+
+    ``_group`` is the ``PermutationGroup`` of the generator table, on N then M;
+    it answers membership, the sorted listing and the lazy walk.
+    """
+
     order: int
     # (pi_N rows, pi_M rows): kernel generators, then strong generators
     _generator_rows: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
@@ -104,26 +112,22 @@ class AutomorphismResult:
         return tuple(permcore._row_pairs(*self._generator_rows, perm))
 
     @cached_property
-    def _chain(self) -> permcore._StabilizerChain:
-        """Stabilizer chain of the generator table on N then M (M shifted by n_size)."""
+    def _group(self) -> permcore.PermutationGroup:
+        """The group of the generator table on N then M (M shifted by n_size)."""
         pns, pms = self._generator_rows
-        chain = permcore._StabilizerChain(np.hstack([pns, pms + pns.shape[1]]))
-        if chain.order != self.order:
+        group = permcore._row_group(np.hstack([pns, pms + pns.shape[1]]))
+        if group.order != self.order:
             raise AutSearchError(
-                f"internal error: the generators' chain has order {chain.order}, not {self.order}"
+                f"internal error: the generators' chain has order {group.order}, not {self.order}"
             )
-        return chain
+        return group
 
     @cached_property
     def _listed(self) -> Optional[tuple[np.ndarray, ...]]:
         """Every automorphism as sorted (pi_N rows, pi_M rows), each pair setwise checked."""
         if self._structure is None:
             return None
-        listed = permcore._transversal_products(
-            self._chain.transversals, np.arange(self._chain.degree)[None, :]
-        )
-        if len(listed) > 1:  # one row needs no sort, and a 0-node structure has no key
-            listed = listed[np.lexsort(listed.T[::-1])]
+        listed = self._group._table
         n_size = self._structure.n_size
         pns, pms = listed[:, :n_size], listed[:, n_size:] - n_size
         if not _preserves_structure(self._structure, pns, pms).all():
@@ -416,10 +420,10 @@ def certify_unique(
 
     The witness of a supergroup is the lexicographically first automorphism
     (N images, then M images) outside the joint group when |Aut| is at most
-    ``element_cap``, found by ``_lex_walk`` over the result's chain without
+    ``element_cap``, found by the lazy walk of the result's group without
     listing Aut, and the first generator outside it above the cap. Either
-    way membership is a sift through the joint group's chain, and the pair
-    passes the setwise check before it is returned.
+    way membership is a sift through the joint group, and the pair passes
+    the setwise check before it is returned.
 
     Raises when the joint elements do not preserve the colors, since every
     design in this package must embed its joint group (a broken upstream
@@ -438,11 +442,11 @@ def certify_unique(
 
     n_size = s.n_size
     if result.order <= element_cap:
-        candidates = _lex_walk(result._chain)
+        candidates = result._group._lex_walk()
     else:
         pns, pms = result._generator_rows
         candidates = map(tuple, np.hstack([pns, pms + n_size]).tolist())
-    row = next((row for row in candidates if row not in joint._chain), None)
+    row = next((row for row in candidates if row not in joint._group), None)
     witness = None
     if row is not None:
         pn, pm = row[:n_size], [v - n_size for v in row[n_size:]]
@@ -450,29 +454,3 @@ def certify_unique(
             raise AutSearchError("internal error: emitted pair fails the setwise check")
         witness = (perm(pn), perm(pm))
     return Certification("supergroup", result.order, joint.joint_order, witness)
-
-
-def _lex_walk(chain: permcore._StabilizerChain) -> Iterator[tuple[int, ...]]:
-    """Every element of the chain's group as an image tuple, in lexicographic order.
-
-    An element is u_0 u_1 ... u_{k-1}, one transversal element per level. The
-    chain's base points increase and G_l fixes every point below b_l, so the
-    elements under a prefix h = u_0 ... u_{l-1} agree below b_l and send b_l
-    to h(x), x the orbit point of u_l. Visiting each orbit in order of h(x)
-    therefore yields the elements in row order; the walk is depth-first and
-    lazy, as deep as the chain is long.
-    """
-    # (x, u) per level: u maps the level's base point to x
-    levels = [
-        list(zip(reps[:, b].tolist(), map(tuple, reps.tolist())))
-        for b, reps in zip(chain.base, chain.transversals)
-    ]
-
-    def walk(level: int, h: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if level == len(levels):
-            yield h
-            return
-        for _, u in sorted(levels[level], key=lambda xu: h[xu[0]]):
-            yield from walk(level + 1, permcore._compose_tuple(h, u))
-
-    return walk(0, tuple(range(chain.degree)))

@@ -179,10 +179,11 @@ def sparse_design(joint: JointAction, genset: Sequence[int]) -> SharingStructure
     (every point stabilizer in G trivial, see ``permcore.classify_action``);
     the structure carries a warning for each side where that fails.
     """
-    ids = sorted(set(genset))
-    symmetric = permcore.symmetrize_genset(joint.group, ids)  # raises if non-generating
-    if tuple(ids) != symmetric:
-        missing = sorted(set(symmetric) - set(ids))
+    genset = list(genset)
+    # raises on an id that is no integer in range, and on a set that does not generate
+    ids = permcore.symmetrize_genset(joint.group, genset)
+    missing = sorted(set(ids).difference(genset))
+    if missing:
         raise DesignError(f"generating set is not symmetric: missing inverse element ids {missing}")
 
     n_orbits = permcore.orbits(joint.n_action)

@@ -13,36 +13,41 @@ arrays, the identity first. The order depends on the group alone, not on its
 generator list, so every construction downstream (orbit ids, colors, exports)
 is reproducible.
 
-Groups and actions are handled through their generators. Every order question
-is answered by a deterministic stabilizer chain over the generator rows (Sims
-1970; Seress, *Permutation Group Algorithms*, ch. 4): ``close_generators``
-checks its cap against |G|, ``build_action`` accepts generator images exactly
-when |<(s, s^X)>| = |G| (the images then define a homomorphism),
-``JointAction.joint_order`` is |<(s^N, s^M)>|, and ``orbits`` and
-``classify_action`` read only the generator columns (kernel size =
-|G| / |image|; semi-regular when every orbit has |G| points). Up to degree
-256, the width of a ``bytes.translate`` table, a chain keeps each permutation
-as a ``bytes`` row: a product is one ``translate`` call, an inverse one
-``bytes.maketrans`` table, and a level's transversal one ``np.frombuffer``.
-Above 256 a level works on int arrays, and its Schreier generators are formed
-as one array per block. No element is listed for these answers.
+Groups and actions are handled through their generators. Every group the
+package forms is a ``PermutationGroup`` built by ``_row_group`` from int image
+rows, the one place a deterministic stabilizer chain is built (Sims 1970;
+Seress, *Permutation Group Algorithms*, ch. 4): G itself, whose order
+``close_generators`` checks against its cap; an action's graph, the pairs
+(s^X, s), which ``build_action`` accepts exactly when its order is |G| (the
+images then define a homomorphism); the joint group of the pairs (s^N, s^M),
+whose order is ``JointAction.joint_order``; an action's image group, whose
+order gives the kernel (|G| / |image|); the subgroup a genset generates; and
+``autsearch``'s Aut. ``orbits`` and ``classify_action`` read only the
+generator columns (semi-regular when every orbit has |G| points). Up to
+degree 256, the width of a ``bytes.translate`` table, a chain keeps each
+permutation as a ``bytes`` row: a product is one ``translate`` call, an
+inverse one ``bytes.maketrans`` table, and a level's transversal one
+``np.frombuffer``. Above 256 a level works on int arrays, and its Schreier
+generators are formed as one array per block. No element is listed for these
+answers.
 
-The read-only int tables are built on first use, from the chains. A group
-keeps the chain ``close_generators`` built for its order. Its (order x
-degree) element table lists the chain's transversal products, one gather per
-level, sorted by their images of the base points: the base points increase,
-so that is the order of the image arrays, and one vectorised lookup of those
-images finds any element's id. An action's (|G| x target_size) table lists
-the chain of its pairs (s^X, s) on the target points and G's base points,
-and the same lookup puts each image at its element's id; the chain
-``build_action`` checked is used for that and then released. A natural
-action's table is G's own. A joint action that tells fewer elements apart
-than G has its element ids from both tables, one distinct row per value on
-its chain's base. ``elements``, ``images`` and ``joint_elements`` are
-``Permutation`` views built on first use.
+A group answers everything else from its chain: membership is a sift
+(``in``), ``_products`` reads every element at chosen points, one gather per
+level, and the read-only (order x degree) table sorts those products by their
+images of the base points. The base points increase, so that is the order of
+the image arrays; ``_lex_walk`` yields the elements in the same order one at
+a time, listing none, and one vectorised lookup of base images finds any
+element's id. An action's (|G| x target_size) table reads its graph's
+products at the target points and G's base points, and the same lookup puts
+each image at its element's id; the graph ``build_action`` checked is used
+for that and then released. A natural action's table is G's own. A joint
+action that tells fewer elements apart than G has its element ids from both
+tables, one distinct row per value on its group's base. ``elements``,
+``images`` and ``joint_elements`` are ``Permutation`` views built on first
+use.
 
-A group is always <generators>: ``close_generators`` is the one way to build
-one. An action is always its generator image rows: ``build_action`` is the one
+A group is always <generators>: ``close_generators`` is the one public way to
+build one. An action is always its generator image rows: ``build_action`` is the one
 place that checks rows from outside, and ``natural_action``,
 ``regular_action``, ``trivial_action`` and ``designs.replicate_action`` derive
 rows that are images by construction. The elements are those of a closure
@@ -58,8 +63,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from operator import index, itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -200,12 +205,16 @@ def _image_table(rows, size: int) -> np.ndarray:
 class PermutationGroup:
     """A finite permutation group: generator rows and a stabilizer chain, tables built on first use.
 
-    Element ids follow the lexicographic order of the image arrays, so
-    elements[0] is the identity and the order depends on the group alone, not
-    on its generator list. ``close_generators`` is the one constructor's
-    caller: it takes the distinct generator rows and the chain that gave the
-    order. The element table, the element index and ``generator_ids`` are
-    built on first use.
+    Every group in the package is one: G, an action's graph and image, the
+    joint group, a genset's subgroup and Aut. ``_row_group`` is the one
+    constructor's caller: it takes the distinct generator rows and builds the
+    chain that gives the order. Membership is the chain's sift, and the
+    element table, sorted, its lazy walk ``_lex_walk`` and ``_products`` at
+    chosen points are read off the chain. Element ids follow the
+    lexicographic order of the image arrays, so elements[0] is the identity
+    and the order depends on the group alone, not on its generator list. The
+    element table, the element index and ``generator_ids`` are built on first
+    use.
     """
 
     def __init__(self, rows: np.ndarray, chain: _StabilizerChain):
@@ -214,8 +223,22 @@ class PermutationGroup:
         self._chain = chain
         # image rows of the distinct generators, in ``generators`` order
         self._generator_rows = _read_only(rows)
-        # id sets ``symmetrize_genset`` has shown to be inverse-closed and generating
-        self._generating_sets: set[frozenset[int]] = set()
+
+    def __contains__(self, images: tuple[int, ...]) -> bool:
+        """Whether the permutation with these images lies in the group: the chain's sift."""
+        return images in self._chain
+
+    def _products(self, points: np.ndarray) -> np.ndarray:
+        """Every element's images of ``points``, one row each, unsorted.
+
+        Row k is the product u_0 u_1 ... u_{k-1} of one transversal element
+        per level, u_0 varying slowest, read only at ``points``: one gather
+        per level.
+        """
+        rows = points[None, :]
+        for reps in reversed(self._chain.transversals):
+            rows = reps[:, rows].reshape(-1, rows.shape[1])
+        return rows
 
     @cached_property
     def _closure(self) -> _Closure:
@@ -226,9 +249,31 @@ class PermutationGroup:
         order of the image arrays.
         """
         chain = self._chain
-        listing = _transversal_products(chain.transversals, np.arange(self.degree)[None, :])
+        listing = self._products(np.arange(self.degree))
         lookup = _BaseLookup(listing, np.array(chain.base, dtype=np.intp), chain.orbit_lengths)
         return _Closure(_read_only(listing[lookup.order]), lookup)
+
+    def _lex_walk(self) -> Iterator[tuple[int, ...]]:
+        """Every element as an image tuple in ``_table``'s order, one at a time, listing none.
+
+        Under a prefix h = u_0 ... u_{l-1} the elements agree below b_l, as in
+        ``_closure``, and send b_l to h(x), x the orbit point of u_l. Visiting
+        each orbit in order of h(x) therefore yields the elements in row
+        order; the walk is depth-first and lazy, as deep as the chain is long.
+        """
+        chain = self._chain
+        # (b_l, the transversal as tuples) per level: h u sends b_l to h(u(b_l))
+        levels = list(zip(chain.base, [list(map(tuple, r.tolist())) for r in chain.transversals]))
+
+        def walk(level: int, h: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+            if level == len(levels):
+                yield h
+                return
+            b, reps = levels[level]
+            for u in sorted(reps, key=lambda u: h[u[b]]):
+                yield from walk(level + 1, _compose_tuple(h, u))
+
+        return walk(0, tuple(range(self.degree)))
 
     @cached_property
     def _table(self) -> np.ndarray:
@@ -427,11 +472,11 @@ def _schreier_rows(point: int, gens: np.ndarray, slot: np.ndarray, reps: np.ndar
 
 
 def _distinct_rows(table: np.ndarray) -> np.ndarray:
-    """The rows of an image table at their first occurrences."""
+    """The rows of an image table at their first occurrences: the table itself when all differ."""
     first: dict[bytes, int] = {}
     for pos, row in enumerate(table):
         first.setdefault(row.tobytes(), pos)
-    return table[list(first.values())]
+    return table if len(first) == len(table) else table[list(first.values())]
 
 
 class _StabilizerChain:
@@ -523,24 +568,6 @@ class _StabilizerChain:
         return images == tuple(range(self.degree))
 
 
-def _group_order(gens: np.ndarray, limit: int | None = None) -> int:
-    """|<gens>| for the generator rows ``gens``; past ``limit``, some value above it."""
-    return _StabilizerChain(gens, limit).order
-
-
-def _transversal_products(levels: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """Every product u_0 u_1 ... u_{k-1} r: one row u_l of each ``levels[l]``, then one of ``rows``.
-
-    ``levels`` are a chain's transversals as int tables. A product is read
-    only at the columns ``rows`` holds, so ``rows`` may hold chosen columns
-    of the right factor, e.g. an identity row restricted to some points.
-    One gather per level; u_0 varies slowest and the row of ``rows`` fastest.
-    """
-    for reps in reversed(levels):
-        rows = reps[:, rows].reshape(-1, rows.shape[1])
-    return rows
-
-
 class _BaseLookup:
     """Sorts a listing of group elements by their images of a chain's base points, and finds rows.
 
@@ -588,6 +615,16 @@ class _BaseLookup:
         return np.zeros(len(images), dtype=np.intp) if rank is None else rank
 
 
+def _row_group(rows: np.ndarray, limit: int | None = None) -> PermutationGroup:
+    """The group generated by int image rows, each distinct row kept once, at its first occurrence.
+
+    The one place a stabilizer chain is built. Past ``limit`` the chain
+    stops, and the group's order then exceeds ``limit`` without being |G|.
+    """
+    rows = _distinct_rows(np.asarray(rows, dtype=np.intp))
+    return PermutationGroup(rows, _StabilizerChain(rows, limit))
+
+
 def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
     """The group generated by a generator list; its elements are listed on first use.
 
@@ -605,12 +642,10 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
         if g.degree != degree:
             raise GroupError(f"degree mismatch among generators: {g.degree} != {degree}")
 
-    unique = list(dict.fromkeys(g.images for g in gens))
-    rows = _read_only(np.array(unique, dtype=np.intp).reshape(len(unique), degree))
-    chain = _StabilizerChain(rows, limit=cap)
-    if chain.order > cap:
+    group = _row_group(np.array([g.images for g in gens]).reshape(len(gens), degree), limit=cap)
+    if group.order > cap:
         raise GroupError(f"order cap exceeded: closure has more than {cap} elements; raise the cap")
-    return PermutationGroup(rows, chain)
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -758,12 +793,12 @@ class GroupAction:
     An action is its generator image rows, in ``group.generators`` order,
     which its builders know to extend to a homomorphism: ``build_action``
     checks rows from outside, the others derive them. The pairs (s^X, s)
-    generate a copy of G, the graph of the action; the (|G| x target_size)
-    table lists that pair group's chain on the target points and G's base
-    points, and puts each image at the id of its element; the chain is
-    released once the table is listed. A natural action's table is G's
-    element table. ``images`` is the table's ``Permutation`` view, built on
-    first use.
+    generate ``_pair_group``, a copy of G, the graph of the action; the
+    (|G| x target_size) table reads its products at the target points and
+    G's base points, and puts each image at the id of its element; the graph
+    is released once the table is listed. A natural action's table is G's
+    element table. The image group's order gives the kernel. ``images`` is
+    the table's ``Permutation`` view, built on first use.
     """
 
     def __init__(self, group: PermutationGroup, target_size: int, generator_rows: np.ndarray):
@@ -772,10 +807,13 @@ class GroupAction:
         self._generator_rows = _read_only(generator_rows)
 
     @cached_property
-    def _pair_chain(self) -> _StabilizerChain:
-        """Stabilizer chain of the pairs (s^X, s): the target points, then G's points shifted."""
+    def _pair_group(self) -> PermutationGroup:
+        """The graph of the action, the pairs (s^X, s): the target points, then G's points shifted.
+
+        Its chain stops past |G|, where the images define no homomorphism.
+        """
         pairs = np.hstack([self._generator_rows, self.group._generator_rows + self.target_size])
-        return _StabilizerChain(pairs)
+        return _row_group(pairs, limit=self.group.order)
 
     @cached_property
     def _table(self) -> np.ndarray:
@@ -785,8 +823,8 @@ class GroupAction:
         size = self.target_size
         # the pair group's rows at the target points and at G's base points, shifted
         points = np.concatenate([np.arange(size), group._closure.lookup.base + size])
-        listing = _transversal_products(self._pair_chain.transversals, points[None, :])
-        del self._pair_chain  # read only here; on the array route its transversals are tables
+        listing = self._pair_group._products(points)
+        del self._pair_group  # read only here; on the array route its transversals are tables
         table = np.empty((group.order, size), dtype=np.intp)
         table[group._ids(listing[:, size:] - size)] = listing[:, :size]
         return _read_only(table)
@@ -794,7 +832,7 @@ class GroupAction:
     @cached_property
     def _image_order(self) -> int:
         """Order of the image group, the permutations of the target set that G induces."""
-        return _group_order(self._generator_rows)
+        return _row_group(self._generator_rows).order
 
     @cached_property
     def _orbits(self) -> OrbitPartition:
@@ -851,13 +889,11 @@ def build_action(
     if len(gen_images) != count:
         raise GroupError(f"need {count} generator images, got {len(gen_images)}")
     gen_table = _image_table(gen_images, target_size)
+    action = GroupAction(group, target_size, gen_table)
     # the target points come first, so the chain's levels on them measure the image
-    pairs = np.hstack([gen_table, group._generator_rows + target_size])
-    chain = _StabilizerChain(pairs, limit=group.order)
+    chain = action._pair_group._chain
     if chain.order != group.order:
         raise GroupError(_first_failing_edge(group, gen_table))
-    action = GroupAction(group, target_size, gen_table)
-    action._pair_chain = chain
     action._image_order = math.prod(
         size for b, size in zip(chain.base, chain.orbit_lengths) if b < target_size
     )
@@ -939,10 +975,8 @@ def classify_action(action: GroupAction) -> ActionProfile:
 
 
 def faithful_image(action: GroupAction) -> tuple[PermutationGroup, ActionProfile]:
-    """The deduplicated image group (the quotient by the kernel) plus the profile."""
-    gen_imgs = [perm(row) for row in action._generator_rows.tolist()]
-    image_group = close_generators(gen_imgs, cap=max(DEFAULT_ORDER_CAP, action.group.order))
-    return image_group, classify_action(action)
+    """The image group (G over the kernel), generated by the generator image rows; the profile."""
+    return _row_group(action._generator_rows), classify_action(action)
 
 
 def _row_pairs(n_rows: np.ndarray, m_rows: np.ndarray, view=tuple):
@@ -953,9 +987,10 @@ def _row_pairs(n_rows: np.ndarray, m_rows: np.ndarray, view=tuple):
 class JointAction:
     """Paired input/output actions of one reference group (a sub-direct product).
 
-    ``joint_order`` is the order of the group generated by the generator
-    pairs (s^N, s^M); the element ids of the distinct pairs are found in the
-    two image tables on first use. Membership is a sift through ``_chain``.
+    ``joint_order`` is the order of ``_group``, the group generated by the
+    generator pairs (s^N, s^M) on N followed by M, unless one side alone tells
+    G's elements apart; the element ids of the distinct pairs are found in the
+    two image tables on first use. Membership is ``in _group``, a sift.
     """
 
     def __init__(self, n_action: GroupAction, m_action: GroupAction):
@@ -967,25 +1002,25 @@ class JointAction:
         if self.group.order in (n_action._image_order, m_action._image_order):
             self.joint_order = self.group.order  # one side alone tells the elements apart
         else:
-            self.joint_order = self._chain.order
+            self.joint_order = self._group.order
 
     @cached_property
-    def _chain(self) -> _StabilizerChain:
-        """Stabilizer chain of the pairs on N followed by M (M shifted by n_size)."""
+    def _group(self) -> PermutationGroup:
+        """The joint group: the generator pairs on N followed by M (M shifted by n_size)."""
         n_rows, m_rows = self.n_action._generator_rows, self.m_action._generator_rows
-        return _StabilizerChain(np.hstack([n_rows, m_rows + self.n_size]))
+        return _row_group(np.hstack([n_rows, m_rows + self.n_size]))
 
     @cached_property
     def _element_ids(self) -> np.ndarray:
         """Element ids of the distinct (g^N, g^M) pairs, each at its first occurrence.
 
-        Below |G| the joint order came from ``_chain``, and pairs that agree
-        on its base agree everywhere (all of them, when the base is empty).
+        Below |G| the joint order came from ``_group``, and pairs that agree
+        on its chain's base agree everywhere (all of them, when the base is empty).
         """
         if self.joint_order == self.group.order:  # a faithful pairing: every element
             return np.arange(self.group.order)
         table = np.hstack([self.n_action._table, self.m_action._table])
-        return np.sort(np.unique(table[:, self._chain.base], axis=0, return_index=True)[1])
+        return np.sort(np.unique(table[:, self._group._chain.base], axis=0, return_index=True)[1])
 
     def _pairs(self, view=tuple):
         ids = self._element_ids
@@ -1020,21 +1055,24 @@ def joint_action(n_action: GroupAction, m_action: GroupAction) -> JointAction:
 def symmetrize_genset(group: PermutationGroup, element_ids: Iterable[int]) -> tuple[int, ...]:
     """Close a set of element ids under inverse and verify it generates the group.
 
+    Each id is read as an integer (a bool is none) and returned as an int.
     A set holding every non-identity generator id generates by definition.
-    Otherwise the subgroup's order comes from a stabilizer chain of the id
-    rows; nothing of it is listed. A set shown to generate is kept on the
-    group, so the same set is not checked twice.
+    Otherwise the subgroup's order comes from the group of the id rows;
+    nothing of it is listed.
     """
-    ids = set(element_ids)
+    ids = set()
+    for i in element_ids:
+        if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
+            raise GroupError(f"element id {i!r} is not an integer")
+        ids.add(index(i))
     for i in ids:
         if not 0 <= i < group.order:
             raise GroupError(f"element id {i} out of range for a group of order {group.order}")
-    ids = frozenset(ids | {group.inv(i) for i in ids})
-    if not ids.union([0]).issuperset(group.generator_ids) and ids not in group._generating_sets:
-        order = _group_order(group._table[sorted(ids)])
+    ids |= {group.inv(i) for i in ids}
+    if not ids.union([0]).issuperset(group.generator_ids):
+        order = _row_group(group._table[sorted(ids)]).order
         if order != group.order:
             raise GroupError(
                 f"A does not generate G: closure of A union A^-1 has order {order} < {group.order}"
             )
-        group._generating_sets.add(ids)
     return tuple(sorted(ids))

@@ -533,7 +533,7 @@ def test_witness_against_trivial_joint_is_the_first_non_identity_automorphism(s)
 
 
 class TestLexWalk:
-    """A stabilizer chain's walk yields every element of its group, in row order."""
+    """A group's lazy walk yields every element, in the row order of its sorted table."""
 
     def test_drained_walk_is_the_sorted_listing(self, reverse_conv_structure, mirror_conv):
         for s in (
@@ -544,25 +544,25 @@ class TestLexWalk:
             result = autsearch.enumerate_automorphisms(s)
             pns, pms = result._listed
             listed = np.hstack([pns, pms + s.n_size]).tolist()
-            assert list(autsearch._lex_walk(result._chain)) == list(map(tuple, listed))
+            assert list(result._group._lex_walk()) == list(map(tuple, listed))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_narrow_chains(self, seed):
         rng = random.Random(seed)
         degree = rng.randint(1, 6)
         gens = [pc.perm(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 2))]
-        chain = pc._StabilizerChain(np.array([g.images for g in gens]))
+        group = pc._row_group(np.array([g.images for g in gens]))
         elements, _ = oracles.closure_per_element(gens)
-        assert list(autsearch._lex_walk(chain)) == sorted(p.images for p in elements)
+        assert list(group._lex_walk()) == sorted(p.images for p in elements)
 
     @pytest.mark.parametrize("gens", [
         pc.dihedral_generators(60), pc.dihedral_generators(128),
     ], ids=["d60", "d128-on-256"])
     def test_byte_trees_up_to_degree_256(self, gens):
-        chain = pc._StabilizerChain(np.array([g.images for g in gens]))
-        assert chain.narrow and len(chain.trees) > 1
+        group = pc._row_group(np.array([g.images for g in gens]))
+        assert group._chain.narrow and len(group._chain.trees) > 1
         elements, _ = oracles.closure_per_element(gens)
-        assert list(autsearch._lex_walk(chain)) == sorted(p.images for p in elements)
+        assert list(group._lex_walk()) == sorted(p.images for p in elements)
 
     @pytest.mark.parametrize("gens, degree", [
         (pc.dihedral_generators(130), 260),
@@ -571,10 +571,10 @@ class TestLexWalk:
     def test_array_trees_above_degree_256(self, gens, degree):
         # fixed points pad the rows past the 256 points of the byte route
         pad = tuple(range(gens[0].degree, degree))
-        chain = pc._StabilizerChain(np.array([g.images + pad for g in gens]))
-        assert not chain.narrow and len(chain.trees) > 1
+        group = pc._row_group(np.array([g.images + pad for g in gens]))
+        assert not group._chain.narrow and len(group._chain.trees) > 1
         elements, _ = oracles.closure_per_element(gens)
-        assert list(autsearch._lex_walk(chain)) == sorted(p.images + pad for p in elements)
+        assert list(group._lex_walk()) == sorted(p.images + pad for p in elements)
 
 
 class TestGraphEquivalences:
@@ -638,10 +638,10 @@ class TestLazyListing:
         results = []
         enumerate_ = autsearch.enumerate_automorphisms
 
-        def listing(*args):
-            raise AssertionError("certify listed Aut")
+        def listing(group):
+            raise AssertionError("certify listed a group")
 
-        monkeypatch.setattr(autsearch.permcore, "_transversal_products", listing)
+        monkeypatch.setattr(pc.PermutationGroup, "_closure", property(listing))
         monkeypatch.setattr(
             autsearch, "enumerate_automorphisms",
             lambda *args, **kwargs: results.append(enumerate_(*args, **kwargs)) or results[-1],
@@ -672,9 +672,11 @@ class TestLazyListing:
     def test_listing_is_sorted_where_the_chain_products_are_not(self):
         s = specio.build_structure(specio.parse_spec((CORPUS / "wreath3x3.json").read_text()))
         result = autsearch.enumerate_automorphisms(s)
-        chain = result._chain
-        products = pc._transversal_products(chain.transversals, np.arange(chain.degree)[None, :])
+        products = result._group._products(np.arange(result._group.degree))
         assert products.tolist() != sorted(products.tolist())
+        pns, pms = result._listed
+        sorted_products = products[np.lexsort(products.T[::-1])]
+        assert np.array_equal(np.hstack([pns, pms + s.n_size]), sorted_products)
         pairs = [(pn.images, pm.images) for pn, pm in result.elements]
         assert pairs == sorted(set(pairs)) and len(pairs) == result.order
 
@@ -689,7 +691,7 @@ class TestLazyListing:
     def test_certify_checks_its_walk(self, monkeypatch):
         spec = specio.parse_spec((CORPUS / "kk6.json").read_text())
         s, joint = specio.build_structure(spec), specio.expanded_joint(spec)
-        joint._chain  # built unpatched
+        joint._group  # built unpatched
         witness = ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4))  # the walk's, not a generator
         with monkeypatch.context() as patched:
             patched.setattr(autsearch, "_preserves_structure", rejecting(witness))
@@ -698,7 +700,7 @@ class TestLazyListing:
                 autsearch.certify_unique(s, joint, element_cap=10**6)
             assert str(info.value) == "internal error: emitted pair fails the setwise check"
         chain = pc._StabilizerChain
-        monkeypatch.setattr(pc, "_StabilizerChain", lambda rows: chain(rows[:1]))
+        monkeypatch.setattr(pc, "_StabilizerChain", lambda rows, limit: chain(rows[:1], limit))
         with pytest.raises(AutSearchError) as info:
             autsearch.certify_unique(s, joint, element_cap=10**6)
         assert str(info.value) == "internal error: the generators' chain has order 2, not 518400"

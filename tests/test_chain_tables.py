@@ -147,10 +147,17 @@ class TestActionTables:
         assert pc.natural_action(group)._table is group._table
 
     def test_built_action_keeps_its_checked_chain(self, case, monkeypatch):
-        """Until its table is listed from it: then the chain is released."""
+        """The pair group ``build_action`` checked, until the table is listed from it."""
         group = case[2]
+        built = []
+        row_group = pc._row_group
+        monkeypatch.setattr(
+            pc, "_row_group", lambda *args, **kw: built.append(row_group(*args, **kw)) or built[-1]
+        )
         action = dict(actions_of(group))["built"]
-        assert action.__dict__["_pair_chain"].order == group.order
+        pair_group = action.__dict__["_pair_group"]
+        assert any(pair_group is checked for checked in built)
+        assert pair_group.order == group.order
 
         def refuse(*args, **kwargs):
             raise AssertionError("a second chain was built")
@@ -158,21 +165,16 @@ class TestActionTables:
         group._table
         monkeypatch.setattr(pc, "_StabilizerChain", refuse)
         assert len(action._table) == group.order
-        assert "_pair_chain" not in action.__dict__
+        assert "_pair_group" not in action.__dict__
 
 
 def test_transversal_products_read_only_the_chosen_columns():
     group = pc.close_generators(pc.wreath_generators(3, 2))
-    levels = group._chain.transversals
-    full = pc._transversal_products(levels, np.arange(group.degree)[None, :])
+    full = group._products(np.arange(group.degree))
     assert len(full) == group.order
     assert sorted(map(tuple, full.tolist())) == sorted(map(tuple, group._table.tolist()))
     columns = np.array([4, 0, 5])
-    assert np.array_equal(pc._transversal_products(levels, columns[None, :]), full[:, columns])
-    # a start table of several rows varies fastest
-    starts = np.array([[0, 1, 2, 3, 4, 5], [1, 0, 2, 3, 4, 5]])
-    paired = pc._transversal_products(levels, starts)
-    assert np.array_equal(paired[1::2], full[:, starts[1]])
+    assert np.array_equal(group._products(columns), full[:, columns])
 
 
 def error_texts(group, gen_images, target_size):

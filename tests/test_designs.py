@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import oracles
 from eqtie import autsearch, designs, layer, permcore as pc
 from eqtie.designs import ChannelSpec, DesignError, Relation, SharingStructure
 
-from conftest import diagonal_symmetric_joint
+from conftest import cyclic_group_conv_joint, diagonal_symmetric_joint
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,44 @@ class TestSparseDesign:
         # both actions faithful with every point stabilizer trivial
         assert rot90_structure.warnings == ()
         assert designs.sparse_design(mirror_conv, [1]).warnings == ()
+
+
+# every library route that takes element ids: each reads them through symmetrize_genset
+GENSET_TAKERS = {
+    "symmetrize_genset": lambda joint, ids: pc.symmetrize_genset(joint.group, ids),
+    "sparse_design": designs.sparse_design,
+    "group_conv_structure": layer.group_conv_structure,
+    "group_conv": layer.group_conv,
+}
+
+
+class TestLibraryElementIds:
+    @pytest.mark.parametrize("take", list(GENSET_TAKERS))
+    @pytest.mark.parametrize("bad, message", [
+        (1.0, "element id 1.0 is not an integer"),
+        (1.5, "element id 1.5 is not an integer"),
+        (True, "element id True is not an integer"),
+        ("1", "element id '1' is not an integer"),
+        (np.True_, "element id np.True_ is not an integer"),
+        (np.int64(6), "element id 6 out of range for a group of order 6"),
+    ], ids=["float-whole", "float", "bool", "str", "numpy-bool", "out-of-range"])
+    def test_bad_id_is_named(self, take, bad, message):
+        with pytest.raises(pc.GroupError) as info:
+            GENSET_TAKERS[take](cyclic_group_conv_joint(6), [bad, 5])
+        assert str(info.value) == message
+
+    def test_numpy_ids_give_python_ints(self):
+        joint = cyclic_group_conv_joint(6)
+        assert pc.symmetrize_genset(joint.group, np.array([1])) == (1, 5)
+        assert all(type(i) is int for i in pc.symmetrize_genset(joint.group, np.array([1, 5])))
+        s = designs.sparse_design(joint, np.array([1, 5]))
+        assert [r.provenance["generator"] for r in s.relations] == [1, 5]
+        assert all(type(r.provenance["generator"]) is int for r in s.relations)
+        json.dumps([r.provenance for r in s.relations])
+        expected = designs.sparse_design(joint, [1, 5]).relations
+        assert [(r.edges.tolist(), r.provenance) for r in s.relations] == [
+            (r.edges.tolist(), r.provenance) for r in expected
+        ]
 
 
 class TestMergeColors:

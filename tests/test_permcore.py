@@ -590,21 +590,21 @@ class TestSymmetrizeGenset:
     def test_generating_set_checked_once_per_group(self, monkeypatch):
         z5 = pc.close_generators(pc.cyclic_generators(5))
         orders = []
-        group_order = pc._group_order
+        row_group = pc._row_group
 
-        def counted(gens, **kw):
-            orders.append(len(gens))
-            return group_order(gens, **kw)
+        def counted(rows, **kw):
+            orders.append(len(rows))
+            return row_group(rows, **kw)
 
-        monkeypatch.setattr(pc, "_group_order", counted)
+        monkeypatch.setattr(pc, "_row_group", counted)
         # a set holding the group's generator generates without a check
         assert [pc.symmetrize_genset(z5, ids) for ids in ([1], [4], [1, 4])] == [(1, 4)] * 3
         assert orders == []
-        # ids are still range-checked, and another set is checked once, either way round
+        # ids are still range-checked, and another set is checked, either way round
         with pytest.raises(GroupError, match="out of range"):
             pc.symmetrize_genset(z5, [1, 5])
         assert [pc.symmetrize_genset(z5, ids) for ids in ([2], [3])] == [(2, 3)] * 2
-        assert orders == [2]
+        assert orders == [2, 2]
 
     def test_some_generators_are_checked(self):
         # S4 from (0 1) and (0 1 2 3): either generator alone, with its inverse, falls short

@@ -153,10 +153,11 @@ def attribute_reads(tree, function):
 
 
 def test_certify_walks_the_results_chain():
-    """Aut has one chain, built on the result; certify builds none of its own."""
+    """Aut has one group, built on the result; certify builds none of its own."""
     tree = ast.parse((PACKAGE / "autsearch.py").read_text())
     assert "certify_unique" not in calling_functions(tree, "_StabilizerChain")
-    assert "result._chain" in attribute_reads(tree, "certify_unique")
+    assert "certify_unique" not in calling_functions(tree, "_row_group")
+    assert "result._group" in attribute_reads(tree, "certify_unique")
 
 
 def test_caller_rule_sees_methods_and_dotted_calls():
@@ -210,7 +211,60 @@ def test_search_builds_no_transversal():
         if isinstance(node, ast.FunctionDef) and node.name == "enumerate_automorphisms"
     )
     assert names_read(search, TRANSVERSAL_NAMES) == []
-    assert names_read(tree, TRANSVERSAL_NAMES) != []  # the rule sees the listing's use
+
+
+def test_transversal_rule_sees_calls_and_attributes():
+    source = "t = _transversal(0, r)\nc = pc._StabilizerChain(r)\nu = c.transversals\n"
+    assert names_read(ast.parse(source), TRANSVERSAL_NAMES) == [
+        (1, "_transversal"), (2, "_StabilizerChain"), (3, "transversals"),
+    ]
+
+
+def enclosing_calls(tree, name):
+    """(line, innermost enclosing function, or None) of every call of ``name``, bare or dotted."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and called_name(child) == name:
+                found.append((child.lineno, function))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else function)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_only_row_group_builds_a_chain():
+    """Every stabilizer chain in the package is a ``PermutationGroup``'s, built in one place."""
+    builders = [
+        (path.stem, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, function in enclosing_calls(ast.parse(path.read_text()), "_StabilizerChain")
+    ]
+    assert builders == [("permcore", "_row_group")]
+
+
+def test_chain_rule_sees_module_level_nested_and_dotted_calls():
+    source = (
+        "c = _StabilizerChain(r)\nclass A:\n    def f(self):\n"
+        "        def g():\n            return pc._StabilizerChain(r)\n"
+        "        return _StabilizerChain(r, 5)\n"
+    )
+    assert enclosing_calls(ast.parse(source), "_StabilizerChain") == [
+        (1, None), (5, "g"), (6, "f"),
+    ]
+
+
+# what a group holds inside: the search and certify go through the group's own methods
+CHAIN_INTERNALS = {
+    "_StabilizerChain", "transversals", "_transversal_products", "_products", "_compose_tuple",
+}
+
+
+def test_autsearch_reads_no_chain_internals():
+    tree = ast.parse((PACKAGE / "autsearch.py").read_text())
+    assert names_read(tree, CHAIN_INTERNALS) == []
 
 
 # the float replay permutes by one flat scatter and one flat take: no inverse

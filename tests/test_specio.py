@@ -51,21 +51,22 @@ class TestParseSpec:
 
     def test_sparse_genset_generation_checked_once(self, monkeypatch):
         orders = []
-        group_order = pc._group_order
+        row_group = pc._row_group
 
-        def counted(gens, **kw):
-            orders.append(len(gens))
-            return group_order(gens, **kw)
+        def counted(rows, **kw):
+            orders.append(len(rows))
+            return row_group(rows, **kw)
 
-        monkeypatch.setattr(pc, "_group_order", counted)
+        monkeypatch.setattr(pc, "_row_group", counted)
         spec = specio.parse_spec((CORPUS / "gconv-tied-z120.json").read_text())
         parsed = len(orders)
         structure = specio.build_structure(spec)
-        assert len(orders) == parsed  # sparse_design reuses the parse's verdict
+        assert len(orders) == parsed  # the genset holds G's generator: no chain is built
         assert structure.base_color_count > 0
         # a library caller's unchecked ids are still checked
         with pytest.raises(pc.GroupError, match="does not generate"):
             designs.sparse_design(spec.joint, [0])
+        assert orders[parsed:] == [1]
 
     def test_empty_document(self):
         with pytest.raises(SpecError, match="offset 0"):

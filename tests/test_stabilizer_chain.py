@@ -84,7 +84,7 @@ class TestChainOrder:
         checked = capped = 0
         for gens in RANDOM_LISTS:
             expected = sympy_order(g.images for g in gens)
-            assert pc._group_order(np.array([g.images for g in gens])) == expected
+            assert pc._row_group(np.array([g.images for g in gens])).order == expected
             if expected > pc.DEFAULT_ORDER_CAP:
                 with pytest.raises(GroupError, match="order cap exceeded"):
                     pc.close_generators(gens)
@@ -118,8 +118,8 @@ class TestChainOrder:
 
     def test_limit_stops_above_it(self):
         rows = np.array([g.images for g in pc.symmetric_generators(12)])
-        assert pc._group_order(rows, limit=1000) > 1000
-        assert pc._group_order(rows) == 479001600
+        assert pc._row_group(rows, limit=1000).order > 1000
+        assert pc._row_group(rows).order == 479001600
 
     def test_capped_orbit_holds_at_most_cap_plus_one_reps(self):
         # Z_3000 on 3000 points: the whole transversal would be 3000 x 3000 ints
@@ -128,7 +128,7 @@ class TestChainOrder:
         try:
             with pytest.raises(GroupError, match="more than 100 elements"):
                 pc.close_generators(pc.cyclic_generators(3000), cap=100)
-            assert pc._group_order(rows, limit=100) == 101
+            assert pc._row_group(rows, limit=100).order == 101
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -377,11 +377,11 @@ class TestGeneratorColumns:
                 return pn + tuple(v + joint.n_size for v in pm)
 
             for pn, pm in inside:
-                assert stacked(pn, pm) in joint._chain
+                assert stacked(pn, pm) in joint._group
             for _ in range(20):
                 pn = random_perm(rng, joint.n_size).images
                 pm = random_perm(rng, joint.m_size).images
-                assert (stacked(pn, pm) in joint._chain) == ((pn, pm) in inside)
+                assert (stacked(pn, pm) in joint._group) == ((pn, pm) in inside)
 
 
 class TestListsNothing:
