@@ -23,19 +23,20 @@ exact order is |K| * prod_l |Delta_l|, where Delta_l is the fundamental orbit
 of b_l and K is the kernel of automorphisms with pi_N = id (any bijection
 between equal rows), with no Schreier-Sims pass and no leaf counting.
 
-Every result carries one generator table at any order, two int tables (pi_N
-and pi_M rows): the kernel generators (a swap per set of equal M rows, and a
-cycle past two rows), then the strong generators. It passes one setwise
-check before the result is returned, and ``generators`` is its
-``Permutation`` view. The group of that table, ``_group``, a
-``permcore.PermutationGroup`` like G and the joint group, is built on its
-first read and checked to have the search's order. The elements are listed
-only when the order is at most ``element_cap``: the group's sorted element
-table is setwise checked on the first read of ``_listed``, ``elements`` or
-``pair_set()``, so a verdict that needs only |Aut| never lists. This module
-reads none of a group's chain: order, membership, the table and the walk are
-the group's own. ``search_cap`` bounds the search-tree nodes, i.e. the
-accepted N assignments.
+Every result carries one generator table at any order, one int table over
+N followed by M (M shifted by n_size): the kernel generators (a swap per set
+of equal M rows, and a cycle past two rows), then the strong generators.
+``_split_rows`` cuts such a table at n_size into pi_N and pi_M rows, for the
+setwise check and the two ``Permutation`` views. The table passes one
+setwise check before the result is returned, and ``generators`` is its
+view. The group of that table, ``_group``, a ``permcore.PermutationGroup``
+like G and the joint group, is built on its first read and checked to have
+the search's order. The elements are listed only when the order is at most
+``element_cap``: the group's sorted element table is setwise checked on the
+first read of ``elements``, so a verdict that needs only |Aut| never lists.
+This module reads none of a group's chain: order, membership, the table and
+the walk are the group's own. ``search_cap`` bounds the search-tree nodes,
+i.e. the accepted N assignments.
 
 ``certify_unique`` lists nothing either. Its witness at or under the cap is
 the first row of the sorted listing outside the joint group, i.e. the
@@ -96,11 +97,14 @@ class AutomorphismResult:
 
     ``_group`` is the ``PermutationGroup`` of the generator table, on N then M;
     it answers membership, the sorted listing and the lazy walk.
+    ``generators`` and ``elements`` are the two ``Permutation`` views, of the
+    generator table and of the listing.
     """
 
     order: int
-    # (pi_N rows, pi_M rows): kernel generators, then strong generators
-    _generator_rows: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    # rows over N then M (M shifted by n_size): kernel generators, then strong generators
+    _generator_rows: np.ndarray = field(repr=False, compare=False)
+    _n_size: int = field(repr=False, compare=False)
     verdict: Optional[str] = None  # equal | proper_supergroup | incomparable
     joint_order: Optional[int] = None
     stats: Optional[SearchStats] = None
@@ -109,13 +113,13 @@ class AutomorphismResult:
 
     @cached_property
     def generators(self) -> tuple[tuple[Permutation, Permutation], ...]:
-        return tuple(permcore._row_pairs(*self._generator_rows, perm))
+        pns, pms = _split_rows(self._generator_rows, self._n_size)
+        return tuple((perm(pn), perm(pm)) for pn, pm in zip(pns.tolist(), pms.tolist()))
 
     @cached_property
     def _group(self) -> permcore.PermutationGroup:
-        """The group of the generator table on N then M (M shifted by n_size)."""
-        pns, pms = self._generator_rows
-        group = permcore._row_group(np.hstack([pns, pms + pns.shape[1]]))
+        """The group of the generator table, checked to have the search's order."""
+        group = permcore._row_group(self._generator_rows)
         if group.order != self.order:
             raise AutSearchError(
                 f"internal error: the generators' chain has order {group.order}, not {self.order}"
@@ -123,28 +127,19 @@ class AutomorphismResult:
         return group
 
     @cached_property
-    def _listed(self) -> Optional[tuple[np.ndarray, ...]]:
-        """Every automorphism as sorted (pi_N rows, pi_M rows), each pair setwise checked."""
+    def elements(self) -> Optional[tuple[tuple[Permutation, Permutation], ...]]:
+        """Every automorphism as a (pi_N, pi_M) pair, sorted and setwise checked; None above cap."""
         if self._structure is None:
             return None
-        listed = self._group._table
-        n_size = self._structure.n_size
-        pns, pms = listed[:, :n_size], listed[:, n_size:] - n_size
+        pns, pms = _split_rows(self._group._table, self._n_size)
         if not _preserves_structure(self._structure, pns, pms).all():
             raise AutSearchError("internal error: emitted pair fails the setwise check")
-        return pns, pms
+        return tuple((perm(pn), perm(pm)) for pn, pm in zip(pns.tolist(), pms.tolist()))
 
-    def _pairs(self, view=tuple):
-        if self._listed is None:
-            raise AutSearchError("elements were not materialized (order above cap)")
-        return permcore._row_pairs(*self._listed, view)
 
-    @cached_property
-    def elements(self) -> Optional[tuple[tuple[Permutation, Permutation], ...]]:
-        return None if self._listed is None else tuple(self._pairs(perm))
-
-    def pair_set(self) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return set(self._pairs())
+def _split_rows(rows: np.ndarray, n_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """A table of rows over N then M cut into its pi_N rows and its pi_M rows."""
+    return rows[:, :n_size], rows[:, n_size:] - n_size
 
 
 def color_refine(s: SharingStructure) -> ColorProfileTable:
@@ -371,8 +366,7 @@ def enumerate_automorphisms(
     rows = np.array(kernel_gens + strong, dtype=np.intp).reshape(
         len(kernel_gens) + len(strong), degree
     )
-    generator_rows = (rows[:, :n_size], rows[:, n_size:] - n_size)
-    if not _preserves_structure(s, *generator_rows).all():
+    if not _preserves_structure(s, *_split_rows(rows, n_size)).all():
         raise AutSearchError("internal error: emitted pair fails the setwise check")
     total = kernel_order * math.prod(base_orbits)
 
@@ -393,7 +387,8 @@ def enumerate_automorphisms(
 
     return AutomorphismResult(
         order=total,
-        _generator_rows=generator_rows,
+        _generator_rows=rows,
+        _n_size=n_size,
         verdict=verdict,
         joint_order=joint_order,
         stats=SearchStats(nodes, leaves, orbit_pruned, tuple(base_orbits), kernel_order),
@@ -440,17 +435,15 @@ def certify_unique(
     if result.verdict == "equal":
         return Certification("unique", result.order, joint.joint_order, None)
 
-    n_size = s.n_size
     if result.order <= element_cap:
         candidates = result._group._lex_walk()
     else:
-        pns, pms = result._generator_rows
-        candidates = map(tuple, np.hstack([pns, pms + n_size]).tolist())
+        candidates = map(tuple, result._generator_rows.tolist())
     row = next((row for row in candidates if row not in joint._group), None)
     witness = None
     if row is not None:
-        pn, pm = row[:n_size], [v - n_size for v in row[n_size:]]
-        if not _preserves_structure(s, [pn], [pm]).all():
+        pn, pm = _split_rows(np.array([row], dtype=np.intp), s.n_size)
+        if not _preserves_structure(s, pn, pm).all():
             raise AutSearchError("internal error: emitted pair fails the setwise check")
-        witness = (perm(pn), perm(pm))
+        witness = (perm(pn[0]), perm(pm[0]))
     return Certification("supergroup", result.order, joint.joint_order, witness)

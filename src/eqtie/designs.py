@@ -21,6 +21,7 @@ sort.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -132,8 +133,18 @@ class ChannelSpec:
     k_out: int
 
     def __post_init__(self):
-        if self.k_in < 1 or self.k_out < 1:
-            raise DesignError("channel counts must be positive")
+        object.__setattr__(self, "k_in", _channel_count(self.k_in))
+        object.__setattr__(self, "k_out", _channel_count(self.k_out))
+
+
+def _channel_count(count) -> int:
+    """A channel count read as an integer (a bool is none), which must be positive."""
+    if isinstance(count, (bool, np.bool_)) or not hasattr(count, "__index__"):
+        raise DesignError(f"channel count {count!r} is not an integer")
+    count = operator.index(count)
+    if count < 1:
+        raise DesignError("channel counts must be positive")
+    return count
 
 
 def _cell_orbit(joint: JointAction, n: int, m: int) -> np.ndarray:
@@ -275,6 +286,7 @@ def expand_channels(s: SharingStructure, ch: ChannelSpec) -> SharingStructure:
 
 def replicate_action(action: GroupAction, copies: int) -> GroupAction:
     """The channel-wise action: each element acts identically on every copy."""
+    copies = _channel_count(copies)
     if copies == 1:
         return action
     size = action.target_size

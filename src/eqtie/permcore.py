@@ -42,9 +42,9 @@ products at the target points and G's base points, and the same lookup puts
 each image at its element's id; the graph ``build_action`` checked is used
 for that and then released. A natural action's table is G's own. A joint
 action that tells fewer elements apart than G has its element ids from both
-tables, one distinct row per value on its group's base. ``elements``,
-``images`` and ``joint_elements`` are ``Permutation`` views built on first
-use.
+tables, one distinct row per value on its group's base. Actions and joint
+actions are int tables only; a group's ``generators`` and ``elements`` are
+its ``Permutation`` views, built on first use.
 
 A group is always <generators>: ``close_generators`` is the one public way to
 build one. An action is always its generator image rows: ``build_action`` is the one
@@ -642,7 +642,7 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
         if g.degree != degree:
             raise GroupError(f"degree mismatch among generators: {g.degree} != {degree}")
 
-    group = _row_group(np.array([g.images for g in gens]).reshape(len(gens), degree), limit=cap)
+    group = _row_group(_image_table(gens, degree), limit=cap)
     if group.order > cap:
         raise GroupError(f"order cap exceeded: closure has more than {cap} elements; raise the cap")
     return group
@@ -718,10 +718,16 @@ def direct_product_generators(*factors: Sequence[Permutation]) -> list[Permutati
     if not factors:
         raise GroupError("direct_product: need at least one factor")
     degrees = []
-    for f in factors:
+    for k, f in enumerate(factors):
         if not f:
             raise GroupError("direct_product: empty factor generator list")
         degrees.append(f[0].degree)
+        for s, g in enumerate(f):
+            if g.degree != degrees[-1]:
+                raise GroupError(
+                    f"direct_product: factor {k} generator {s} has degree {g.degree}, "
+                    f"not {degrees[-1]}"
+                )
     total = sum(degrees)
     gens = []
     offset = 0
@@ -797,8 +803,8 @@ class GroupAction:
     (|G| x target_size) table reads its products at the target points and
     G's base points, and puts each image at the id of its element; the graph
     is released once the table is listed. A natural action's table is G's
-    element table. The image group's order gives the kernel. ``images`` is
-    the table's ``Permutation`` view, built on first use.
+    element table. The image group, generated by the generator rows, is
+    built once, and its order gives the kernel.
     """
 
     def __init__(self, group: PermutationGroup, target_size: int, generator_rows: np.ndarray):
@@ -830,9 +836,14 @@ class GroupAction:
         return _read_only(table)
 
     @cached_property
+    def _image_group(self) -> PermutationGroup:
+        """The image group, the permutations of the target set that G induces."""
+        return _row_group(self._generator_rows)
+
+    @cached_property
     def _image_order(self) -> int:
-        """Order of the image group, the permutations of the target set that G induces."""
-        return _row_group(self._generator_rows).order
+        """Order of the image group; ``build_action`` sets it from the graph's chain."""
+        return self._image_group.order
 
     @cached_property
     def _orbits(self) -> OrbitPartition:
@@ -840,10 +851,6 @@ class GroupAction:
         low = _orbit_minima(self._generator_rows)
         reps = np.unique(low)
         return OrbitPartition(tuple(np.searchsorted(reps, low).tolist()), tuple(reps.tolist()))
-
-    @cached_property
-    def images(self) -> tuple[Permutation, ...]:
-        return tuple(Permutation(tuple(row)) for row in self._table.tolist())
 
     def __repr__(self):
         return f"GroupAction(|G|={self.group.order}, target_size={self.target_size})"
@@ -976,12 +983,7 @@ def classify_action(action: GroupAction) -> ActionProfile:
 
 def faithful_image(action: GroupAction) -> tuple[PermutationGroup, ActionProfile]:
     """The image group (G over the kernel), generated by the generator image rows; the profile."""
-    return _row_group(action._generator_rows), classify_action(action)
-
-
-def _row_pairs(n_rows: np.ndarray, m_rows: np.ndarray, view=tuple):
-    """Row k of two int tables as the pair (view(pi_N images), view(pi_M images)), in row order."""
-    return zip(map(view, n_rows.tolist()), map(view, m_rows.tolist()))
+    return action._image_group, classify_action(action)
 
 
 class JointAction:
@@ -989,8 +991,9 @@ class JointAction:
 
     ``joint_order`` is the order of ``_group``, the group generated by the
     generator pairs (s^N, s^M) on N followed by M, unless one side alone tells
-    G's elements apart; the element ids of the distinct pairs are found in the
-    two image tables on first use. Membership is ``in _group``, a sift.
+    G's elements apart; the element ids of the distinct pairs, ``_element_ids``,
+    are found in the two image tables on first use, and rows of those tables
+    are the joint elements. Membership is ``in _group``, a sift.
     """
 
     def __init__(self, n_action: GroupAction, m_action: GroupAction):
@@ -1022,14 +1025,6 @@ class JointAction:
         table = np.hstack([self.n_action._table, self.m_action._table])
         return np.sort(np.unique(table[:, self._group._chain.base], axis=0, return_index=True)[1])
 
-    def _pairs(self, view=tuple):
-        ids = self._element_ids
-        return _row_pairs(self.n_action._table[ids], self.m_action._table[ids], view)
-
-    @cached_property
-    def joint_elements(self) -> tuple[tuple[Permutation, Permutation], ...]:
-        return tuple(self._pairs(perm))
-
     @property
     def n_size(self) -> int:
         return self.n_action.target_size
@@ -1037,9 +1032,6 @@ class JointAction:
     @property
     def m_size(self) -> int:
         return self.m_action.target_size
-
-    def pair_set(self) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return set(self._pairs())
 
     def __repr__(self):
         return (

@@ -70,9 +70,28 @@ def act_on_vector(p, x):
     return out
 
 
+def image_rows(action):
+    """An action's images as tuples, one per element id, read off its table."""
+    return list(map(tuple, action._table.tolist()))
+
+
+def joint_pairs(joint):
+    """The distinct (g^N, g^M) image tuples of a joint action, in element-id order."""
+    ids = joint._element_ids
+    n_rows, m_rows = joint.n_action._table[ids], joint.m_action._table[ids]
+    return list(zip(map(tuple, n_rows.tolist()), map(tuple, m_rows.tolist())))
+
+
+def aut_pairs(result):
+    """Every automorphism as (pi_N, pi_M) image tuples, in the order of its group's table."""
+    n = result._n_size
+    rows = map(tuple, result._group._table.tolist())
+    return [(row[:n], tuple(v - n for v in row[n:])) for row in rows]
+
+
 def check_subgroup_monotonicity(layer, joint, sub_joint, **kwargs):
     """Whether passing the equivariance check on ``joint`` implies passing it on ``sub_joint``."""
-    if not sub_joint.pair_set() <= joint.pair_set():
+    if not set(joint_pairs(sub_joint)) <= set(joint_pairs(joint)):
         raise LayerError("sub_joint elements are not a subset of the joint elements")
     full = check_equivariance(layer, joint, **kwargs)
     sub = check_equivariance(layer, sub_joint, **kwargs)
@@ -104,7 +123,7 @@ def preserves_edges(s, pn, pm):
 
 
 def frozenset_automorphism_search(s, reference=None, leaves=None):
-    """(pi_N rows, pi_M rows), order, stats and verdict of the frozenset-set search.
+    """Generator rows over N then M, order, stats and verdict of the frozenset-set search.
 
     The reference for ``autsearch.enumerate_automorphisms``, whose search
     keeps each M node's candidates as an int bitmask: the same base, levels
@@ -247,7 +266,7 @@ def frozenset_automorphism_search(s, reference=None, leaves=None):
             verdict = "incomparable"
         else:
             verdict = "equal" if order == reference.joint_order else "proper_supergroup"
-    return (rows[:, :n_size], rows[:, n_size:] - n_size), order, stats, verdict
+    return rows, order, stats, verdict
 
 def certify_witness(result, joint):
     """(pi_N, pi_M) images of the supergroup witness, read from the listing.
@@ -257,11 +276,11 @@ def certify_witness(result, joint):
     automorphism outside the joint group in order of N images, then M
     images; else the first generator outside it. None when there is none.
     """
-    inside = joint.pair_set()
+    inside = set(joint_pairs(joint))
     if result.elements is None:
         candidates = [(pn.images, pm.images) for pn, pm in result.generators]
     else:
-        candidates = sorted(result.pair_set())
+        candidates = sorted(aut_pairs(result))
     return next((pair for pair in candidates if pair not in inside), None)
 
 

@@ -48,10 +48,10 @@ class TestDenseDesign:
     def test_coloring_is_invariant(self, reverse_conv, wreath_joint):
         for joint in (reverse_conv, wreath_joint):
             s = designs.dense_design(joint)
-            for gn, gm in joint.joint_elements:
+            for gn, gm in oracles.joint_pairs(joint):
                 for n in range(s.n_size):
                     for m in range(s.m_size):
-                        assert oracles.alpha(s, n, m) == oracles.alpha(s, gn(n), gm(m))
+                        assert oracles.alpha(s, n, m) == oracles.alpha(s, gn[n], gm[m])
 
     def test_colors_partition_all_cells(self, reverse_conv):
         s = designs.dense_design(reverse_conv)
@@ -152,9 +152,9 @@ class TestSparseDesign:
             designs.sparse_design(reverse_conv, [1])
 
     def test_relations_are_setwise_invariant(self, reverse_conv_structure, reverse_conv):
-        for gn, gm in reverse_conv.joint_elements:
+        for gn, gm in oracles.joint_pairs(reverse_conv):
             for rel in reverse_conv_structure.relations:
-                image = frozenset((gn(n), gm(m)) for n, m in rel.edges.tolist())
+                image = frozenset((gn[n], gm[m]) for n, m in rel.edges.tolist())
                 assert image == oracles.edge_set(rel)
 
     def test_semi_regular_edge_counts_and_distinct_colors(self, rot90_structure, rot90):
@@ -307,6 +307,36 @@ class TestChannels:
     def test_bad_channel_spec(self):
         with pytest.raises(DesignError):
             ChannelSpec(0, 1)
+
+    BAD_COUNTS = {
+        "zero": (0, "channel counts must be positive"),
+        "negative": (-1, "channel counts must be positive"),
+        "float": (1.5, "channel count 1.5 is not an integer"),
+        "whole-float": (2.0, "channel count 2.0 is not an integer"),
+        "bool": (True, "channel count True is not an integer"),
+        "str": ("2", "channel count '2' is not an integer"),
+    }
+
+    @pytest.mark.parametrize("side", ["in", "out"])
+    @pytest.mark.parametrize("count, message", BAD_COUNTS.values(), ids=list(BAD_COUNTS))
+    def test_bad_channel_count_is_named(self, count, message, side):
+        with pytest.raises(DesignError) as info:
+            ChannelSpec(count, 1) if side == "in" else ChannelSpec(1, count)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("count, message", BAD_COUNTS.values(), ids=list(BAD_COUNTS))
+    def test_bad_replicate_count(self, reverse_conv, count, message):
+        with pytest.raises(DesignError) as info:
+            designs.replicate_action(reverse_conv.n_action, count)
+        assert str(info.value) == message
+
+    def test_numpy_counts_give_python_ints(self, reverse_conv, reverse_conv_structure):
+        ch = ChannelSpec(np.int64(2), np.int64(1))
+        assert (type(ch.k_in), type(ch.k_out)) == (int, int) and ch == ChannelSpec(2, 1)
+        assert designs.replicate_action(reverse_conv.n_action, np.int64(1)) is reverse_conv.n_action
+        doubled = designs.replicate_action(reverse_conv.n_action, np.int64(2))
+        assert doubled.target_size == 6
+        assert designs.expand_channels(reverse_conv_structure, ch).n_size == 6
 
 
 @pytest.fixture(scope="module")

@@ -129,11 +129,11 @@ class TestCheckEquivariance:
             s = designs.sparse_design(joint, genset)
             w = layer.materialize(designs.merge_colors(s), layer.first_primes(s.base_color_count))
             gen_ok = all(
-                layer.matrix_commutes(w, joint.n_action.images[g], joint.m_action.images[g])
+                layer.matrix_commutes(w, joint.n_action._table[g], joint.m_action._table[g])
                 for g in joint.group.generator_ids
             )
             full_ok = all(
-                layer.matrix_commutes(w, gn, gm) for gn, gm in joint.joint_elements
+                layer.matrix_commutes(w, gn, gm) for gn, gm in oracles.joint_pairs(joint)
             )
             assert gen_ok and full_ok
 
@@ -178,10 +178,6 @@ class TestCheckEquivariance:
 class TestFloatRouteOracle:
     """The batched float route against the per-(element, trial) reference loop."""
 
-    @staticmethod
-    def images(joint):
-        return [(gn.images, gm.images) for gn, gm in joint.joint_elements]
-
     @pytest.mark.parametrize("perturbed", [False, True])
     @pytest.mark.parametrize("sigma", [layer.IDENTITY, layer.leaky(0.5)])
     @pytest.mark.parametrize("seed", [0, 5, 301])
@@ -194,7 +190,7 @@ class TestFloatRouteOracle:
         tied = layer.tied_layer_from_structure(s, nonlinearity=sigma)
         rep = layer.check_equivariance(tied, reverse_conv, trials=5, seed=seed)
         expected = oracles.float_residual_per_trial(
-            lambda x: layer.forward(tied, x), self.images(reverse_conv), 3, 5, seed
+            lambda x: layer.forward(tied, x), oracles.joint_pairs(reverse_conv), 3, 5, seed
         )
         assert rep.max_residual == expected
         assert (expected > 0) == perturbed
@@ -208,8 +204,8 @@ class TestFloatRouteOracle:
         )
         rep = layer.compose_layers(first, second, reverse_conv, swapped, trials=4, seed=seed)
         pairs = oracles.distinct_pairs(
-            [g.images for g in reverse_conv.n_action.images],
-            [g.images for g in swapped.m_action.images],
+            oracles.image_rows(reverse_conv.n_action),
+            oracles.image_rows(swapped.m_action),
         )
         expected = oracles.float_residual_per_trial(
             lambda x: layer.forward(second, layer.forward(first, x)), pairs, 3, 4, seed
@@ -233,7 +229,7 @@ class TestFloatRouteOracle:
         joint, tied = self.perturbed_dense(4, layer.leaky(0.5))
         rep = layer.check_equivariance(tied, joint, trials=3, seed=11)
         expected = oracles.float_residual_per_trial(
-            lambda x: layer.forward(tied, x), self.images(joint), 4, 3, 11
+            lambda x: layer.forward(tied, x), oracles.joint_pairs(joint), 4, 3, 11
         )
         assert rep.max_residual == expected > 0
 
@@ -249,7 +245,7 @@ class TestFloatRouteOracle:
         tied = layer.tied_layer_from_structure(s, theta, layer.leaky(0.5))
         rep = layer.check_equivariance(tied, joint, trials=4, seed=seed)
         expected = oracles.float_residual_per_trial(
-            lambda x: layer.forward(tied, x), self.images(joint), 4, 4, seed
+            lambda x: layer.forward(tied, x), oracles.joint_pairs(joint), 4, 4, seed
         )
         bound = 4 * 4 * np.finfo(float).eps * 9 * np.abs(tied.weights()).sum(axis=1).max()
         assert abs(rep.max_residual - expected) <= bound
@@ -263,7 +259,7 @@ class TestFloatRouteOracle:
         joint, tied = self.perturbed_dense(5, sigma)
         rep = layer.check_equivariance(tied, joint, trials=3, seed=9)
         expected = oracles.float_residual_per_trial(
-            lambda x: layer.forward(tied, x), self.images(joint), 5, 3, 9
+            lambda x: layer.forward(tied, x), oracles.joint_pairs(joint), 5, 3, 9
         )
         assert rep.max_residual == expected > 0
         assert not rep.passed and rep.tested_elements == 120
@@ -274,7 +270,7 @@ class TestFloatRouteOracle:
         joint, tied = self.perturbed_dense(6, layer.leaky(0.5))
         rep = layer.check_equivariance(tied, joint, trials=8, seed=4)
         expected = oracles.float_residual_per_trial(
-            lambda x: layer.forward(tied, x), self.images(joint), 6, 8, 4
+            lambda x: layer.forward(tied, x), oracles.joint_pairs(joint), 6, 8, 4
         )
         assert rep.max_residual == expected > 0
 
@@ -288,8 +284,8 @@ class TestFloatRouteOracle:
         )
         rep = layer.compose_layers(first, second, reverse_conv, swapped, trials=4, seed=2)
         pairs = oracles.distinct_pairs(
-            [g.images for g in reverse_conv.n_action.images],
-            [g.images for g in swapped.m_action.images],
+            oracles.image_rows(reverse_conv.n_action),
+            oracles.image_rows(swapped.m_action),
         )
         expected = oracles.float_residual_per_trial(
             lambda x: layer.forward(second, layer.forward(first, x)), pairs, 3, 4, 2
@@ -499,7 +495,7 @@ def test_replay_matches_the_per_trial_oracle(stack, trials, seed, cells):
     with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
         mp.setattr(layer, "_FLOAT_BATCH_CELLS", cells)
         rep = layer.check_equivariance(tied, joint, trials=trials, seed=seed)
-    pairs = [(gn.images, gm.images) for gn, gm in joint.joint_elements]
+    pairs = oracles.joint_pairs(joint)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = oracles.float_residual_per_trial(
             lambda x: layer.forward(tied, x), pairs, tied.n_size, trials, seed
@@ -517,7 +513,7 @@ def test_stack_replay_matches_the_per_trial_oracle(stack, trials, seed, cells):
         mp.setattr(layer, "_FLOAT_BATCH_CELLS", cells)
         rep = layer.compose_layers(first, second, joint_nm, joint_mo, trials=trials, seed=seed)
     pairs = oracles.distinct_pairs(
-        [g.images for g in n_action.images], [g.images for g in o_action.images]
+        oracles.image_rows(n_action), oracles.image_rows(o_action)
     )
     with np.errstate(over="ignore", invalid="ignore"):
         expected = oracles.float_residual_per_trial(
@@ -582,7 +578,7 @@ class TestSubgroupMonotonicity:
         n_sub = pc.build_action(z3, [pc.parse_cycles("(0 2 1)", 3)], 3)
         m_sub = pc.build_action(z3, [pc.parse_cycles("(0 4 2)(1 5 3)", 6)], 6)
         sub = pc.joint_action(n_sub, m_sub)
-        assert sub.pair_set() <= reverse_conv.pair_set()
+        assert set(oracles.joint_pairs(sub)) <= set(oracles.joint_pairs(reverse_conv))
         assert sub.joint_order == 3
         assert oracles.check_subgroup_monotonicity(rc_layer, reverse_conv, sub, trials=3)
         assert layer.check_equivariance(rc_layer, sub, trials=3).passed
@@ -597,7 +593,7 @@ class TestSubgroupMonotonicity:
         z2 = pc.close_generators([pc.parse_cycles("(0 1)", 4)])
         nat = pc.natural_action(z2)
         sub = pc.joint_action(nat, nat)
-        assert sub.pair_set() <= joint.pair_set()
+        assert set(oracles.joint_pairs(sub)) <= set(oracles.joint_pairs(joint))
         assert oracles.check_subgroup_monotonicity(tied, joint, sub, trials=3)
 
     def test_non_subset_rejected(self, rc_layer, reverse_conv):
@@ -723,7 +719,7 @@ class TestSensitivity:
 
         s = layer.group_conv_structure(mirror_conv, [1])
         w = layer.materialize(designs.merge_colors(s), layer.first_primes(2))
-        aut = autsearch.enumerate_automorphisms(s).pair_set()
+        aut = set(oracles.aut_pairs(autsearch.enumerate_automorphisms(s)))
         for pn in itertools.permutations(range(4)):
             for pm in itertools.permutations(range(2)):
                 expected = (pn, pm) in aut

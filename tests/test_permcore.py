@@ -149,6 +149,18 @@ class TestClosure:
         b = pc.close_generators(pc.dihedral_generators(5))
         assert a.elements == b.elements
 
+    @pytest.mark.parametrize("images, dtype", [
+        ((1.0, 0.0), "float64"), ((True, False), "bool"), ((0.0, 2.0, 1.0), "float64"),
+    ], ids=["float", "bool", "float-3"])
+    def test_non_integer_images_are_refused(self, images, dtype):
+        # such rows pass Permutation's sorted check, so the closure checks them as build_action does
+        with pytest.raises(GroupError) as info:
+            pc.close_generators([Permutation(images)])
+        assert str(info.value) == f"generator image table must hold integers, not {dtype}"
+
+    def test_numpy_integer_images_are_accepted(self):
+        assert pc.close_generators([Permutation((np.int64(1), np.int64(0)))]).order == 2
+
     def test_cyclic_order_matches_shift_count(self):
         # single generator: BFS layers are consecutive powers
         g = pc.close_generators(pc.cyclic_generators(6))
@@ -183,6 +195,16 @@ class TestNamedGroups:
         assert g.degree == 7
         assert g.order == 12
 
+    @pytest.mark.parametrize("factor", [[P(1, 0), P(1, 0, 2)], [P(1, 0, 2), P(1, 0)]],
+                             ids=["short-first", "long-first"])
+    def test_direct_product_factor_of_mixed_degrees(self, factor):
+        first, second = (g.degree for g in factor)
+        with pytest.raises(GroupError) as info:
+            pc.direct_product_generators([P(0)], factor)
+        assert str(info.value) == (
+            f"direct_product: factor 1 generator 1 has degree {second}, not {first}"
+        )
+
     def test_invalid_params(self):
         with pytest.raises(GroupError):
             pc.named_group("cyclic", n=0)
@@ -194,11 +216,11 @@ class TestBuildAction:
     def test_unfaithful_z6_on_3(self, z6):
         act = pc.build_action(z6, [P(1, 2, 0)], 3)
         for k in range(6):
-            assert act.images[k] == P(*[(i + k) % 3 for i in range(3)])
+            assert act._table[k].tolist() == [(i + k) % 3 for i in range(3)]
 
     def test_trivial_image(self, z6):
         act = pc.build_action(z6, [pc.identity(3)], 3)
-        assert all(img.is_identity() for img in act.images)
+        assert (act._table == np.arange(3)).all()
 
     def test_inconsistent_action(self):
         z3 = pc.close_generators([P(1, 2, 0)])
@@ -216,29 +238,25 @@ class TestBuildAction:
         joint = joint_factory()
         for action in (joint.n_action, joint.m_action):
             g = action.group
+            table = action._table
             assert g.order <= 512
             for i in range(g.order):
                 for j in range(g.order):
-                    assert action.images[g.mul(i, j)] == pc.compose(
-                        action.images[i], action.images[j]
-                    )
+                    assert np.array_equal(table[g.mul(i, j)], table[i][table[j]])
 
     def test_homomorphism_sampled_above_512(self):
         # larger groups: generator pairs plus 1000 seeded random pairs
         joint = diagonal_symmetric_joint(6)
         action = joint.n_action
         g = action.group
+        table = action._table
         assert g.order > 512
         for i in g.generator_ids:
             for j in g.generator_ids:
-                assert action.images[g.mul(i, j)] == pc.compose(
-                    action.images[i], action.images[j]
-                )
+                assert np.array_equal(table[g.mul(i, j)], table[i][table[j]])
         rng = np.random.default_rng(0)
         for i, j in rng.integers(0, g.order, size=(1000, 2)):
-            assert action.images[g.mul(i, j)] == pc.compose(
-                action.images[int(i)], action.images[int(j)]
-            )
+            assert np.array_equal(table[g.mul(i, j)], table[i][table[j]])
 
 
 def generator_lists(max_degree=7, max_gens=3):
@@ -253,18 +271,21 @@ def generator_lists(max_degree=7, max_gens=3):
 
 
 def reference_images(group, gen_images, target_size):
-    """``oracles.action_per_edge`` on a group: its images, or its GroupError text."""
+    """``oracles.action_per_edge`` on a group: its image tuples, or its GroupError text."""
     try:
-        return oracles.action_per_edge(
-            group.elements, group.generator_ids, gen_images, target_size
-        )
+        return [
+            p.images
+            for p in oracles.action_per_edge(
+                group.elements, group.generator_ids, gen_images, target_size
+            )
+        ]
     except GroupError as exc:
         return str(exc)
 
 
 def table_images(group, gen_images, target_size):
     try:
-        return list(pc.build_action(group, gen_images, target_size).images)
+        return oracles.image_rows(pc.build_action(group, gen_images, target_size))
     except GroupError as exc:
         return str(exc)
 
@@ -340,16 +361,15 @@ class TestTableClosureAndAction:
         assert trivial.generator_ids == (0,)
         assert trivial._table.tolist() == [[0, 1, 2]]
         act = pc.build_action(trivial, [pc.identity(2)], 2)
-        assert act.images == (pc.identity(2),)
+        assert act._table.tolist() == [[0, 1]]
         swap = [P(1, 0)]
         message = "inconsistent action: element () receives two distinct images"
         assert reference_images(trivial, swap, 2) == table_images(trivial, swap, 2) == message
 
     def test_target_size_one(self, z6):
         act = pc.build_action(z6, [pc.identity(1)], 1)
-        assert act.images == tuple(oracles.action_per_edge(z6.elements, z6.generator_ids,
-                                                           [pc.identity(1)], 1))
-        assert all(img == pc.identity(1) for img in act.images)
+        assert oracles.image_rows(act) == reference_images(z6, [pc.identity(1)], 1)
+        assert act._table.tolist() == [[0]] * 6
 
 
 @st.composite
@@ -443,8 +463,18 @@ class TestFaithfulImage:
     def test_reverse_conv_pairing_faithful(self, reverse_conv):
         # the pair map g -> (g^N, g^M) is injective: all six pairs distinct
         assert reverse_conv.joint_order == 6
-        pairs = {(gn.images, gm.images) for gn, gm in reverse_conv.joint_elements}
+        pairs = set(oracles.joint_pairs(reverse_conv))
         assert len(pairs) == 6
+
+    def test_one_image_group_per_action(self, z6, monkeypatch):
+        row_group = pc._row_group
+        calls = []
+        monkeypatch.setattr(pc, "_row_group", lambda *a, **k: calls.append(a) or row_group(*a, **k))
+        action = pc.regular_action(z6)
+        image, profile = pc.faithful_image(action)
+        assert len(calls) == 1 and image is action._image_group
+        assert image.order == profile.image_order == 6
+        assert pc.faithful_image(action)[0] is image and len(calls) == 1
 
     def test_order_times_kernel(self, z6, reverse_conv):
         for act in (
@@ -537,7 +567,7 @@ class TestJointAction:
     def test_s4_diagonal(self):
         joint = diagonal_symmetric_joint(4)
         assert joint.joint_order == 24
-        assert all(gn == gm for gn, gm in joint.joint_elements)
+        assert all(gn == gm for gn, gm in oracles.joint_pairs(joint))
 
     def test_trivial_m_side(self, z6):
         n_act = pc.build_action(z6, [P(1, 2, 0)], 3)
@@ -563,11 +593,11 @@ class TestJointAction:
 
     def test_joint_elements_form_a_group(self, reverse_conv, mirror_conv):
         for joint in (reverse_conv, mirror_conv):
-            pairs = joint.pair_set()
+            pairs = set(oracles.joint_pairs(joint))
             assert (tuple(range(joint.n_size)), tuple(range(joint.m_size))) in pairs
-            for (an, am) in joint.joint_elements:
-                for (bn, bm) in joint.joint_elements:
-                    prod = (pc.compose(an, bn).images, pc.compose(am, bm).images)
+            for (an, am) in pairs:
+                for (bn, bm) in pairs:
+                    prod = (tuple(an[v] for v in bn), tuple(am[v] for v in bm))
                     assert prod in pairs
             assert joint.joint_order % 1 == 0
             assert joint.group.order % joint.joint_order == 0

@@ -65,7 +65,7 @@ def test_rule_sees_bare_and_dotted_calls():
 
 
 # what reads or builds the automorphism listing; certify finds its witness without it
-LISTING_NAMES = {"_listed", "elements", "pair_set"}
+LISTING_NAMES = {"elements", "_table", "_closure"}
 
 
 def listing_reads(tree, function):
@@ -88,12 +88,12 @@ def test_certify_reads_no_listing():
 
 def test_listing_rule_sees_attribute_and_name_reads():
     source = (
-        "def certify_unique(s):\n    r = f(s)\n    return r._listed or r.elements\n"
-        "def g(r):\n    return r.pair_set(), _listed\n"
+        "def certify_unique(s):\n    r = f(s)\n    return r._group._table or r.elements\n"
+        "def g(r):\n    return r._closure, elements\n"
     )
     tree = ast.parse(source)
-    assert listing_reads(tree, "certify_unique") == [(3, "_listed"), (3, "elements")]
-    assert listing_reads(tree, "g") == [(5, "_listed"), (5, "pair_set")]
+    assert listing_reads(tree, "certify_unique") == [(3, "_table"), (3, "elements")]
+    assert listing_reads(tree, "g") == [(5, "_closure"), (5, "elements")]
 
 
 # every mask leaves the package through specio.dump_mask, which keeps its bytes
@@ -283,7 +283,7 @@ def test_replay_sorts_no_rows_and_broadcasts_no_index():
 
 
 # retired with the breadth-first ids: element ids are the chain's sorted listing
-RETIRED_PERMCORE_NAMES = {"_breadth_first", "_NARROW_LAYER_EDGES", "_cayley_right"}
+RETIRED_PERMCORE_NAMES = {"_breadth_first", "_NARROW_LAYER_EDGES", "_cayley_right", "_row_pairs"}
 
 
 def defined_names(tree):
@@ -326,3 +326,106 @@ def test_retired_rules_see_their_targets():
     tree = ast.parse(source)
     assert defined_names(tree) & RETIRED_PERMCORE_NAMES == {"_NARROW_LAYER_EDGES", "_cayley_right"}
     assert private_group_reads(tree) == [(5, "group._cayley_right"), (6, "spec.group._chain")]
+
+
+# actions, joint actions and Aut are int tables: no class keeps a ``Permutation`` view of one
+RETIRED_VIEWS = {"images", "joint_elements", "pair_set", "_pairs", "_listed"}
+
+
+def class_methods(tree):
+    """(class name, method name) of every function defined directly in a class body."""
+    return {
+        (cls.name, node.name)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+@pytest.mark.parametrize("module", ["permcore", "autsearch"])
+def test_no_class_keeps_a_permutation_view(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert {(c, name) for c, name in class_methods(tree) if name in RETIRED_VIEWS} == set()
+
+
+def test_aut_generators_are_one_table():
+    """The search's rows over N then M are kept whole: nothing stacks two halves back."""
+    assert names_read(ast.parse((PACKAGE / "autsearch.py").read_text()), {"hstack"}) == []
+
+
+# where ``autsearch`` may build a ``Permutation``: its two views and certify's witness
+PERMUTATION_MAKERS = {"perm", "Permutation"}
+PERMUTATION_BUILDERS = {
+    "AutomorphismResult.generators", "AutomorphismResult.elements", "certify_unique",
+}
+
+
+def annotation_nodes(tree):
+    """ids of the nodes inside argument, return and variable annotations."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(node) for root in roots for node in ast.walk(root)}
+
+
+def permutation_reads(tree):
+    """(enclosing classes and functions, whether called) of each read of ``perm`` or ``Permutation``.
+
+    Annotations are not reads. A read that is not called passes the
+    constructor on as a value, to build ``Permutation`` objects elsewhere.
+    """
+    skip = annotation_nodes(tree)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if id(child) in skip:
+                continue
+            name = child.attr if isinstance(child, ast.Attribute) else getattr(child, "id", None)
+            if isinstance(child, (ast.Name, ast.Attribute)) and name in PERMUTATION_MAKERS:
+                found.add((".".join(scope), id(child) in called))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_autsearch_builds_permutations_only_in_its_views_and_witness():
+    reads = permutation_reads(ast.parse((PACKAGE / "autsearch.py").read_text()))
+    assert reads <= {(scope, True) for scope in PERMUTATION_BUILDERS}
+
+
+def test_view_rules_see_the_retired_definitions():
+    """The views as they were defined: methods named for them, and ``perm`` passed as a view."""
+    source = (
+        "class Permutation:\n    images: tuple[int, ...]\n"
+        "class GroupAction:\n    @cached_property\n    def images(self) -> tuple[Permutation]:\n"
+        "        return tuple(Permutation(tuple(r)) for r in self._table.tolist())\n"
+        "class JointAction:\n    def _pairs(self, view=tuple):\n        pass\n"
+        "    def joint_elements(self):\n        return tuple(self._pairs(perm))\n"
+        "class AutomorphismResult:\n    witness: Optional[Permutation] = None\n"
+        "    def generators(self) -> tuple[Permutation, ...]:\n"
+        "        return tuple(permcore._row_pairs(*self._generator_rows, perm))\n"
+        "    def _group(self, x: Permutation):\n"
+        "        return permcore._row_group(np.hstack([pns, pms + pns.shape[1]]))\n"
+        "    def _listed(self):\n        pass\n    def pair_set(self):\n        pass\n"
+        "def certify_unique(s):\n    return perm(pn), pc.Permutation(pm)\n"
+    )
+    tree = ast.parse(source)
+    assert {(c, name) for c, name in class_methods(tree) if name in RETIRED_VIEWS} == {
+        ("GroupAction", "images"), ("JointAction", "_pairs"), ("JointAction", "joint_elements"),
+        ("AutomorphismResult", "_listed"), ("AutomorphismResult", "pair_set"),
+    }
+    assert names_read(tree, {"hstack"}) == [(17, "hstack")]
+    assert permutation_reads(tree) == {
+        ("GroupAction.images", True), ("JointAction.joint_elements", False),
+        ("AutomorphismResult.generators", False), ("certify_unique", True),
+    }
