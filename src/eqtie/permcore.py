@@ -36,7 +36,9 @@ A group answers everything else from its chain: membership is a sift
 level, and the read-only (order x degree) table sorts those products by their
 images of the base points. The base points increase, so that is the order of
 the image arrays; ``_lex_walk`` yields the elements in the same order one at
-a time, listing none, and one vectorised lookup of base images finds any
+a time, listing none. An element's key reads its base images as the digits
+of one base-degree number (an int64 while degree^k < 2^63, a Python int
+past that), so one ``searchsorted`` over the sorted keys finds any
 element's id. An action's (|G| x target_size) table reads its graph's
 products at the target points and G's base points, and the same lookup puts
 each image at its element's id; the graph ``build_action`` checked is used
@@ -64,7 +66,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -241,17 +243,15 @@ class PermutationGroup:
         return rows
 
     @cached_property
-    def _closure(self) -> _Closure:
-        """The chain's products sorted by their images of the base points, and their lookup.
+    def _closure(self) -> _BaseLookup:
+        """The lookup holding the element table: the chain's products sorted by base images.
 
         The base points increase, and two elements that agree on b_0..b_{l-1}
         agree on every point below b_l, so that sort is the lexicographic
-        order of the image arrays.
+        order of the image arrays. The same keys find any element's row.
         """
-        chain = self._chain
         listing = self._products(np.arange(self.degree))
-        lookup = _BaseLookup(listing, np.array(chain.base, dtype=np.intp), chain.orbit_lengths)
-        return _Closure(_read_only(listing[lookup.order]), lookup)
+        return _BaseLookup(listing, np.array(self._chain.base, dtype=np.intp))
 
     def _lex_walk(self) -> Iterator[tuple[int, ...]]:
         """Every element as an image tuple in ``_table``'s order, one at a time, listing none.
@@ -281,7 +281,7 @@ class PermutationGroup:
 
     def _ids(self, base_images: np.ndarray) -> np.ndarray:
         """Element ids of the elements with these images of the chain's base points, one per row."""
-        return self._closure.lookup(base_images)
+        return self._closure(base_images)
 
     def word_ids(self, words: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """Element ids of words in the generators, one per word; the empty word is the identity.
@@ -312,15 +312,9 @@ class PermutationGroup:
     def _index(self) -> dict[tuple[int, ...], int]:
         return {row: i for i, row in enumerate(map(tuple, self._table.tolist()))}
 
-    def index_of(self, p: Permutation) -> int:
-        try:
-            return self._index[p.images]
-        except KeyError:
-            raise GroupError(f"{p!r} is not an element of this group") from None
-
     def mul(self, i: int, j: int) -> int:
         """Index of elements[i] composed with elements[j] (j applied first)."""
-        return self.index_of(compose(self.elements[i], self.elements[j]))
+        return self._index[compose(self.elements[i], self.elements[j]).images]
 
     def inv(self, i: int) -> int:
         # the inverse sends b to the position of b in the row: its base images
@@ -342,13 +336,6 @@ class PermutationGroup:
 
     def __repr__(self):
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
-
-
-class _Closure(NamedTuple):
-    """A group's element table and the lookup of its rows by base images."""
-
-    table: np.ndarray
-    lookup: _BaseLookup
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -569,50 +556,31 @@ class _StabilizerChain:
 
 
 class _BaseLookup:
-    """Sorts a listing of group elements by their images of a chain's base points, and finds rows.
+    """A listing of group elements sorted by their images of a chain's base points; finds rows.
 
-    An element is fixed by its images of b_0..b_{k-1}. In the sorted order
-    the elements with equal images of b_0..b_{l-1}, a coset of G_l, are
-    |G_l| consecutive rows: a block. A run of levels a..c-1 is found at once
-    by one integer key per row, the rank of its block at level a and then
-    the images of b_a..b_{c-1} as base-degree digits, which sorts as the
-    rows do. A run is as long as its keys fit in int64, so a group has one
-    run unless both its degree and its base are large.
+    An element is fixed by its images of b_0..b_{k-1}. Its key reads them as
+    the digits of one base-degree number, b_0's image the most significant,
+    so keys are distinct and sort as the rows do: one ``argsort`` orders the
+    listing and one ``searchsorted`` finds rows. Keys are int64 while
+    degree^k < 2^63 and Python ints in an object array past that.
     """
 
-    def __init__(self, listing: np.ndarray, base: np.ndarray, orbit_lengths: Sequence[int]):
+    def __init__(self, listing: np.ndarray, base: np.ndarray):
         self.base = base
-        degree = listing.shape[1]
-        sizes = [math.prod(orbit_lengths[l:]) for l in range(len(base) + 1)]  # |G_l|
-        spans, keys = [], []
-        a = 0
-        while a < len(base):
-            c = a + 1
-            while c < len(base) and sizes[0] // sizes[a] * degree ** (c + 1 - a) < 2**63:
-                c += 1
-            digits = np.array([degree**e for e in range(c - a - 1, -1, -1)], dtype=np.int64)
-            spans.append((a, c, digits))
-            keys.append(listing[:, base[a:c]] @ digits)
-            a = c
-        # ``order`` sorts the listing's rows by base images. Keys are distinct, so one
-        # key needs no stable sort; a trivial group has one row and no key.
-        self.order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0] if keys else 0)
-        self.runs = []
-        for (a, c, digits), key in zip(spans, keys):
-            scale, heads = degree ** (c - a), key[self.order[::sizes[c]]]  # each block's first row
-            if a:  # the block ranks at level a, none before the first run
-                heads += np.arange(len(heads)) // (sizes[a] // sizes[c]) * scale
-            self.runs.append((a, c, digits, scale, heads))
+        degree, k = listing.shape[1], len(base)
+        dtype = np.int64 if degree**k < 2**63 else object
+        self._digits = np.array([degree**e for e in range(k - 1, -1, -1)], dtype=dtype)
+        keys = self._key(listing[:, base])
+        order = np.argsort(keys)  # keys are distinct: no stable sort needed
+        self.table = _read_only(listing[order])
+        self._keys = keys[order]
+
+    def _key(self, images: np.ndarray) -> np.ndarray:
+        return images.astype(self._digits.dtype, copy=False) @ self._digits
 
     def __call__(self, images: np.ndarray) -> np.ndarray:
-        """Sorted positions of the elements whose base images are the rows of ``images``."""
-        rank = None
-        for a, c, digits, scale, keys in self.runs:
-            key = images[:, a:c] @ digits
-            if a:
-                key += rank * scale
-            rank = keys.searchsorted(key)
-        return np.zeros(len(images), dtype=np.intp) if rank is None else rank
+        """Rows of ``table`` holding the elements whose base images are the rows of ``images``."""
+        return self._keys.searchsorted(self._key(images))
 
 
 def _row_group(rows: np.ndarray, limit: int | None = None) -> PermutationGroup:
@@ -637,12 +605,7 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
         raise GroupError("need at least one generator")
     if cap <= 0:
         raise GroupError("cap must be positive")
-    degree = gens[0].degree
-    for g in gens:
-        if g.degree != degree:
-            raise GroupError(f"degree mismatch among generators: {g.degree} != {degree}")
-
-    group = _row_group(_image_table(gens, degree), limit=cap)
+    group = _row_group(_image_table(gens, gens[0].degree), limit=cap)
     if group.order > cap:
         raise GroupError(f"order cap exceeded: closure has more than {cap} elements; raise the cap")
     return group
@@ -828,7 +791,7 @@ class GroupAction:
             return group._table
         size = self.target_size
         # the pair group's rows at the target points and at G's base points, shifted
-        points = np.concatenate([np.arange(size), group._closure.lookup.base + size])
+        points = np.concatenate([np.arange(size), group._closure.base + size])
         listing = self._pair_group._products(points)
         del self._pair_group  # read only here; on the array route its transversals are tables
         table = np.empty((group.order, size), dtype=np.intp)

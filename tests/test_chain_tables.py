@@ -4,11 +4,11 @@ A group's element table comes from its chain's transversal products, sorted
 and found by their images of the base points; an action's table comes from
 the chain of its pairs (s^X, s). Each is compared with the references in
 ``oracles.py``: a closure with one ``compose`` per product, sorted, and a
-per-edge action walk, whose error texts rejected images must also give. The cases cover repeated and
-identity generators, degrees on both sides of 15 and of 256 (the chain's
-byte and array routes; a pair chain of more than 256 points takes the
-array route too) and a base long enough that the lookup splits its keys
-over two runs.
+per-edge action walk, whose error texts rejected images must also give. The
+cases cover repeated and identity generators, degrees on both sides of 15
+and of 256 (the chain's byte and array routes; a pair chain of more than 256
+points takes the array route too) and two groups whose keys, base images
+read as base-degree digits, overflow int64 and are held as Python ints.
 """
 
 from __future__ import annotations
@@ -67,11 +67,17 @@ CASES = {
     "degree-300": disjoint_factors(
         300, [(3, ["(0 1)", "(0 1 2)"]), (4, ["(0 1 2 3)", "(0 2)"]), (5, ["(0 1 2 3 4)"])]
     ),
-    # degree 128 and a base of 9 points: 128 ** 9 = 2 ** 63 splits the keys into two runs
+    # degree 128 and a base of 9 points: 128 ** 9 = 2 ** 63, one past the int64 keys (named
+    # for the two int64 runs an older lookup split its keys into)
     "two-runs": disjoint_factors(
         128, [(3, ["(0 1)", "(0 1 2)"]), (3, ["(0 1)", "(0 1 2)"])] + [(2, ["(0 1)"])] * 5
     ),
+    # 12 disjoint transpositions on 64 points: |G| = 4096 and 64 ** 12 = 2 ** 72
+    "transpositions-64": cycles(64, *(f"({2 * i} {2 * i + 1})" for i in range(12))),
 }
+
+# the cases whose base images overflow an int64 key
+OBJECT_KEYS = {"two-runs", "transpositions-64"}
 
 
 @pytest.fixture(scope="module", params=list(CASES))
@@ -99,14 +105,15 @@ class TestGroupTables:
         assert [group.inv(i) for i in range(group.order)] == expected
         assert "_index" not in group.__dict__
 
-    def test_lookup_runs(self, case):
+    def test_lookup_keys(self, case):
+        """One key per element, its base images as base-degree digits; each row finds itself."""
         name, _, group, _, _ = case
-        runs = group._closure.lookup.runs
-        assert len(runs) == (2 if name == "two-runs" else 1 if group._chain.base else 0)
-        # the runs cover the base, each level once
-        assert [level for a, c, *_ in runs for level in range(a, c)] == list(
-            range(len(group._chain.base))
-        )
+        lookup = group._closure
+        assert lookup._keys.dtype == (object if name in OBJECT_KEYS else np.int64)
+        assert lookup.table is group._table
+        base = group._chain.base
+        assert np.array_equal(lookup.base, base)
+        assert np.array_equal(group._ids(group._table[:, base]), np.arange(group.order))
 
 
 def relabelled_images(group, rng):

@@ -647,6 +647,31 @@ class TestComposeLayers:
             layer.compose_layers(all_ones(3, 6), all_ones(6, 2), joint_nm, joint_mo)
 
 
+class TestLayerInputErrors:
+    def test_forward_refuses_a_wrong_input_length(self, rc_layer):
+        with pytest.raises(LayerError) as info:
+            layer.forward(rc_layer, np.zeros(4))
+        assert str(info.value) == "input length (4,) != n_size 3"
+
+    def test_unknown_nonlinearity(self):
+        with pytest.raises(LayerError) as info:
+            layer.Nonlinearity("relu")
+        assert str(info.value) == "unknown nonlinearity 'relu'"
+
+    def test_compose_refuses_a_middle_size_mismatch(self, rc_layer, reverse_conv):
+        with pytest.raises(LayerError) as info:
+            layer.compose_layers(rc_layer, rc_layer, reverse_conv, reverse_conv)
+        assert str(info.value) == "middle size mismatch: first layer emits 6, second takes 3"
+
+    def test_compose_refuses_joints_over_different_groups(self, rc_layer, reverse_conv):
+        _, second = reverse_stack_second(reverse_conv)
+        z2 = pc.close_generators([pc.parse_cycles("(0 1)", 2)])
+        other = pc.joint_action(pc.trivial_action(z2, 6), pc.trivial_action(z2, 3))
+        with pytest.raises(LayerError) as info:
+            layer.compose_layers(rc_layer, second, reverse_conv, other)
+        assert str(info.value) == "middle-action mismatch: joints use different reference groups"
+
+
 class TestGroupConv:
     @pytest.mark.parametrize("n", [4, 5, 7, 12])
     def test_matches_cross_correlation_oracle(self, n):

@@ -212,6 +212,51 @@ class TestNamedGroups:
             pc.named_group("frobnicate", n=3)
 
 
+class TestLibraryInputErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: pc.close_generators([]), "need at least one generator"),
+        (lambda: pc.close_generators([P(1, 0)], cap=0), "cap must be positive"),
+        (lambda: pc.close_generators([P(1, 0), P(1, 2, 0)]), "generator image degree 3 != 2"),
+        (lambda: pc.dihedral_generators(0), "dihedral: n must be >= 1"),
+        (lambda: pc.symmetric_generators(0), "symmetric: n must be >= 1"),
+        (lambda: pc.wreath_generators(0, 2), "wreath: d and blocks must be >= 1"),
+        (lambda: pc.wreath_generators(2, 0), "wreath: d and blocks must be >= 1"),
+        (lambda: pc.direct_product_generators(), "direct_product: need at least one factor"),
+        (lambda: pc.direct_product_generators([P(1, 0)], []),
+         "direct_product: empty factor generator list"),
+    ], ids=[
+        "no-generators", "cap-0", "mixed-degrees", "dihedral-0", "symmetric-0", "wreath-d-0",
+        "wreath-blocks-0", "no-factor", "empty-factor",
+    ])
+    def test_refused_with_its_message(self, call, message):
+        with pytest.raises(GroupError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("d, blocks", [(1, 3), (3, 1), (1, 1)])
+    def test_wreath_with_one_point_blocks_or_one_block(self, d, blocks):
+        gens = pc.wreath_generators(d, blocks)
+        assert all(g.degree == d * blocks for g in gens)
+        assert pc.close_generators(gens).order == oracles.wreath_order(d, blocks)
+
+    def test_named_group_dispatches_wreath_and_direct_product(self):
+        assert pc.named_group("wreath", d=2, blocks=3) == pc.wreath_generators(2, 3)
+        factors = [pc.cyclic_generators(3), pc.symmetric_generators(3)]
+        assert pc.named_group("direct_product", factors=factors) == (
+            pc.direct_product_generators(*factors)
+        )
+
+    def test_empty_cycles_are_the_identity(self):
+        assert pc.parse_cycles("()()", 3) == pc.identity(3)
+
+    def test_repr_and_hash(self):
+        assert repr(P(1, 2, 0, 3)) == "Permutation('(0 1 2)', degree=4)"
+        a = pc.close_generators(pc.dihedral_generators(5))
+        b = pc.close_generators(pc.dihedral_generators(5))
+        assert repr(a) == "PermutationGroup(degree=5, order=10)"
+        assert a is not b and a == b and hash(a) == hash(b)
+
+
 class TestBuildAction:
     def test_unfaithful_z6_on_3(self, z6):
         act = pc.build_action(z6, [P(1, 2, 0)], 3)

@@ -256,6 +256,15 @@ def test_chain_rule_sees_module_level_nested_and_dotted_calls():
     ]
 
 
+def test_only_the_closure_builds_a_lookup():
+    """One lookup per group, its element table: built in ``PermutationGroup._closure`` alone."""
+    tree = ast.parse((PACKAGE / "permcore.py").read_text())
+    assert [function for _, function in enclosing_calls(tree, "_BaseLookup")] == ["_closure"]
+    assert [cls for cls, name in class_methods(tree) if name == "_closure"] == ["PermutationGroup"]
+    # one key per element: no run of levels is sorted apart
+    assert names_read(tree, {"lexsort"}) == []
+
+
 # what a group holds inside: the search and certify go through the group's own methods
 CHAIN_INTERNALS = {
     "_StabilizerChain", "transversals", "_transversal_products", "_products", "_compose_tuple",
@@ -283,7 +292,9 @@ def test_replay_sorts_no_rows_and_broadcasts_no_index():
 
 
 # retired with the breadth-first ids: element ids are the chain's sorted listing
-RETIRED_PERMCORE_NAMES = {"_breadth_first", "_NARROW_LAYER_EDGES", "_cayley_right", "_row_pairs"}
+RETIRED_PERMCORE_NAMES = {
+    "_breadth_first", "_NARROW_LAYER_EDGES", "_cayley_right", "_row_pairs", "_Closure", "index_of",
+}
 
 
 def defined_names(tree):

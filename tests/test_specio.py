@@ -166,6 +166,91 @@ class TestParseSpec:
         assert specio.format_spec(again) == specio.format_spec(spec)
 
 
+def spec_text(drop=(), **overrides):
+    """The reverse-conv spec as JSON text, with fields overridden and ``drop`` removed."""
+    doc = reverse_conv_doc(**overrides)
+    for key in drop:
+        del doc[key]
+    return json.dumps(doc)
+
+
+def generators_group(*generators, degree=3):
+    return {"kind": "generators", "degree": degree, "generators": list(generators)}
+
+
+GROUP_KINDS = "['cyclic', 'dihedral', 'direct_product', 'generators', 'symmetric', 'wreath']"
+
+# (parser, document text, JSON path, message): each error the two parsers raise on bad input
+DOCUMENT_ERRORS = {
+    "missing-field": (specio.parse_spec, spec_text(drop=["design"]),
+                      "$", "missing required field 'design'"),
+    "document-not-object": (specio.parse_spec, "[1, 2]", "$", "expected a JSON object"),
+    "group-not-object": (specio.parse_spec, spec_text(group=[6]), "$.group", "expected an object"),
+    "factor-not-object": (
+        specio.parse_spec, spec_text(group={"kind": "direct_product", "factors": [6]}),
+        "$.group.factors[0]", "expected an object",
+    ),
+    "action-not-object": (specio.parse_spec, spec_text(n_action="(0 1 2)"),
+                          "$.n_action", "expected an object"),
+    "channels-not-object": (specio.parse_spec, spec_text(channels=[1, 1]),
+                            "$.channels", "expected an object"),
+    "unknown-group-kind": (specio.parse_spec, spec_text(group={"kind": "alternating", "n": 4}),
+                           "$.group.kind", f"expected one of {GROUP_KINDS}"),
+    "empty-factors": (
+        specio.parse_spec, spec_text(group={"kind": "direct_product", "factors": []}),
+        "$.group.factors", "expected a non-empty list of group objects",
+    ),
+    "factors-not-list": (
+        specio.parse_spec,
+        spec_text(group={"kind": "direct_product", "factors": {"kind": "cyclic", "n": 6}}),
+        "$.group.factors", "expected a non-empty list of group objects",
+    ),
+    "empty-generators": (specio.parse_spec, spec_text(group=generators_group()),
+                         "$.group.generators", "expected a non-empty list of cycle strings"),
+    "generators-not-list": (
+        specio.parse_spec, spec_text(group=dict(generators_group(), generators="(0 1 2)")),
+        "$.group.generators", "expected a non-empty list of cycle strings",
+    ),
+    "cycle-not-string": (specio.parse_spec, spec_text(group=generators_group("(0 1)", [0, 1, 2])),
+                         "$.group.generators[1]", "expected a cycle-notation string"),
+    "bad-cycle": (specio.parse_spec, spec_text(group=generators_group("(0 1)", "(0 7)")),
+                  "$.group.generators[1]", "index 7 out of range for degree 3 in '(0 7)'"),
+    "empty-genset": (specio.parse_spec, spec_text(genset=[]),
+                     "$.genset", "expected a non-empty list of generator words"),
+    "genset-not-list": (specio.parse_spec, spec_text(genset={"0": [0]}),
+                        "$.genset", "expected a non-empty list of generator words"),
+    "word-not-list": (specio.parse_spec, spec_text(genset=[[0], 0]),
+                      "$.genset[1]", "expected a list of generator indices"),
+    "generator-index-out-of-range": (specio.parse_spec, spec_text(genset=[[0], [0, 1]]),
+                                     "$.genset[1][1]", "expected a generator index in 0..0"),
+    "wrong-schema": (specio.parse_spec, spec_text(schema="eqtie.spec/2"),
+                     "$.schema", "expected 'eqtie.spec/1'"),
+    "bad-mode": (specio.parse_spec, spec_text(mode="tree"),
+                 "$.mode", 'expected "bipartite" or "digraph"'),
+    "tie-not-bool": (specio.parse_spec, spec_text(tie_across_orbits=1),
+                     "$.tie_across_orbits", "expected a boolean"),
+    "mask-syntax": (specio.parse_mask, '{"schema": ', "$",
+                    "syntax error at offset 11: Expecting value"),
+    "mask-not-object": (specio.parse_mask, '"eqtie.mask/1"', "$", "expected a JSON object"),
+    "mask-schema": (specio.parse_mask, '{"schema": "eqtie.mask/0"}',
+                    "$.schema", "expected 'eqtie.mask/1'"),
+    "mask-missing-field": (
+        specio.parse_mask,
+        '{"schema": "eqtie.mask/1", "n_size": 3, "m_size": 6, "grid": [], "base_colors": []}',
+        "$", "missing required field 'merged_to_base'",
+    ),
+}
+
+
+@pytest.mark.parametrize("parser, text, path, message", DOCUMENT_ERRORS.values(),
+                         ids=list(DOCUMENT_ERRORS))
+def test_document_errors_name_their_path(parser, text, path, message):
+    with pytest.raises(SpecError) as info:
+        parser(text)
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {message}"
+
+
 class TestRepeatedGenerators:
     """``generator_images`` holds one image per listed generator, repeats included."""
 
