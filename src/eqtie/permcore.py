@@ -27,9 +27,10 @@ generator columns (semi-regular when every orbit has |G| points). Up to
 degree 256, the width of a ``bytes.translate`` table, a chain keeps each
 permutation as a ``bytes`` row: a product is one ``translate`` call, an
 inverse one ``bytes.maketrans`` table, and a level's transversal one
-``np.frombuffer``. Above 256 a level works on int arrays, and its Schreier
-generators are formed as one array per block. No element is listed for these
-answers.
+``np.frombuffer``. Above 256 a level works on int arrays: its transversal is
+the same breadth-first walk, each new rep one gather into a preallocated
+table, and its Schreier generators are formed as one array per block. No
+element is listed for these answers.
 
 A group answers everything else from its chain: membership is a sift
 (``in``), ``_products`` reads every element at chosen points, one gather per
@@ -409,34 +410,29 @@ def _transversal_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_transversal`` on int arrays: (slot, reps), reps[slot[x]] mapping ``point`` to x.
 
-    slot[x] is -1 off the orbit. Each round applies the generators and their
-    2^r-th powers to every rep so far, so a long cycle is covered in
-    logarithmically many rounds; candidates are compared by the point they
-    reach, and only the new reps are composed. Past ``room`` + 1 reps the
-    orbit is cut short, so a capped chain never holds more reps than that.
+    slot[x] is -1 off the orbit. The walk is ``_transversal``'s, breadth
+    first from ``point`` in generator order: each new orbit point's rep is
+    one gather g[u] into a preallocated table. Past ``room`` + 1 reps the
+    walk stops, so a capped chain never holds more reps than that.
     """
-    count, degree = gens.shape
-    slot = np.full(degree, -1, dtype=np.intp)
-    slot[point] = 0
-    reps = np.arange(degree, dtype=np.intp).reshape(1, degree)
-    orbit = np.array([point])
-    movers = jumps = gens
-    while room is None or len(reps) <= room:
-        heads = movers[:, orbit].T.ravel()  # k * |movers| + s: mover s after rep k
-        points, first = np.unique(heads, return_index=True)
-        new = slot[points] < 0
-        if not new.any():
-            break
-        if room is not None:
-            new &= np.cumsum(new) <= room + 1 - len(reps)
-        rep, mover = np.divmod(first[new], len(movers))
-        rows = movers.ravel()[(mover * degree)[:, None] + reps[rep]]  # mover(rep(i))
-        slot[points[new]] = np.arange(len(reps), len(reps) + len(rows))
-        reps = np.concatenate([reps, rows])
-        orbit = np.concatenate([orbit, points[new]])
-        jumps = jumps.ravel()[jumps + (np.arange(count) * degree)[:, None]]  # squared
-        movers = np.concatenate([gens, jumps])
-    return slot, reps
+    degree = gens.shape[1]
+    size = degree if room is None else min(degree, room + 1)
+    reps = np.empty((size, degree), dtype=np.intp)
+    reps[0] = np.arange(degree)
+    where = [-1] * degree
+    where[point] = 0
+    orbit = [point]
+    pairs = list(zip(gens, gens.tolist()))
+    for k, p in enumerate(orbit):  # the orbit grows behind the walk
+        for g, images in pairs:
+            q = images[p]
+            if where[q] < 0:
+                where[q] = len(orbit)
+                reps[len(orbit)] = g[reps[k]]  # g(u(i))
+                orbit.append(q)
+                if len(orbit) == size:
+                    return np.array(where, dtype=np.intp), reps
+    return np.array(where, dtype=np.intp), reps[:len(orbit)].copy()
 
 
 def _schreier_rows(point: int, gens: np.ndarray, slot: np.ndarray, reps: np.ndarray) -> np.ndarray:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
 from . import designs, layer, permcore
 from .designs import ChannelSpec, SharingStructure
 from .permcore import GroupAction, JointAction, Permutation, PermutationGroup
@@ -33,7 +35,8 @@ class SpecError(ValueError):
         self.path = path
 
 
-def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] = frozenset()):
+def _require_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """Reject unknown fields, then name the first missing required field in ``required`` order."""
     for key in obj:
         if key not in required and key not in optional:
             raise SpecError(f"{path}.{key}", "unknown field")
@@ -58,13 +61,13 @@ def _parse_group_generators(obj, path: str) -> list[Permutation]:
     if kind not in _GROUP_KINDS:
         raise SpecError(f"{path}.kind", f"expected one of {sorted(_GROUP_KINDS)}")
     if kind in ("cyclic", "dihedral", "symmetric"):
-        _require_keys(obj, path, {"kind", "n"})
+        _require_keys(obj, path, ("kind", "n"))
         return permcore.named_group(kind, n=_get_int(obj, "n", path))
     if kind == "wreath":
-        _require_keys(obj, path, {"kind", "d", "blocks"})
+        _require_keys(obj, path, ("kind", "d", "blocks"))
         return permcore.wreath_generators(_get_int(obj, "d", path), _get_int(obj, "blocks", path))
     if kind == "direct_product":
-        _require_keys(obj, path, {"kind", "factors"})
+        _require_keys(obj, path, ("kind", "factors"))
         factors = obj.get("factors")
         if not isinstance(factors, list) or len(factors) < 1:
             raise SpecError(f"{path}.factors", "expected a non-empty list of group objects")
@@ -73,7 +76,7 @@ def _parse_group_generators(obj, path: str) -> list[Permutation]:
         ]
         return permcore.direct_product_generators(*parsed)
     # explicit generators in cycle notation
-    _require_keys(obj, path, {"kind", "degree", "generators"})
+    _require_keys(obj, path, ("kind", "degree", "generators"))
     degree = _get_int(obj, "degree", path)
     raw = obj.get("generators")
     if not isinstance(raw, list) or not raw:
@@ -92,7 +95,7 @@ def _parse_group_generators(obj, path: str) -> list[Permutation]:
 def _parse_action(obj, path: str, group: PermutationGroup, column: list[int]) -> GroupAction:
     if not isinstance(obj, dict):
         raise SpecError(path, "expected an object")
-    _require_keys(obj, path, {"size", "generator_images"})
+    _require_keys(obj, path, ("size", "generator_images"))
     size = _get_int(obj, "size", path)
     raw = obj.get("generator_images")
     if not isinstance(raw, list) or len(raw) != len(column):
@@ -148,8 +151,8 @@ def parse_spec(text: str) -> ProblemSpec:
     _require_keys(
         doc,
         "$",
-        {"group", "n_action", "m_action", "design"},
-        {"schema", "genset", "channels", "mode", "order_cap", "tie_across_orbits"},
+        ("group", "n_action", "m_action", "design"),
+        ("schema", "genset", "channels", "mode", "order_cap", "tie_across_orbits"),
     )
     if "schema" in doc and doc["schema"] != SPEC_SCHEMA:
         raise SpecError("$.schema", f"expected {SPEC_SCHEMA!r}")
@@ -208,7 +211,7 @@ def parse_spec(text: str) -> ProblemSpec:
         ch = doc["channels"]
         if not isinstance(ch, dict):
             raise SpecError("$.channels", "expected an object")
-        _require_keys(ch, "$.channels", {"in", "out"})
+        _require_keys(ch, "$.channels", ("in", "out"))
         channels = ChannelSpec(_get_int(ch, "in", "$.channels"), _get_int(ch, "out", "$.channels"))
 
     mode = doc.get("mode", "bipartite")
@@ -283,6 +286,37 @@ def expanded_joint(spec: ProblemSpec) -> JointAction:
 # mask export
 
 
+class _IdGrid(list):
+    """A mask grid taken from a ``ColorMatrix``: the cells as a list, and as the int array ``ids``.
+
+    The cells are merged color ids, non-negative ints by construction, so
+    ``dump_mask`` writes them from a token table without a check per cell.
+    Any in-place change drops ``ids``, and the list is then encoded as any
+    other grid.
+    """
+
+    __slots__ = ("ids",)
+
+    def __init__(self, ids: np.ndarray):
+        super().__init__(ids.tolist())
+        self.ids = ids
+
+
+def _dropping_ids(method):
+    """``method`` of ``list``, run after dropping the grid's ``ids``."""
+
+    def change(self, *args, **kwargs):
+        self.ids = None
+        return method(self, *args, **kwargs)
+
+    return change
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "reverse", "sort", "clear"):
+    setattr(_IdGrid, _name, _dropping_ids(getattr(list, _name)))
+
+
 def build_mask_document(
     spec: ProblemSpec,
     structure: SharingStructure,
@@ -305,7 +339,7 @@ def build_mask_document(
         "channels": {"in": spec.channels.k_in, "out": spec.channels.k_out},
         "base_color_count": cm.base_color_count,
         "merged_color_count": cm.merged_color_count,
-        "grid": cm.grid.ravel().tolist(),
+        "grid": _IdGrid(cm.grid.flatten()),
         "merged_to_base": {str(k): list(v) for k, v in sorted(cm.merged_to_base.items())},
         "base_colors": base_colors,
         "warnings": list(structure.warnings),
@@ -326,25 +360,32 @@ _GRID_SLOT = '\n  "grid": []'
 
 
 def dump_mask(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, with the grid written in C.
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, with the grid written in bulk.
 
     With any ``indent`` json encodes in Python, one step per cell. Here only
-    the rest of the document is indented; the grid's items are encoded once by
-    the C encoder, whose separator carries the newline and indent, and spliced
-    into the ``"grid": []`` slot at depth 1. A grid that is not a non-empty
-    flat list of scalars, or whose encoding holds a bracket or a brace, takes
-    the plain call.
+    the rest of the document is indented, and the grid's items are spliced
+    into the ``"grid": []`` slot at depth 1. A grid ``build_mask_document``
+    took from a ``ColorMatrix`` is written from a table of one token per
+    color id, gathered by the id array. Any other grid is encoded once by the
+    C encoder, whose separator carries the newline and indent; one that is
+    not a non-empty flat list of scalars, or whose encoding holds a bracket
+    or a brace, takes the plain call.
     """
     grid = doc.get("grid")
     if isinstance(grid, list) and grid:
+        ids = getattr(grid, "ids", None) if isinstance(grid, _IdGrid) else None
         try:
             head = json.dumps(dict(doc, grid=[]), indent=2)
-            body = json.dumps(grid, separators=("," + _GRID_GAP, ": "))
+            if ids is None:
+                items = json.dumps(grid, separators=("," + _GRID_GAP, ": "))[1:-1]
+            else:
+                top = int(ids.max())  # one token per color id, not per cell
+                tokens = np.array([str(i) for i in range(top + 1)], dtype=object)
+                items = ("," + _GRID_GAP).join(tokens[ids].tolist())
         except (TypeError, ValueError):
             pass  # the plain call raises the reference error
         else:
             slot = head.find(_GRID_SLOT)
-            items = body[1:-1]
             if slot >= 0 and "[" not in items and "{" not in items:
                 cut = slot + len(_GRID_SLOT) - 1
                 return "".join((head[:cut], _GRID_GAP, items, "\n  ", head[cut:], "\n"))
@@ -399,33 +440,34 @@ def to_dot(structure: SharingStructure, digraph_mode: bool = False) -> str:
     """Render the structure as graphviz DOT: edge color tracks the base color id.
 
     In digraph mode the two parts are collapsed onto one node set and the
-    identity relation is implied rather than drawn.
+    identity relation is implied rather than drawn. Each node name is
+    formatted once, as the head ``"  n{i} -- m"`` and the tail ``"{j} "`` of
+    an edge line (``v`` names in digraph mode); the edge lines are those
+    pieces and their relation's style, gathered by the edge columns and
+    joined once.
     """
-    lines = []
+    ends, owner = structure._stacked_edges
     if digraph_mode:
-        lines.append("digraph sharing {")
-        for i in range(structure.n_size):
-            lines.append(f'  v{i} [label="{i}"];')
-        for rel in structure.relations:
-            if rel.provenance.get("kind") == "identity":
-                continue
-            style = f'[label="{rel.color_id}", color="{_edge_color(rel.color_id)}"];'
-            lines.extend(f"  v{n} -> v{m} {style}" for n, m in rel.edges.tolist())
+        lines = ["digraph sharing {"]
+        lines.extend(f'  v{i} [label="{i}"];' for i in range(structure.n_size))
+        heads = [f"  v{i} -> v" for i in range(structure.n_size)]
+        drawn = [r.provenance.get("kind") != "identity" for r in structure.relations]
+        keep = np.array(drawn, dtype=bool)[owner]
+        ends, owner = ends[keep], owner[keep]
     else:
-        lines.append("graph sharing {")
-        lines.append("  rankdir=LR;")
-        lines.append("  subgraph cluster_input {")
-        lines.append('    label="N";')
-        for i in range(structure.n_size):
-            lines.append(f'    n{i} [label="{i}"];')
+        lines = ["graph sharing {", "  rankdir=LR;", "  subgraph cluster_input {", '    label="N";']
+        lines.extend(f'    n{i} [label="{i}"];' for i in range(structure.n_size))
+        lines.extend(["  }", "  subgraph cluster_output {", '    label="M";'])
+        lines.extend(f'    m{j} [label="{j}"];' for j in range(structure.m_size))
         lines.append("  }")
-        lines.append("  subgraph cluster_output {")
-        lines.append('    label="M";')
-        for j in range(structure.m_size):
-            lines.append(f'    m{j} [label="{j}"];')
-        lines.append("  }")
-        for rel in structure.relations:
-            style = f'[label="{rel.color_id}", color="{_edge_color(rel.color_id)}"];'
-            lines.extend(f"  n{n} -- m{m} {style}" for n, m in rel.edges.tolist())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        heads = [f"  n{i} -- m" for i in range(structure.n_size)]
+    tails = [f"{j} " for j in range(structure.m_size)]
+    styles = [
+        f'[label="{r.color_id}", color="{_edge_color(r.color_id)}"];\n'
+        for r in structure.relations
+    ]
+    pieces = np.empty((len(ends), 3), dtype=object)  # head, tail and style of each edge line
+    pieces[:, 0] = np.array(heads, dtype=object)[ends[:, 0]]
+    pieces[:, 1] = np.array(tails, dtype=object)[ends[:, 1]]
+    pieces[:, 2] = np.array(styles, dtype=object)[owner]
+    return "\n".join(lines) + "\n" + "".join(pieces.ravel().tolist()) + "}\n"

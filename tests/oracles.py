@@ -19,6 +19,7 @@ import numpy as np
 from eqtie.autsearch import SearchStats, color_refine
 from eqtie.layer import LayerError, check_equivariance
 from eqtie.permcore import GroupError, compose, format_cycles, identity
+from eqtie.specio import _edge_color
 
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
@@ -568,6 +569,38 @@ def merge_colors_per_cell(s):
 def dump_mask_reference(doc):
     """The mask bytes by definition: the indented encoding, one step per cell."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+def to_dot_reference(structure, digraph_mode=False):
+    """The DOT bytes by definition: one formatted line per node and per edge."""
+    lines = []
+    if digraph_mode:
+        lines.append("digraph sharing {")
+        for i in range(structure.n_size):
+            lines.append(f'  v{i} [label="{i}"];')
+        for rel in structure.relations:
+            if rel.provenance.get("kind") == "identity":
+                continue
+            style = f'[label="{rel.color_id}", color="{_edge_color(rel.color_id)}"];'
+            lines.extend(f"  v{n} -> v{m} {style}" for n, m in rel.edges.tolist())
+    else:
+        lines.append("graph sharing {")
+        lines.append("  rankdir=LR;")
+        lines.append("  subgraph cluster_input {")
+        lines.append('    label="N";')
+        for i in range(structure.n_size):
+            lines.append(f'    n{i} [label="{i}"];')
+        lines.append("  }")
+        lines.append("  subgraph cluster_output {")
+        lines.append('    label="M";')
+        for j in range(structure.m_size):
+            lines.append(f'    m{j} [label="{j}"];')
+        lines.append("  }")
+        for rel in structure.relations:
+            style = f'[label="{rel.color_id}", color="{_edge_color(rel.color_id)}"];'
+            lines.extend(f"  n{n} -- m{m} {style}" for n, m in rel.edges.tolist())
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def bench_conjugate_spec():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +295,23 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["design"])  # --spec is required
         assert exc.value.code == 2
+
+    def test_missing_fields_are_named_alike_in_every_process(self, tmp_path):
+        """``{}`` lacks four required fields; the first listed is named under any string hashing."""
+        spec = write_spec(tmp_path, {})
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "eqtie.cli", "design", "--spec", spec],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            )
+            for seed in ("1", "2")
+        ]
+        assert [(run.returncode, run.stderr) for run in runs] == [
+            (2, "error: $: missing required field 'group'\n")
+        ] * 2
 
 
 SUBCOMMANDS = {

@@ -129,6 +129,50 @@ def test_writer_rule_sees_bare_and_dotted_calls():
     assert json_writer_calls(tree, "_run_certify") == [(5, "dumps"), (6, "dump")]
 
 
+# the writers gather text by edge and by cell with arrays: a loop walks relations or nodes only
+ITEM_NAMES = {"edges", "_stacked_edges", "ends", "grid", "ids"}
+ITEM_WRITERS = ("to_dot", "dump_mask")
+
+
+def item_loops(tree, function):
+    """(line, iterable) of every loop or comprehension in ``function`` over edges or grid cells.
+
+    An iterable is over them when it reads a name, attribute or string key in ``ITEM_NAMES``.
+    """
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name == function:
+            for node in ast.walk(func):
+                if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                    keys = {c.value for c in ast.walk(node.iter) if isinstance(c, ast.Constant)}
+                    if names_read(node.iter, ITEM_NAMES) or keys & ITEM_NAMES:
+                        found.append((node.iter.lineno, ast.unparse(node.iter)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("function", ITEM_WRITERS)
+def test_writers_loop_over_no_edge_or_cell(function):
+    tree = ast.parse((PACKAGE / "specio.py").read_text())
+    assert any(isinstance(f, ast.FunctionDef) and f.name == function for f in tree.body)
+    assert item_loops(tree, function) == []
+
+
+def test_item_rule_sees_comprehensions_and_loops():
+    """The per-edge lines and a per-cell loop; loops over relations and nodes pass."""
+    source = (
+        "def to_dot(s):\n    for rel in s.relations:\n"
+        "        lines.extend(f'{n}-{m}' for n, m in rel.edges.tolist())\n"
+        "    heads = [f'n{i}' for i in range(s.n_size)]\n"
+        "def dump_mask(doc):\n    for i, cell in enumerate(doc['grid']):\n        pass\n"
+        "    return [t for t in tokens[grid.ids]]\n"
+    )
+    tree = ast.parse(source)
+    assert item_loops(tree, "to_dot") == [(3, "rel.edges.tolist()")]
+    assert item_loops(tree, "dump_mask") == [
+        (6, "enumerate(doc['grid'])"), (8, "tokens[grid.ids]"),
+    ]
+
+
 def calling_functions(tree, name):
     """Names of the functions whose bodies call ``name``, bare or dotted, nested ones included."""
     found = set()

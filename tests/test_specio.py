@@ -1,5 +1,8 @@
+import copy
 import json
+import operator
 import os
+import pickle
 import random
 import types
 from pathlib import Path
@@ -536,7 +539,151 @@ class TestMaskBytes:
         assert_mask_bytes(doc)
 
 
+def random_structure(seed, n_size, m_size, relation_count, edge_count, identity=False):
+    """Relations of random edges, overlapping and some empty, colored 1..k in order.
+
+    With ``identity`` (a square structure only) one relation at a random place is the diagonal,
+    of kind "identity".
+    """
+    rng = np.random.default_rng(seed)
+    place = int(rng.integers(0, relation_count + 1)) if identity else -1
+    relations = []
+    for color in range(1, relation_count + 1 + identity):
+        if color - 1 == place:
+            edges, kind = np.arange(n_size).repeat(2).reshape(-1, 2), "identity"
+        else:
+            k = int(rng.integers(0, edge_count + 1))
+            edges = np.stack([rng.integers(0, n_size, k), rng.integers(0, m_size, k)], axis=1)
+            kind = "sparse"
+        relations.append(designs.Relation(color, edges, {"kind": kind}))
+    return designs.SharingStructure(n_size, m_size, tuple(relations))
+
+
+class TestMaskTokens:
+    """Grids from a ``ColorMatrix`` are written from a token table, with the reference bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_size=st.integers(1, 40),
+        m_size=st.integers(1, 40),
+        relation_count=st.sampled_from([0, 1, 8, 9, 10, 11, 98, 99, 100, 101, 130]),
+        edge_count=st.integers(0, 12),
+    )
+    def test_random_structures(self, seed, n_size, m_size, relation_count, edge_count):
+        spec = specio.parse_spec(json.dumps(reverse_conv_doc()))
+        structure = random_structure(seed, n_size, m_size, relation_count, edge_count)
+        assert_mask_bytes(specio.build_mask_document(spec, structure))
+
+    @pytest.mark.parametrize("count", [9, 10, 11, 99, 100, 101])
+    def test_merged_ids_across_digit_counts(self, count):
+        # relation c holds cell c - 1 alone, so the merged ids are 1..count
+        relations = tuple(
+            designs.Relation(c, [((c - 1) % 11, (c - 1) // 11)], {"kind": "sparse"})
+            for c in range(1, count + 1)
+        )
+        structure = designs.SharingStructure(11, 11, relations)
+        spec = specio.parse_spec(json.dumps(reverse_conv_doc()))
+        doc = specio.build_mask_document(spec, structure)
+        assert doc["merged_color_count"] == count
+        assert max(doc["grid"]) == count
+        assert_mask_bytes(doc)
+        text = specio.dump_mask(doc)
+        assert specio.dump_mask(specio.parse_mask(text)) == text
+
+    def test_grid_is_the_list_of_cells(self):
+        spec = specio.parse_spec(json.dumps(reverse_conv_doc()))
+        structure = specio.build_structure(spec)
+        grid = specio.build_mask_document(spec, structure)["grid"]
+        assert isinstance(grid, list)
+        assert grid == structure.color_matrix.grid.ravel().tolist()
+
+    @pytest.mark.parametrize("cell", ["x", None, True, 1.0, -1, 99])
+    def test_malformed_cell_set_in_place(self, cell):
+        doc = reverse_conv_mask()
+        doc["grid"][4] = cell
+        assert_mask_bytes(doc)
+        with pytest.raises(
+            SpecError, match=r"^\$\.grid\[4\]: expected 0 or a key of merged_to_base$"
+        ):
+            specio.parse_mask(specio.dump_mask(doc))
+
+    @pytest.mark.parametrize("change", [
+        lambda g: g.__setitem__(slice(1, 3), [2]),
+        lambda g: g.__delitem__(0),
+        lambda g: operator.iadd(g, [7]),
+        lambda g: operator.imul(g, 2),
+        lambda g: g.append(11),
+        lambda g: g.extend([[1], {"a": 2}]),
+        lambda g: g.insert(0, 12),
+        lambda g: g.pop(),
+        lambda g: g.remove(0),
+        lambda g: g.reverse(),
+        lambda g: g.sort(reverse=True),
+        lambda g: g.clear(),
+    ], ids=[
+        "slice", "del", "iadd", "imul", "append", "extend", "insert", "pop", "remove",
+        "reverse", "sort", "clear",
+    ])
+    def test_in_place_changes(self, change):
+        doc = reverse_conv_mask()
+        change(doc["grid"])
+        assert_mask_bytes(doc)
+
+    @pytest.mark.parametrize("copied", [
+        lambda doc: dict(doc, grid=copy.copy(doc["grid"])),
+        copy.deepcopy,
+        lambda doc: pickle.loads(pickle.dumps(doc)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies(self, copied):
+        doc = reverse_conv_mask()
+        twin = copied(doc)
+        assert twin == doc
+        assert specio.dump_mask(twin) == specio.dump_mask(doc)
+        twin["grid"][0] = 5
+        assert_mask_bytes(twin)
+
+
+# node counts on both sides of one, two and three digits
+DOT_SIZES = st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 128])
+
+
 class TestDot:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_size=DOT_SIZES,
+        m_size=DOT_SIZES,
+        relation_count=st.integers(0, 15),
+        edge_count=st.integers(0, 300),
+        square=st.booleans(),
+        identity=st.booleans(),
+    )
+    def test_random_structures_match_the_reference(
+        self, seed, n_size, m_size, relation_count, edge_count, square, identity
+    ):
+        m_size = n_size if square else m_size
+        identity = identity and n_size == m_size
+        s = random_structure(seed, n_size, m_size, relation_count, edge_count, identity)
+        assert specio.to_dot(s) == oracles.to_dot_reference(s)
+        if n_size == m_size:
+            assert specio.to_dot(s, digraph_mode=True) == oracles.to_dot_reference(s, True)
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.json")), ids=lambda p: p.stem)
+    def test_corpus_matches_the_reference(self, path):
+        spec = specio.parse_spec(path.read_text())
+        s = specio.build_structure(spec)
+        modes = (False, True) if s.n_size == s.m_size else (False,)
+        for mode in modes:
+            assert specio.to_dot(s, mode) == oracles.to_dot_reference(s, mode)
+
+    def test_no_relations(self):
+        s = designs.SharingStructure(3, 3, ())
+        for mode in (False, True):
+            assert specio.to_dot(s, mode) == oracles.to_dot_reference(s, mode)
+        identity_only = designs.with_identity_relation(s)
+        assert specio.to_dot(identity_only, True) == specio.to_dot(s, True)
+
     def test_bipartite_dot(self):
         spec = specio.parse_spec(json.dumps(reverse_conv_doc()))
         text = specio.to_dot(specio.build_structure(spec))

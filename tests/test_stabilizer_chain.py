@@ -9,6 +9,9 @@ generator lists of degree at most 8 and on cyclic and dihedral groups of
 degree up to 240. Tables built on first use must equal the eager ones. The
 chain's own order, base and membership are checked against sympy on sparse
 generator sets of degree 1 to 300, across the byte route's 256-point bound.
+The array route's breadth-first transversals are checked against sympy and
+the references on orbits of 300 points and on the action graphs of the Z240
+corpus spec, and against the byte route's walk below 257 points.
 """
 
 from __future__ import annotations
@@ -194,6 +197,75 @@ def test_chain_matches_sympy(seed):
         expected = group.contains(combinatorics.Permutation(images))
         assert (tuple(images) in chain) == expected
     assert all(tuple(images) in chain for images in members)
+
+
+def array_route_cases():
+    """(generator rows, the group and its action when the rows are an action graph) by name."""
+    spec = specio.parse_spec((CORPUS / "gconv-tied-z240.json").read_text())
+    cases = {
+        name: (np.array([g.images for g in gens]), None)
+        for name, gens in (
+            ("z300", pc.cyclic_generators(300)), ("d300", pc.dihedral_generators(300)),
+        )
+    }
+    for side in ("n_action", "m_action"):
+        action = getattr(spec, side)
+        shifted = spec.group._generator_rows + action.target_size
+        cases[f"z240-{side}-graph"] = (np.hstack([action._generator_rows, shifted]), action)
+    return cases
+
+
+ARRAY_ROUTE_CASES = array_route_cases()
+
+
+@pytest.mark.parametrize("name", list(ARRAY_ROUTE_CASES))
+def test_array_route_walk(name):
+    """The breadth-first transversals above degree 256, against sympy and the references."""
+    rows, action = ARRAY_ROUTE_CASES[name]
+    chain = pc._StabilizerChain(rows)
+    assert not chain.narrow
+    reference = combinatorics.PermutationGroup(list(map(combinatorics.Permutation, rows.tolist())))
+    assert chain.order == reference.order()
+    assert chain.base == sympy_base(reference)
+    for level, (point, (slot, reps)) in enumerate(zip(chain.base, chain.trees)):
+        orbit = reference.pointwise_stabilizer(chain.base[:level]) if level else reference
+        expected = sorted(orbit.orbit(point))
+        assert np.flatnonzero(slot >= 0).tolist() == expected
+        assert len(reps) == len(expected) and reps.shape[1] == rows.shape[1]
+        assert np.array_equal(reps[0], np.arange(rows.shape[1]))
+        assert np.array_equal(reps[slot[expected], point], expected)  # u_x sends the point to x
+        assert all(reference.contains(combinatorics.Permutation(u)) for u in reps.tolist())
+    if action is None:
+        assert max(chain.orbit_lengths) > 256  # one orbit longer than a byte row
+        gens = [Permutation(tuple(r)) for r in rows.tolist()]
+        elements, gen_ids = oracles.closure_per_element(gens)
+        group = pc.close_generators(gens)
+        assert group._table.tolist() == [list(p.images) for p in elements]
+        assert group.generator_ids == tuple(gen_ids)
+    else:
+        elements, gen_ids = oracles.closure_per_element(action.group.generators)
+        gen_images = [Permutation(tuple(r)) for r in action._generator_rows.tolist()]
+        expected = oracles.action_per_edge(elements, gen_ids, gen_images, action.target_size)
+        assert action._table.tolist() == [list(p.images) for p in expected]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_array_walk_is_the_byte_walk(seed):
+    """Below degree 257 both walks apply to the same rows: the same orbit order, the same reps."""
+    rng = random.Random(seed)
+    degree = rng.choice([12, 120, 240, 256])
+    rows = np.array(
+        [g.images for g in pc.dihedral_generators(degree)] if seed < 2
+        else sparse_generators(rng, degree)
+    )
+    point = int(np.argmax((rows != np.arange(degree)).any(axis=0)))
+    tree = pc._transversal(point, list(map(bytes, rows.astype(np.uint8))))
+    for room in (None, 2):
+        slot, reps = pc._transversal_rows(point, rows, room)
+        kept = list(tree)[:len(reps)]
+        orbit = np.flatnonzero(slot >= 0)
+        assert orbit[np.argsort(slot[orbit])].tolist() == kept
+        assert reps.tolist() == [list(tree[x]) for x in kept]
 
 
 class TestLazyGroupTables:
