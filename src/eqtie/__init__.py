@@ -61,8 +61,6 @@ from .permcore import (
     direct_product_generators,
     faithful_image,
     format_cycles,
-    identity,
-    inverse,
     joint_action,
     named_group,
     natural_action,

@@ -27,13 +27,14 @@ Every result carries one generator table at any order, one int table over
 N followed by M (M shifted by n_size): the kernel generators (a swap per set
 of equal M rows, and a cycle past two rows), then the strong generators.
 ``_split_rows`` cuts such a table at n_size into pi_N and pi_M rows, for the
-setwise check and the two ``Permutation`` views. The table passes one
-setwise check before the result is returned, and ``generators`` is its
-view. The group of that table, ``_group``, a ``permcore.PermutationGroup``
-like G and the joint group, is built on its first read and checked to have
-the search's order. The elements are listed only when the order is at most
-``element_cap``: the group's sorted element table is setwise checked on the
-first read of ``elements``, so a verdict that needs only |Aut| never lists.
+setwise check and for ``_image_pairs``, which reads them as (pi_N, pi_M)
+pairs of int tuples. The table passes one setwise check before the result
+is returned, and ``generators`` is its pairs. The group of that table,
+``_group``, a ``permcore.PermutationGroup`` like G and the joint group, is
+built on its first read and checked to have the search's order. The
+elements are listed only when the order is at most ``element_cap``: the
+group's sorted element table is setwise checked on the first read of
+``elements``, so a verdict that needs only |Aut| never lists.
 This module reads none of a group's chain: order, membership, the table and
 the walk are the group's own. ``search_cap`` bounds the search-tree nodes,
 i.e. the accepted N assignments.
@@ -42,7 +43,8 @@ i.e. the accepted N assignments.
 the first row of the sorted listing outside the joint group, i.e. the
 lexicographically first automorphism outside it; ``_group._lex_walk()``
 yields the automorphisms in that order, one at a time, and stops at the
-first one the joint group rejects.
+first one the joint group rejects. The witness is a (pi_N, pi_M) pair of
+image tuples.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from numpy.typing import ArrayLike
 
 from . import permcore
 from .designs import SharingStructure
-from .permcore import JointAction, Permutation, perm
+from .permcore import JointAction
 
 DEFAULT_NODE_BUDGET = 24
 DEFAULT_ELEMENT_CAP = 10_000
@@ -65,6 +67,9 @@ DEFAULT_SEARCH_CAP = 1_000_000
 
 # cells per batch of the setwise check: bounds its scratch memory
 _CHECK_BATCH_CELLS = 1 << 16
+
+# an automorphism as (pi_N, pi_M), each its image tuple
+ImagePair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class AutSearchError(ValueError):
@@ -97,8 +102,8 @@ class AutomorphismResult:
 
     ``_group`` is the ``PermutationGroup`` of the generator table, on N then M;
     it answers membership, the sorted listing and the lazy walk.
-    ``generators`` and ``elements`` are the two ``Permutation`` views, of the
-    generator table and of the listing.
+    ``generators`` and ``elements`` are (pi_N, pi_M) pairs of image tuples,
+    read off the generator table and off the listing.
     """
 
     order: int
@@ -112,9 +117,8 @@ class AutomorphismResult:
     _structure: Optional[SharingStructure] = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def generators(self) -> tuple[tuple[Permutation, Permutation], ...]:
-        pns, pms = _split_rows(self._generator_rows, self._n_size)
-        return tuple((perm(pn), perm(pm)) for pn, pm in zip(pns.tolist(), pms.tolist()))
+    def generators(self) -> tuple[ImagePair, ...]:
+        return _image_pairs(*_split_rows(self._generator_rows, self._n_size))
 
     @cached_property
     def _group(self) -> permcore.PermutationGroup:
@@ -127,19 +131,24 @@ class AutomorphismResult:
         return group
 
     @cached_property
-    def elements(self) -> Optional[tuple[tuple[Permutation, Permutation], ...]]:
+    def elements(self) -> Optional[tuple[ImagePair, ...]]:
         """Every automorphism as a (pi_N, pi_M) pair, sorted and setwise checked; None above cap."""
         if self._structure is None:
             return None
         pns, pms = _split_rows(self._group._table, self._n_size)
         if not _preserves_structure(self._structure, pns, pms).all():
             raise AutSearchError("internal error: emitted pair fails the setwise check")
-        return tuple((perm(pn), perm(pm)) for pn, pm in zip(pns.tolist(), pms.tolist()))
+        return _image_pairs(pns, pms)
 
 
 def _split_rows(rows: np.ndarray, n_size: int) -> tuple[np.ndarray, np.ndarray]:
     """A table of rows over N then M cut into its pi_N rows and its pi_M rows."""
     return rows[:, :n_size], rows[:, n_size:] - n_size
+
+
+def _image_pairs(pns: np.ndarray, pms: np.ndarray) -> tuple[ImagePair, ...]:
+    """Row k of the pi_N and pi_M tables as the pair of image tuples (pi_N, pi_M)."""
+    return tuple(zip(map(tuple, pns.tolist()), map(tuple, pms.tolist())))
 
 
 def color_refine(s: SharingStructure) -> ColorProfileTable:
@@ -401,7 +410,7 @@ class Certification:
     verdict: str  # "unique" | "supergroup"
     aut_order: int
     joint_order: int
-    witness: Optional[tuple[Permutation, Permutation]]
+    witness: Optional[ImagePair]
 
 
 def certify_unique(
@@ -445,5 +454,5 @@ def certify_unique(
         pn, pm = _split_rows(np.array([row], dtype=np.intp), s.n_size)
         if not _preserves_structure(s, pn, pm).all():
             raise AutSearchError("internal error: emitted pair fails the setwise check")
-        witness = (perm(pn[0]), perm(pm[0]))
+        witness = _image_pairs(pn, pm)[0]
     return Certification("supergroup", result.order, joint.joint_order, witness)

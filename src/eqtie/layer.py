@@ -10,8 +10,10 @@ A block's k x trials inputs are one draw from the seeded stream
 (the same values, in the same order, as drawing them one input at a time),
 permuted by one flat scatter through the block's input-table rows and
 evaluated as the columns of one n x (k * trials) matrix, and the outputs are
-compared by one gather of trial rows through the output-table rows. The
-exact route is the authority: it materializes W with the first C primes as
+compared by one gather of trial rows through the output-table rows. A layer
+whose outputs on those inputs may reach past a quarter of the float range
+gets a NaN residual and no replay, since whether W x overflows there depends
+on the BLAS kernel. The exact route is the authority: it materializes W with the first C primes as
 parameters (pairwise distinct, exact in int64) and checks P_gM @ W == W @ P_gN
 by integer indexing for each generator's int image rows, which decides it
 for every element because the matrices commuting with W are closed under
@@ -168,10 +170,29 @@ class EquivarianceReport:
 def matrix_commutes(w: np.ndarray, gn, gm) -> bool:
     """Exact check of P_gm @ W == W @ P_gn, i.e. W[gm(i), gn(j)] == W[i, j] for every cell.
 
-    ``gn`` and ``gm`` are ``Permutation`` objects or int image rows.
+    ``gn`` and ``gm`` are int image rows.
     """
-    rows_m, rows_n = getattr(gm, "images", gm), getattr(gn, "images", gn)
-    return bool(np.array_equal(w[np.ix_(rows_m, rows_n)], w))
+    return bool(np.array_equal(w[np.ix_(gm, gn)], w))
+
+
+def _may_overflow(layers) -> bool:
+    """Whether sigma(W x) through ``layers`` may pass a quarter of the float range.
+
+    The replay's inputs are integers in [-9, 9], and sigma never grows a
+    value, so each layer's outputs are bounded by its largest row sum of |W|
+    times the bound on its inputs. Below a quarter of the float range no sum
+    in W x, and no residual, overflows in any order, fused or not. Above it
+    whether W x overflows depends on how the BLAS kernel orders and fuses its
+    sums: a matrix product and n matrix-vector products may disagree on inf,
+    NaN or finite, so no replay can decide the verdict.
+    """
+    reach = 9.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tied in layers:
+            reach *= np.abs(tied._w).sum(axis=1).max(initial=0.0)
+            if not reach <= np.finfo(float).max / 4:
+                return True
+    return False
 
 
 def _verify(
@@ -182,6 +203,7 @@ def _verify(
     tolerance: float,
     seed: int,
     widest: int,
+    overflows: bool,
 ) -> EquivarianceReport:
     """Exact commutation of ``w_exact`` on the generators, float replay of ``apply``.
 
@@ -195,8 +217,8 @@ def _verify(
     c * n + g_c(i). The outputs' are one take of rows of trials values: row
     g_a(i) * k + a of the (m * k) x trials view holds f(g . x)[g_a(i)] for
     element g[a]. The int64 index arrays hold at most one cell per float
-    cell, so the cell bound covers them too. A non-finite residual (overflow
-    in W x) is kept as the maximum and fails.
+    cell, so the cell bound covers them too. When ``overflows`` (see
+    ``_may_overflow``) the replay is skipped: the residual is NaN and fails.
     """
     if trials < 0:
         raise LayerError("trials must be >= 0")
@@ -213,24 +235,27 @@ def _verify(
     block = max(1, _FLOAT_BATCH_CELLS // (max(1, trials) * max(1, widest)))
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for lo in range(0, len(ids), block):
-        g = ids[lo:lo + block]
-        k = len(g)
-        cols = k * trials
-        x = rng.integers(-9, 10, size=(cols, n_size)).astype(float)
-        # (g . x)[g(i)] = x[i]: one scatter into the flat cols x n rows
-        gx = np.empty_like(x)
-        at = np.arange(cols).reshape(k, trials, 1) * n_size + n_table[g][:, None, :]
-        gx.ravel()[at.ravel()] = x.ravel()
-        fx = apply(x.T)
-        # f(x)[i] is compared with f(g . x)[g(i)]: one take of the m x k rows of
-        # trials outputs, row g(i) * k + a for element g[a]
-        fgx = apply(gx.T).reshape(m_size * k, trials)
-        diff = fgx.take(m_table[g].T * k + np.arange(k), axis=0).reshape(m_size, cols)
-        np.subtract(fx, diff, out=diff)
-        np.abs(diff, out=diff)
-        # np.maximum keeps NaN, Python max drops it
-        worst = np.maximum(worst, np.max(diff, initial=0.0))
+    if trials and overflows:
+        worst = math.nan
+    else:
+        for lo in range(0, len(ids), block):
+            g = ids[lo:lo + block]
+            k = len(g)
+            cols = k * trials
+            x = rng.integers(-9, 10, size=(cols, n_size)).astype(float)
+            # (g . x)[g(i)] = x[i]: one scatter into the flat cols x n rows
+            gx = np.empty_like(x)
+            at = np.arange(cols).reshape(k, trials, 1) * n_size + n_table[g][:, None, :]
+            gx.ravel()[at.ravel()] = x.ravel()
+            fx = apply(x.T)
+            # f(x)[i] is compared with f(g . x)[g(i)]: one take of the m x k rows of
+            # trials outputs, row g(i) * k + a for element g[a]
+            fgx = apply(gx.T).reshape(m_size * k, trials)
+            diff = fgx.take(m_table[g].T * k + np.arange(k), axis=0).reshape(m_size, cols)
+            np.subtract(fx, diff, out=diff)
+            np.abs(diff, out=diff)
+            # np.maximum keeps NaN, Python max drops it
+            worst = np.maximum(worst, np.max(diff, initial=0.0))
     max_residual = float(worst)
     return EquivarianceReport(
         tested_elements=joint.joint_order,
@@ -261,7 +286,9 @@ def check_equivariance(
         )
     w_exact = materialize(layer.color_matrix, first_primes(layer.color_matrix.base_color_count))
     widest = max(layer.n_size, layer.m_size)
-    return _verify(w_exact, layer._apply, joint, trials, tolerance, seed, widest)
+    return _verify(
+        w_exact, layer._apply, joint, trials, tolerance, seed, widest, _may_overflow([layer])
+    )
 
 
 def compose_layers(
@@ -296,7 +323,8 @@ def compose_layers(
     joint = permcore.joint_action(joint_nm.n_action, joint_mo.m_action)
     widest = max(first.n_size, first.m_size, second.m_size)
     return _verify(
-        w2 @ w1, lambda x: second._apply(first._apply(x)), joint, trials, tolerance, seed, widest
+        w2 @ w1, lambda x: second._apply(first._apply(x)), joint, trials, tolerance, seed,
+        widest, _may_overflow([first, second]),
     )
 
 

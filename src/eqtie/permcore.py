@@ -2,9 +2,11 @@
 
 Conventions used across the package:
 
-* a permutation of degree n is stored by its image array: ``p.images[i] = p(i)``,
-  0-based;
-* composition applies the right factor first: ``compose(p, q)(i) = p(q(i))``;
+* a permutation of degree n is its image row, an int sequence or a row of an
+  int table: ``p[i]`` is the image of i, 0-based. The generator families,
+  ``parse_cycles`` and a group's ``generators`` give int tuples, and
+  ``close_generators`` and ``build_action`` take int rows or an int array;
+* composition applies the right factor first: ``(p q)(i) = p(q(i))``;
 * the action on a vector moves values onto permuted slots: ``(p . x)[p(i)] = x[i]``,
   equivalently ``(p . x)[i] = x[p^-1(i)]``.
 
@@ -45,9 +47,10 @@ products at the target points and G's base points, and the same lookup puts
 each image at its element's id; the graph ``build_action`` checked is used
 for that and then released. A natural action's table is G's own. A joint
 action that tells fewer elements apart than G has its element ids from both
-tables, one distinct row per value on its group's base. Actions and joint
-actions are int tables only; a group's ``generators`` and ``elements`` are
-its ``Permutation`` views, built on first use.
+tables, one distinct row per value on its group's base. Actions, joint
+actions and a group's ``generators`` are int rows only. ``Permutation`` is
+left to a group's ``elements``, built on first use, which ``mul`` composes
+for ``regular_action``'s table.
 
 A group is always <generators>: ``close_generators`` is the one public way to
 build one. An action is always its generator image rows: ``build_action`` is the one
@@ -64,6 +67,7 @@ names it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index, itemgetter
@@ -72,6 +76,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 DEFAULT_ORDER_CAP = 10_000
+
+# permutations as int image rows: int sequences, or the rows of a 2-D int array
+ImageRows = Sequence[Sequence[int]]
 
 
 class GroupError(ValueError):
@@ -92,22 +99,8 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
-
     def __repr__(self):
-        return f"Permutation({format_cycles(self)!r}, degree={self.degree})"
-
-
-def perm(images: Iterable[int]) -> Permutation:
-    return Permutation(tuple(images))
-
-
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(n)))
+        return f"Permutation({format_cycles(self.images)!r}, degree={self.degree})"
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
@@ -117,48 +110,49 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(p.images[j] for j in q.images))
 
 
-def inverse(p: Permutation) -> Permutation:
-    inv = [0] * p.degree
-    for i, v in enumerate(p.images):
-        inv[v] = i
-    return Permutation(tuple(inv))
-
-
 # ---------------------------------------------------------------------------
 # cycle notation
 
 
-def format_cycles(p: Permutation, one_based: bool = False) -> str:
-    """Render as a product of disjoint cycles, fixed points omitted: "(0 1 2)(4 5)"."""
+def format_cycles(images: Sequence[int], one_based: bool = False) -> str:
+    """Render an image row as disjoint cycles, fixed points omitted: "(0 1 2)(4 5)"."""
     off = 1 if one_based else 0
-    seen = [False] * p.degree
+    seen = [False] * len(images)
     parts = []
-    for start in range(p.degree):
-        if seen[start] or p.images[start] == start:
+    for start in range(len(images)):
+        if seen[start] or images[start] == start:
             seen[start] = True
             continue
         cyc = [start]
         seen[start] = True
-        j = p.images[start]
+        j = images[start]
         while j != start:
             cyc.append(j)
             seen[j] = True
-            j = p.images[j]
+            j = images[j]
         parts.append("(" + " ".join(str(c + off) for c in cyc) + ")")
     return "".join(parts) if parts else "()"
 
 
-def parse_cycles(text: str, degree: int, one_based: bool = False) -> Permutation:
-    """Parse cycle notation like "(0 1 2)(4 5)"; "()" or "" is the identity."""
+# one cycle: a parenthesis holding no parenthesis
+_CYCLE = re.compile(r"\(([^()]*)\)")
+
+
+def parse_cycles(text: str, degree: int, one_based: bool = False) -> tuple[int, ...]:
+    """The image row of cycle notation like "(0 1 2)(4 5)"; "()" or "" is the identity.
+
+    Whitespace may stand between cycles. A parenthesis left over once the
+    cycles are taken out is nested or unbalanced, and raises GroupError.
+    """
     off = 1 if one_based else 0
     images = list(range(degree))
     touched = set()
-    body = text.strip()
-    if body in ("", "()"):
-        return identity(degree)
-    if not body.startswith("(") or not body.endswith(")"):
+    rest = _CYCLE.sub("", text)
+    if "(" in rest or ")" in rest:
+        raise GroupError(f"malformed parenthesis in cycle notation {text!r}")
+    if rest.strip():
         raise GroupError(f"cycle notation must be parenthesized: {text!r}")
-    for chunk in body[1:-1].split(")("):
+    for chunk in _CYCLE.findall(text):
         fields = chunk.replace(",", " ").split()
         if not fields:
             continue
@@ -174,21 +168,26 @@ def parse_cycles(text: str, degree: int, one_based: bool = False) -> Permutation
             touched.add(c)
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             images[a] = b
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 # ---------------------------------------------------------------------------
 # groups
 
 
-def _image_table(rows, size: int) -> np.ndarray:
+def _image_table(rows: ImageRows, size: int | None = None) -> np.ndarray:
     """Check generator images as permutations of 0..size-1; return one read-only int table.
 
-    ``rows`` holds ``Permutation`` objects or int sequences, or is an int
-    array. A row of another length, a non-integer entry, an entry out of
-    range or a repeated entry raises GroupError.
+    ``rows`` holds int sequences or is an int array; ``size`` defaults to the
+    first row's length. A row that is not a sequence, a row of another
+    length, a non-integer entry, an entry out of range or a repeated entry
+    raises GroupError.
     """
-    rows = [getattr(row, "images", row) for row in rows]
+    for k, row in enumerate(rows):
+        if not isinstance(row, (Sequence, np.ndarray)):
+            raise GroupError(f"generator image {k} is not an int sequence: a {type(row).__name__}")
+    if size is None:
+        size = len(rows[0])
     wrong = [len(row) for row in rows if len(row) != size]
     if wrong:
         raise GroupError(f"generator image degree {wrong[0]} != {size}")
@@ -322,8 +321,9 @@ class PermutationGroup:
         return int(self._ids(np.argsort(self._table[i])[None, self._chain.base])[0])
 
     @property
-    def generators(self) -> tuple[Permutation, ...]:
-        return tuple(perm(row) for row in self._generator_rows.tolist())
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct generators' image rows, as tuples."""
+        return tuple(map(tuple, self._generator_rows.tolist()))
 
     def __eq__(self, other):
         """Equal generator rows, in order: an action's rows are images of exactly these."""
@@ -589,19 +589,19 @@ def _row_group(rows: np.ndarray, limit: int | None = None) -> PermutationGroup:
     return PermutationGroup(rows, _StabilizerChain(rows, limit))
 
 
-def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
-    """The group generated by a generator list; its elements are listed on first use.
+def close_generators(gens: ImageRows, cap: int = DEFAULT_ORDER_CAP) -> PermutationGroup:
+    """The group generated by int image rows or an int array; its elements are listed on first use.
 
     The order comes from a stabilizer chain, which the group keeps. Repeated
     generators are kept once, at their first occurrence.
 
     Raises GroupError when the group has more than ``cap`` elements.
     """
-    if not gens:
+    if len(gens) == 0:
         raise GroupError("need at least one generator")
     if cap <= 0:
         raise GroupError("cap must be positive")
-    group = _row_group(_image_table(gens, gens[0].degree), limit=cap)
+    group = _row_group(_image_table(gens), limit=cap)
     if group.order > cap:
         raise GroupError(f"order cap exceeded: closure has more than {cap} elements; raise the cap")
     return group
@@ -611,37 +611,33 @@ def close_generators(gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) 
 # named generator families
 
 
-def cyclic_generators(n: int) -> list[Permutation]:
+def cyclic_generators(n: int) -> list[tuple[int, ...]]:
     """Z_n: a single n-cycle i -> i+1 (mod n)."""
     if n < 1:
         raise GroupError("cyclic: n must be >= 1")
-    return [Permutation(tuple((i + 1) % n for i in range(n)))]
+    return [tuple((i + 1) % n for i in range(n))]
 
 
-def dihedral_generators(n: int) -> list[Permutation]:
+def dihedral_generators(n: int) -> list[tuple[int, ...]]:
     """D_n on n points: the n-cycle plus the reflection i -> -i (mod n)."""
     if n < 1:
         raise GroupError("dihedral: n must be >= 1")
-    rot = Permutation(tuple((i + 1) % n for i in range(n)))
-    ref = Permutation(tuple((n - i) % n for i in range(n)))
-    return [rot, ref]
+    return [tuple((i + 1) % n for i in range(n)), tuple((n - i) % n for i in range(n))]
 
 
-def symmetric_generators(n: int) -> list[Permutation]:
+def symmetric_generators(n: int) -> list[tuple[int, ...]]:
     """S_n: the adjacent transposition (0 1) plus the n-cycle."""
     if n < 1:
         raise GroupError("symmetric: n must be >= 1")
     if n == 1:
-        return [identity(1)]
-    swap = list(range(n))
-    swap[0], swap[1] = 1, 0
-    gens = [Permutation(tuple(swap))]
+        return [(0,)]
+    gens = [(1, 0) + tuple(range(2, n))]
     if n > 2:
-        gens.append(Permutation(tuple((i + 1) % n for i in range(n))))
+        gens.append(tuple((i + 1) % n for i in range(n)))
     return gens
 
 
-def wreath_generators(d: int, blocks: int) -> list[Permutation]:
+def wreath_generators(d: int, blocks: int) -> list[tuple[int, ...]]:
     """S_d wr S_blocks acting on d*blocks points (blocks of size d).
 
     Within-block S_d generators on block 0, plus generators permuting whole
@@ -650,29 +646,16 @@ def wreath_generators(d: int, blocks: int) -> list[Permutation]:
     if d < 1 or blocks < 1:
         raise GroupError("wreath: d and blocks must be >= 1")
     n = d * blocks
-    gens: list[Permutation] = []
-    for sg in symmetric_generators(d):
-        if sg.is_identity():
-            continue
-        ext = list(range(n))
-        ext[:d] = sg.images
-        gens.append(Permutation(tuple(ext)))
-
-    def block_map(bperm: Permutation) -> Permutation:
-        imgs = [0] * n
-        for b in range(blocks):
-            for i in range(d):
-                imgs[b * d + i] = bperm(b) * d + i
-        return Permutation(tuple(imgs))
-
-    for bg in symmetric_generators(blocks):
-        if bg.is_identity():
-            continue
-        gens.append(block_map(bg))
-    return gens or [identity(n)]
+    gens = [sg + tuple(range(d, n)) for sg in symmetric_generators(d) if sg != tuple(range(d))]
+    gens.extend(
+        tuple(bg[b] * d + i for b in range(blocks) for i in range(d))
+        for bg in symmetric_generators(blocks)
+        if bg != tuple(range(blocks))
+    )
+    return gens or [tuple(range(n))]
 
 
-def direct_product_generators(*factors: Sequence[Permutation]) -> list[Permutation]:
+def direct_product_generators(*factors: ImageRows) -> list[tuple[int, ...]]:
     """Generators of a direct product acting on the disjoint union of the factors."""
     if not factors:
         raise GroupError("direct_product: need at least one factor")
@@ -680,39 +663,42 @@ def direct_product_generators(*factors: Sequence[Permutation]) -> list[Permutati
     for k, f in enumerate(factors):
         if not f:
             raise GroupError("direct_product: empty factor generator list")
-        degrees.append(f[0].degree)
+        degrees.append(len(f[0]))
         for s, g in enumerate(f):
-            if g.degree != degrees[-1]:
+            if len(g) != degrees[-1]:
                 raise GroupError(
-                    f"direct_product: factor {k} generator {s} has degree {g.degree}, "
+                    f"direct_product: factor {k} generator {s} has degree {len(g)}, "
                     f"not {degrees[-1]}"
                 )
     total = sum(degrees)
     gens = []
     offset = 0
     for f, deg in zip(factors, degrees):
-        for g in f:
-            imgs = list(range(total))
-            for i in range(deg):
-                imgs[offset + i] = offset + g(i)
-            gens.append(Permutation(tuple(imgs)))
+        before, after = tuple(range(offset)), tuple(range(offset + deg, total))
+        gens.extend(before + tuple(offset + v for v in g) + after for g in f)
         offset += deg
     return gens
 
 
-def named_group(kind: str, **params) -> list[Permutation]:
-    """Dispatch on a family name; see the individual constructors for degrees."""
-    if kind == "cyclic":
-        return cyclic_generators(params["n"])
-    if kind == "dihedral":
-        return dihedral_generators(params["n"])
-    if kind == "symmetric":
-        return symmetric_generators(params["n"])
-    if kind == "wreath":
-        return wreath_generators(params["d"], params["blocks"])
-    if kind == "direct_product":
-        return direct_product_generators(*params["factors"])
-    raise GroupError(f"unknown group kind {kind!r}")
+# each family's constructor, called with the family's fields as keywords
+_FAMILIES = {
+    "cyclic": cyclic_generators,
+    "dihedral": dihedral_generators,
+    "symmetric": symmetric_generators,
+    "wreath": wreath_generators,
+    "direct_product": lambda factors: direct_product_generators(*factors),
+}
+
+
+def named_group(kind: str, **params) -> list[tuple[int, ...]]:
+    """Dispatch on a family name; see the individual constructors for degrees.
+
+    ``n`` for cyclic, dihedral and symmetric; ``d`` and ``blocks`` for
+    wreath; ``factors``, a list of generator lists, for direct_product.
+    """
+    if kind not in _FAMILIES:
+        raise GroupError(f"unknown group kind {kind!r}")
+    return _FAMILIES[kind](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +809,7 @@ def _first_failing_edge(group: PermutationGroup, gen_table: np.ndarray) -> str:
     or must agree with the image it already has. The first edge that
     disagrees names x . g_s.
     """
-    gens = list(map(tuple, group._generator_rows.tolist()))
+    gens = group.generators
     targets = list(map(tuple, gen_table.tolist()))
     ident = tuple(range(group.degree))
     img = {ident: tuple(range(gen_table.shape[1]))}
@@ -836,20 +822,18 @@ def _first_failing_edge(group: PermutationGroup, gen_table: np.ndarray) -> str:
                 img[y] = cand
                 queue.append(y)
             elif img[y] != cand:
-                name = format_cycles(perm(y))
+                name = format_cycles(y)
                 return f"inconsistent action: element {name} receives two distinct images"
     raise AssertionError("images rejected by the order test satisfy every Cayley edge")
 
 
-def build_action(
-    group: PermutationGroup, gen_images: Sequence[Permutation], target_size: int
-) -> GroupAction:
+def build_action(group: PermutationGroup, gen_images: ImageRows, target_size: int) -> GroupAction:
     """The action of ``group`` extending the generator images, listed on first use.
 
-    The one check of images from outside: ``gen_images`` holds ``Permutation``
-    objects or int rows, or is an int array. The images define a homomorphism
-    exactly when the pairs (s, s^X) generate a group no larger than G;
-    rejected images raise GroupError naming the first Cayley edge they break.
+    The one check of images from outside: ``gen_images`` holds int rows, or
+    is an int array. The images define a homomorphism exactly when the pairs
+    (s, s^X) generate a group no larger than G; rejected images raise
+    GroupError naming the first Cayley edge they break.
     """
     count = len(group._generator_rows)
     if len(gen_images) != count:

@@ -1,14 +1,15 @@
 """Problem-spec parsing and machine-readable exports (mask JSON, reports, DOT).
 
-Input documents are strict JSON: unknown keys are rejected and every error
-carries the JSON path of the offending field. All files are 0-based; 1-based
-conversion exists only in the CLI's display mode. Exports use a fixed key
+Input documents are strict JSON: unknown and repeated keys are rejected and
+every error carries the JSON path of the offending field. All files are
+0-based; 1-based conversion exists only in the CLI's display mode. Exports use a fixed key
 order so identical inputs produce byte-identical bytes.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -17,14 +18,18 @@ import numpy as np
 
 from . import designs, layer, permcore
 from .designs import ChannelSpec, SharingStructure
-from .permcore import GroupAction, JointAction, Permutation, PermutationGroup
+from .permcore import GroupAction, JointAction, PermutationGroup
 
 SPEC_SCHEMA = "eqtie.spec/1"
 MASK_SCHEMA = "eqtie.mask/1"
 REPORT_SCHEMA = "eqtie.report/1"
 TOOL_VERSION = "0.1.0"
 
-_GROUP_KINDS = {"cyclic", "dihedral", "symmetric", "wreath", "direct_product", "generators"}
+# the integer fields of each named family, in the order a missing one is named
+_FAMILY_FIELDS = {
+    "cyclic": ("n",), "dihedral": ("n",), "symmetric": ("n",), "wreath": ("d", "blocks"),
+}
+_GROUP_KINDS = {*_FAMILY_FIELDS, "direct_product", "generators"}
 
 
 class SpecError(ValueError):
@@ -45,6 +50,47 @@ def _require_keys(obj: dict, path: str, required: tuple[str, ...], optional: tup
             raise SpecError(path, f"missing required field {key!r}")
 
 
+class _Repeats(dict):
+    """A JSON object that repeated ``field``; it keeps the last copy, as ``json.loads`` does."""
+
+    field: str
+
+
+def _repeated_field(value, path: str) -> Optional[SpecError]:
+    """The error naming the first object in ``value``, outermost first, that repeated a field."""
+    if isinstance(value, _Repeats):
+        return SpecError(path, f"repeated field {value.field!r}")
+    if isinstance(value, dict):
+        children = ((f"{path}.{key}", child) for key, child in value.items())
+    elif isinstance(value, list):
+        children = ((f"{path}[{i}]", child) for i, child in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_repeated_field(child, at) for at, child in children)), None)
+
+
+def _load_json(text: str):
+    """The JSON document in ``text``; a syntax error or a repeated field raises SpecError."""
+    repeats = []
+
+    def pairs_hook(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            counts = Counter(key for key, _ in pairs)
+            obj = _Repeats(obj)
+            obj.field = next(key for key, n in counts.items() if n > 1)
+            repeats.append(obj)
+        return obj
+
+    try:
+        doc = json.loads(text, object_pairs_hook=pairs_hook)
+    except json.JSONDecodeError as exc:
+        raise SpecError("$", f"syntax error at offset {exc.pos}: {exc.msg}") from None
+    if repeats:
+        raise _repeated_field(doc, "$")
+    return doc
+
+
 def _get_int(obj: dict, key: str, path: str, minimum: int = 1) -> int:
     value = obj.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -54,18 +100,16 @@ def _get_int(obj: dict, key: str, path: str, minimum: int = 1) -> int:
     return value
 
 
-def _parse_group_generators(obj, path: str) -> list[Permutation]:
+def _parse_group_generators(obj, path: str) -> list[tuple[int, ...]]:
     if not isinstance(obj, dict):
         raise SpecError(path, "expected an object")
     kind = obj.get("kind")
     if kind not in _GROUP_KINDS:
         raise SpecError(f"{path}.kind", f"expected one of {sorted(_GROUP_KINDS)}")
-    if kind in ("cyclic", "dihedral", "symmetric"):
-        _require_keys(obj, path, ("kind", "n"))
-        return permcore.named_group(kind, n=_get_int(obj, "n", path))
-    if kind == "wreath":
-        _require_keys(obj, path, ("kind", "d", "blocks"))
-        return permcore.wreath_generators(_get_int(obj, "d", path), _get_int(obj, "blocks", path))
+    if kind in _FAMILY_FIELDS:
+        fields = _FAMILY_FIELDS[kind]
+        _require_keys(obj, path, ("kind", *fields))
+        return permcore.named_group(kind, **{key: _get_int(obj, key, path) for key in fields})
     if kind == "direct_product":
         _require_keys(obj, path, ("kind", "factors"))
         factors = obj.get("factors")
@@ -74,7 +118,7 @@ def _parse_group_generators(obj, path: str) -> list[Permutation]:
         parsed = [
             _parse_group_generators(f, f"{path}.factors[{i}]") for i, f in enumerate(factors)
         ]
-        return permcore.direct_product_generators(*parsed)
+        return permcore.named_group(kind, factors=parsed)
     # explicit generators in cycle notation
     _require_keys(obj, path, ("kind", "degree", "generators"))
     degree = _get_int(obj, "degree", path)
@@ -103,7 +147,7 @@ def _parse_action(obj, path: str, group: PermutationGroup, column: list[int]) ->
             f"{path}.generator_images",
             f"expected {len(column)} cycle strings (one per group generator)",
         )
-    images: dict[int, Permutation] = {}  # one per generator row, in row order
+    images: dict[int, tuple[int, ...]] = {}  # one per generator row, in row order
     for i, text in enumerate(raw):
         if not isinstance(text, str):
             raise SpecError(f"{path}.generator_images[{i}]", "expected a cycle-notation string")
@@ -142,10 +186,7 @@ class ProblemSpec:
 
 def parse_spec(text: str) -> ProblemSpec:
     """Parse and fully validate a problem-spec document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError("$", f"syntax error at offset {exc.pos}: {exc.msg}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise SpecError("$", "expected a JSON object")
     _require_keys(
@@ -167,8 +208,8 @@ def parse_spec(text: str) -> ProblemSpec:
         raise SpecError("$.group", str(exc).replace("the cap", "the spec's order_cap")) from None
 
     # a listed generator's place among the group's distinct generators; repeats share one
-    slot = {g.images: s for s, g in enumerate(group.generators)}
-    column = [slot[g.images] for g in generators]
+    slot = {g: s for s, g in enumerate(group.generators)}
+    column = [slot[g] for g in generators]
     n_action = _parse_action(doc["n_action"], "$.n_action", group, column)
     m_action = _parse_action(doc["m_action"], "$.m_action", group, column)
 
@@ -394,10 +435,7 @@ def dump_mask(doc: dict) -> str:
 
 def parse_mask(text: str) -> dict:
     """Validate and return a mask document (lossless round trip of dump_mask)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError("$", f"syntax error at offset {exc.pos}: {exc.msg}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise SpecError("$", "expected a JSON object")
     if doc.get("schema") != MASK_SCHEMA:

@@ -12,13 +12,14 @@ import json
 import math
 import random
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from eqtie.autsearch import SearchStats, color_refine
 from eqtie.layer import LayerError, check_equivariance
-from eqtie.permcore import GroupError, compose, format_cycles, identity
+from eqtie.permcore import GroupError, format_cycles
 from eqtie.specio import _edge_color
 
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
@@ -50,29 +51,49 @@ def structure_alpha(s):
     return table
 
 
+def identity(n):
+    """The identity of degree n as an image tuple."""
+    return tuple(range(n))
+
+
+def compose(p, q):
+    """p after q on image tuples: result[i] = p[q[i]]."""
+    if len(p) != len(q):
+        raise GroupError(f"degree mismatch: {len(p)} != {len(q)}")
+    return tuple(p[j] for j in q)
+
+
+def inverse(p):
+    """The inverse image tuple: result[p[i]] = i."""
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
 def permutation_matrix(p):
-    """0/1 matrix with a 1 at row p(j), column j.
+    """0/1 matrix with a 1 at row p[j], column j.
 
     With this convention ``permutation_matrix(compose(p, q))`` equals
     ``permutation_matrix(p) @ permutation_matrix(q)`` exactly.
     """
-    mat = np.zeros((p.degree, p.degree), dtype=np.int64)
-    mat[list(p.images), range(p.degree)] = 1
+    mat = np.zeros((len(p), len(p)), dtype=np.int64)
+    mat[list(p), range(len(p))] = 1
     return mat
 
 
 def act_on_vector(p, x):
-    """The vector action: result[p(i)] = x[i]."""
+    """The vector action: result[p[i]] = x[i]."""
     x = np.asarray(x)
-    if x.shape[0] != p.degree:
-        raise GroupError(f"vector length {x.shape[0]} != degree {p.degree}")
+    if x.shape[0] != len(p):
+        raise GroupError(f"vector length {x.shape[0]} != degree {len(p)}")
     out = np.empty_like(x)
-    out[list(p.images)] = x
+    out[list(p)] = x
     return out
 
 
 def image_rows(action):
-    """An action's images as tuples, one per element id, read off its table."""
+    """An action's or a group's images as tuples, one per element id, read off its table."""
     return list(map(tuple, action._table.tolist()))
 
 
@@ -279,7 +300,7 @@ def certify_witness(result, joint):
     """
     inside = set(joint_pairs(joint))
     if result.elements is None:
-        candidates = [(pn.images, pm.images) for pn, pm in result.generators]
+        candidates = list(result.generators)
     else:
         candidates = sorted(aut_pairs(result))
     return next((pair for pair in candidates if pair not in inside), None)
@@ -349,15 +370,33 @@ def primes_by_trial_division(count):
     return primes
 
 
-def float_residual_per_trial(apply, pairs, n_size, trials, seed):
+def may_overflow(layers):
+    """Whether sigma(W x) through ``layers`` may pass float max / 4 on inputs in [-9, 9].
+
+    The reference for ``layer._may_overflow``: the bound on a layer's outputs
+    is its largest row sum of |W|, one Python ``sum`` per row, times the bound
+    on its inputs.
+    """
+    reach = 9.0
+    for tied in layers:
+        reach *= max((sum(abs(float(v)) for v in row) for row in tied.weights()), default=0.0)
+        if not reach <= sys.float_info.max / 4:
+            return True
+    return False
+
+
+def float_residual_per_trial(apply, pairs, n_size, trials, seed, overflows=False):
     """Max |g^M . f(x) - f(g^N . x)|, one input vector per (element, trial).
 
     The reference for the float route: ``pairs`` are (g^N, g^M) image tuples,
     ``apply`` maps one input vector to one output vector, and the inputs are
     drawn one at a time from ``default_rng(seed)`` in pair-major order. The
     maxima fold with ``np.maximum``, so a NaN residual survives, as it does on
-    the route.
+    the route. When ``overflows`` (see ``may_overflow``) and there are trials,
+    the residual is NaN without evaluating ``apply``.
     """
+    if trials and overflows:
+        return math.nan
 
     def act(images, v):
         out = np.empty_like(v)
@@ -388,25 +427,26 @@ def distinct_pairs(n_images, m_images):
 def closure_per_element(gens):
     """(elements, generator ids) of a closure, one ``compose`` per product, sorted by image tuple.
 
-    The reference for ``permcore.close_generators``: element 0 is the identity,
-    the elements follow the lexicographic order of their image tuples, and
-    generator ids keep the first occurrence of each generator.
+    The reference for ``permcore.close_generators``: ``gens`` are image rows,
+    the elements are image tuples, element 0 is the identity, the elements
+    follow the lexicographic order of their image tuples, and generator ids
+    keep the first occurrence of each generator.
     """
-    ident = identity(gens[0].degree)
-    seen = {ident.images: ident}
-    frontier = [ident]
+    gens = [tuple(int(v) for v in g) for g in gens]
+    seen = {identity(len(gens[0]))}
+    frontier = list(seen)
     for p in frontier:  # the frontier grows as products are found
         for g in gens:
             q = compose(p, g)
-            if q.images not in seen:
-                seen[q.images] = q
+            if q not in seen:
+                seen.add(q)
                 frontier.append(q)
-    elements = [seen[images] for images in sorted(seen)]
-    index = {p.images: i for i, p in enumerate(elements)}
+    elements = sorted(seen)
+    index = {p: i for i, p in enumerate(elements)}
     gen_ids = []
     for g in gens:
-        if index[g.images] not in gen_ids:
-            gen_ids.append(index[g.images])
+        if index[g] not in gen_ids:
+            gen_ids.append(index[g])
     return elements, gen_ids
 
 
@@ -415,9 +455,11 @@ def action_per_edge(elements, generator_ids, gen_images, target_size):
 
     The reference for ``permcore.build_action``: a FIFO queue from the
     identity, each edge (element, generator) either assigns the product image
-    or compares against the one already assigned.
+    or compares against the one already assigned. Elements, generator images
+    and the returned images are image tuples.
     """
-    index = {p.images: i for i, p in enumerate(elements)}
+    index = {p: i for i, p in enumerate(elements)}
+    gen_images = [tuple(int(v) for v in g) for g in gen_images]
     images = [None] * len(elements)
     images[0] = identity(target_size)
     queue = [0]
@@ -426,7 +468,7 @@ def action_per_edge(elements, generator_ids, gen_images, target_size):
         i = queue[head]
         head += 1
         for gid, gimg in zip(generator_ids, gen_images):
-            k = index[compose(elements[i], elements[gid]).images]
+            k = index[compose(elements[i], elements[gid])]
             cand = compose(images[i], gimg)
             if images[k] is None:
                 images[k] = cand

@@ -215,7 +215,7 @@ def test_criterion_06_graph_conv():
 
 
 def certified_unique_small_fixtures(mirror_conv):
-    trivial = pc.close_generators([pc.identity(2)])
+    trivial = pc.close_generators([(0, 1)])
     nat2 = pc.natural_action(trivial)
     yield "trivial-dense-2", designs.dense_design(pc.joint_action(nat2, nat2)), pc.joint_action(nat2, nat2)
     yield "mirror-conv", designs.sparse_design(mirror_conv, [1]), mirror_conv

@@ -44,12 +44,12 @@ def restricted_action(draw, group):
     for g in group.generators:
         images, offset = [], 0
         for members in blocks:
-            images += [offset + members.index(g(x)) for x in members]
+            images += [offset + members.index(g[x]) for x in members]
             offset += len(members)
         relabelled = [0] * size
         for i, v in enumerate(images):
             relabelled[sigma[i]] = sigma[v]
-        gen_images.append(Permutation(tuple(relabelled)))
+        gen_images.append(relabelled)
     action = pc.build_action(group, gen_images, size)
     return designs.replicate_action(action, draw(st.integers(1, 3)))
 
@@ -152,7 +152,7 @@ def test_replicated_images_match_per_element(joint, copies):
 
 
 class TestHandBuiltActions:
-    """``build_action`` on hand-written generator images, as Permutations or int arrays."""
+    """``build_action`` on hand-written generator images, as int rows or int arrays."""
 
     def test_non_homomorphic_images_raise(self, z6):
         # a 4-cycle has no order dividing 6
@@ -165,12 +165,12 @@ class TestHandBuiltActions:
             pc.build_action(z6, table, 6)
 
     def test_hand_built_natural_images(self, z6):
-        action = pc.build_action(z6, np.array([p.images for p in z6.generators]), 6)
+        action = pc.build_action(z6, np.array(z6.generators), 6)
         assert np.array_equal(action._table, z6._table)
         assert pc.classify_action(action).regular
 
     def test_table_is_read_only(self, z6):
-        table = np.array([p.images for p in z6.generators])
+        table = np.array(z6.generators)
         action = pc.build_action(z6, table, 6)
         table[0] = np.arange(6)  # the action keeps its own copy
         assert np.array_equal(action._table, z6._table)
@@ -192,7 +192,7 @@ class TestImageTableCheck:
     @pytest.mark.parametrize("rows, message", BAD_ROWS.values(), ids=list(BAD_ROWS))
     def test_bad_rows_raise_in_both_constructors(self, rows, message, as_array):
         """Bad generator images raise in ``build_action``, as int rows or as one array."""
-        group = pc.close_generators([pc.identity(3), Permutation((1, 0, 2))])
+        group = pc.close_generators([(0, 1, 2), (1, 0, 2)])
         assert len(group.generator_ids) == 2
         table = np.array(rows) if as_array else rows
         with pytest.raises(GroupError, match=message):
@@ -209,25 +209,24 @@ class TestImageTableCheck:
 def test_built_in_tables_match_per_element_references():
     """natural, trivial and regular actions, against tables built one element at a time."""
     for gens in (pc.cyclic_generators(6), pc.symmetric_generators(4), pc.wreath_generators(2, 2),
-                 [pc.identity(3), pc.parse_cycles("(0 1 2)", 3)]):
+                 [oracles.identity(3), pc.parse_cycles("(0 1 2)", 3)]):
         group = pc.close_generators(gens)
         elements, _ = oracles.closure_per_element(gens)
         index = {p: i for i, p in enumerate(elements)}
         ids = list(group.generator_ids)
         natural = pc.natural_action(group)
-        assert natural._table.tolist() == [list(p.images) for p in elements]
+        assert oracles.image_rows(natural) == elements
         assert pc.trivial_action(group, 2)._table.tolist() == [[0, 1]] * len(elements)
         regular = pc.regular_action(group)
         assert regular._table.tolist() == [
-            [index[pc.compose(p, q)] for q in elements] for p in elements
+            [index[oracles.compose(p, q)] for q in elements] for p in elements
         ]
         assert np.array_equal(regular._generator_rows, regular._table[ids])
         for action in (natural, regular):
-            gen_images = [Permutation(tuple(r)) for r in action._generator_rows.tolist()]
-            assert oracles.image_rows(action) == [
-                p.images
-                for p in oracles.action_per_edge(elements, ids, gen_images, action.target_size)
-            ]
+            gen_images = action._generator_rows.tolist()
+            assert oracles.image_rows(action) == oracles.action_per_edge(
+                elements, ids, gen_images, action.target_size
+            )
 
 
 def test_table_views_match_per_element_references(
@@ -242,22 +241,22 @@ def test_table_views_match_per_element_references(
     ]
     for joint, s in cases:
         group = joint.group
-        elements, generator_ids = oracles.closure_per_element(list(group.generators))
-        assert group.elements == tuple(elements)
+        elements, generator_ids = oracles.closure_per_element(group.generators)
+        assert oracles.image_rows(group) == elements
         assert group.generator_ids == tuple(generator_ids)
         assert [group.inv(i) for i in range(group.order)] == [
-            elements.index(pc.inverse(p)) for p in elements
+            elements.index(oracles.inverse(p)) for p in elements
         ]
         assert oracles.joint_pairs(joint) == distinct_pairs(joint)
         brute = oracles.brute_force_automorphisms(s)
         result = autsearch.enumerate_automorphisms(s, reference=joint)
-        assert [(pn.images, pm.images) for pn, pm in result.elements] == brute
+        assert list(result.elements) == brute
         assert oracles.aut_pairs(result) == brute
         witness = autsearch.certify_unique(s, joint).witness
         inside = set(oracles.joint_pairs(joint))
         outside = [pair for pair in brute if pair not in inside]
         if outside:
-            assert (witness[0].images, witness[1].images) == outside[0]
+            assert witness == outside[0]
         else:
             assert witness is None
 
@@ -268,7 +267,7 @@ def test_table_views_match_per_element_references(
     ids=["design", "check", "certify"],
 )
 def test_cli_builds_no_permutation_per_element(spec, command, monkeypatch):
-    """|G| = 5040 on sym7, 5040 listed automorphisms on agl1-7: neither is built per element."""
+    """|G| = 5040 on sym7, 5040 listed automorphisms on agl1-7: no ``Permutation`` is built."""
     built = []
     post_init = Permutation.__post_init__
 
@@ -280,4 +279,4 @@ def test_cli_builds_no_permutation_per_element(spec, command, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(command + ["--spec", str(CORPUS / f"{spec}.json")])
     assert code in (0, 1)
-    assert len(built) < 100
+    assert built == []

@@ -1,15 +1,18 @@
-"""The benchmark tracer's wrap list names attributes that exist, and its counters read them.
+"""The benchmark's wrap list and library ops run against the package as it is.
 
 ``bench/run.py`` wraps eqtie functions by (module, attribute) under
-``--trace 1`` and counts from each call's arguments and result; a rename in
-the package would only show there as a crash. The list and the counter
-functions are run from the script's syntax tree, so the script's top level,
-which sets thread environment variables, never runs.
+``--trace 1`` and counts from each call's arguments and result, and its
+library ops call the public API directly; a rename or a changed signature in
+the package would only show there as a crash or a failed op. The list, the
+counter functions and ``library_ops`` are run from the script's syntax tree,
+so the script's top level, which sets thread environment variables, never
+runs.
 """
 
 import ast
 import collections
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,25 @@ def traced_table():
 
 
 TRACED = traced_table()
+
+
+def library_ops():
+    """The script's ``library_ops`` function, with the two module names it reads."""
+    tree = ast.parse(RUN_PY.read_text())
+    body = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "library_ops"]
+    assert len(body) == 1, "bench/run.py defines no library_ops function"
+    namespace = {"json": json, "BENCH": RUN_PY.parent}
+    exec(compile(ast.Module(body=body, type_ignores=[]), str(RUN_PY), "exec"), namespace)
+    return namespace["library_ops"]
+
+
+def test_library_ops_pass_their_own_checks():
+    modules = {"permcore": permcore, "designs": designs, "layer": layer}
+    ops = library_ops()(modules, seed=1)
+    assert sorted(ops) == ["compose-s6", "gconv-z240"]
+    for name, (run, check) in ops.items():
+        assert check(run()) is None, name
 
 
 def counts(module, attr, args, result):

@@ -18,7 +18,7 @@ def wreath_joint():
 
 
 def trivial_joint(n):
-    g = pc.close_generators([pc.identity(n)])
+    g = pc.close_generators([tuple(range(n))])
     nat = pc.natural_action(g)
     return pc.joint_action(nat, nat)
 
@@ -355,9 +355,7 @@ def d5_fixture():
             rot[idx(r, c)] = idx(r, (c + 1) % 5)
             ref[idx(r, c)] = idx(3 - r, (5 - c) % 5)
     d5 = pc.close_generators(pc.dihedral_generators(5))
-    n_act = pc.build_action(
-        d5, [pc.Permutation(tuple(rot)), pc.Permutation(tuple(ref))], 20
-    )
+    n_act = pc.build_action(d5, [rot, ref], 20)
     joint = pc.joint_action(n_act, pc.natural_action(d5))
     rot_id, ref_id = d5.generator_ids
     genset = sorted({rot_id, d5.inv(rot_id), ref_id})

@@ -150,7 +150,7 @@ class TestCheckEquivariance:
         assert report.exact_pass and report.tested_elements == 120
         # the generator pairs' int rows, in order: no Permutation is built
         assert all(isinstance(row, np.ndarray) for pair in calls for row in pair)
-        gens = [list(g.images) for g in joint.group.generators]
+        gens = [list(g) for g in joint.group.generators]
         assert [(gn.tolist(), gm.tolist()) for gn, gm in calls] == [(g, g) for g in gens]
         calls.clear()
         report = layer.compose_layers(tied, tied, joint, joint, trials=1)
@@ -165,14 +165,14 @@ class TestCheckEquivariance:
         for _ in range(50):
             m_size, n_size = int(rng.integers(2, 5)), int(rng.integers(2, 5))
             w = rng.integers(0, 3, size=(m_size, n_size))
-            gn = pc.Permutation(tuple(rng.permutation(n_size).tolist()))
-            gm = pc.Permutation(tuple(rng.permutation(m_size).tolist()))
+            gn = tuple(rng.permutation(n_size).tolist())
+            gm = tuple(rng.permutation(m_size).tolist())
             literal = np.array_equal(
                 oracles.permutation_matrix(gm) @ w, w @ oracles.permutation_matrix(gn)
             )
             assert layer.matrix_commutes(w, gn, gm) == literal
-            assert layer.matrix_commutes(w, np.array(gn.images), np.array(gm.images)) == literal
-            assert oracles.commutes_exactly(w, gn.images, gm.images) == literal
+            assert layer.matrix_commutes(w, np.array(gn), np.array(gm)) == literal
+            assert oracles.commutes_exactly(w, gn, gm) == literal
 
 
 class TestFloatRouteOracle:
@@ -449,7 +449,7 @@ def perturbed_dense_layer(draw, joint):
         extra = Relation(s.base_color_count + 1, [cell], {"kind": "dense", "representative": cell})
         s = SharingStructure(s.n_size, s.m_size, s.relations + (extra,))
     sigma = draw(st.sampled_from([layer.IDENTITY, layer.leaky(0.5)]))
-    # weights near 1e308 overflow W x, so the replay meets inf and NaN residuals too
+    # weights near 1e308 may overflow W x, so the route meets NaN residuals too
     theta = layer.first_primes(s.color_matrix.base_color_count)
     if draw(st.booleans()):
         theta = theta / theta.max(initial=1) * 1e308
@@ -498,7 +498,8 @@ def test_replay_matches_the_per_trial_oracle(stack, trials, seed, cells):
     pairs = oracles.joint_pairs(joint)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = oracles.float_residual_per_trial(
-            lambda x: layer.forward(tied, x), pairs, tied.n_size, trials, seed
+            lambda x: layer.forward(tied, x), pairs, tied.n_size, trials, seed,
+            oracles.may_overflow([tied]),
         )
     assert same_float(rep.max_residual, expected)
     assert rep.tested_elements == len(pairs) and rep.trials == trials
@@ -518,7 +519,7 @@ def test_stack_replay_matches_the_per_trial_oracle(stack, trials, seed, cells):
     with np.errstate(over="ignore", invalid="ignore"):
         expected = oracles.float_residual_per_trial(
             lambda x: layer.forward(second, layer.forward(first, x)),
-            pairs, first.n_size, trials, seed,
+            pairs, first.n_size, trials, seed, oracles.may_overflow([first, second]),
         )
     assert same_float(rep.max_residual, expected)
     assert rep.tested_elements == len(pairs) and rep.trials == trials
@@ -569,6 +570,27 @@ class TestNonFinite:
         assert rep.exact_pass and stacked.exact_pass
         assert np.isnan(rep.max_residual) and np.isnan(stacked.max_residual)
         assert not rep.passed and not stacked.passed
+
+    @pytest.mark.parametrize("cells", [1, 1 << 14])
+    def test_overflow_is_decided_by_the_bound_not_the_kernel(self, monkeypatch, cells):
+        # dense S3 with both weights c: 9 x the row sum 3c against a quarter of
+        # the float range; past it a matrix product and matrix-vector products
+        # may disagree on whether W x overflows, so the route does not replay
+        monkeypatch.setattr(layer, "_FLOAT_BATCH_CELLS", cells)
+        joint = diagonal_symmetric_joint(3)
+        s = designs.dense_design(joint)
+        edge = np.finfo(float).max / 4 / 27
+        for c, overflows in [(edge * (1 - 1e-9), False), (edge * (1 + 1e-9), True)]:
+            tied = layer.tied_layer_from_structure(s, np.array([c, c]))
+            assert layer._may_overflow([tied]) == oracles.may_overflow([tied]) == overflows
+            rep = layer.check_equivariance(tied, joint, trials=3)
+            assert np.isnan(rep.max_residual) == overflows and rep.exact_pass
+            assert np.isfinite(rep.max_residual) != overflows
+            assert layer.check_equivariance(tied, joint, trials=0).max_residual == 0.0
+        small = layer.tied_layer_from_structure(s, np.array([1.0, 1.0]))
+        stacked = layer.compose_layers(small, tied, joint, joint, trials=2)
+        assert layer._may_overflow([small, tied]) and oracles.may_overflow([small, tied])
+        assert np.isnan(stacked.max_residual) and not stacked.passed
 
 
 class TestSubgroupMonotonicity:

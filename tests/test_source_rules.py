@@ -409,11 +409,8 @@ def test_aut_generators_are_one_table():
     assert names_read(ast.parse((PACKAGE / "autsearch.py").read_text()), {"hstack"}) == []
 
 
-# where ``autsearch`` may build a ``Permutation``: its two views and certify's witness
+# the names that build a ``Permutation``; ``autsearch`` reads none of them
 PERMUTATION_MAKERS = {"perm", "Permutation"}
-PERMUTATION_BUILDERS = {
-    "AutomorphismResult.generators", "AutomorphismResult.elements", "certify_unique",
-}
 
 
 def annotation_nodes(tree):
@@ -453,9 +450,15 @@ def permutation_reads(tree):
     return found
 
 
-def test_autsearch_builds_permutations_only_in_its_views_and_witness():
-    reads = permutation_reads(ast.parse((PACKAGE / "autsearch.py").read_text()))
-    assert reads <= {(scope, True) for scope in PERMUTATION_BUILDERS}
+def test_autsearch_builds_no_permutation():
+    """Aut's generators, elements and certify's witness are image tuples."""
+    assert permutation_reads(ast.parse((PACKAGE / "autsearch.py").read_text())) == set()
+
+
+def test_permcore_builds_permutations_only_for_elements_and_compose():
+    """The ``Permutation`` left in ``permcore`` serves ``PermutationGroup.elements`` and ``mul``."""
+    reads = permutation_reads(ast.parse((PACKAGE / "permcore.py").read_text()))
+    assert reads == {("PermutationGroup.elements", True), ("compose", True)}
 
 
 def test_view_rules_see_the_retired_definitions():
@@ -484,3 +487,63 @@ def test_view_rules_see_the_retired_definitions():
         ("GroupAction.images", True), ("JointAction.joint_elements", False),
         ("AutomorphismResult.generators", False), ("certify_unique", True),
     }
+
+
+# a permutation is an int row outside ``permcore``; ``__init__`` re-exports these two
+PERMUTATION_NAMES = {"Permutation", "perm", "compose"}
+REEXPORTED = {"Permutation", "compose"}
+
+
+def permutation_names(tree, reexports=frozenset()):
+    """(line, name) of every name, attribute, argument, definition or import in ``PERMUTATION_NAMES``.
+
+    Names in ``reexports`` imported from ``.permcore`` are left out.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            exempt = reexports if (node.level, node.module) == (1, "permcore") else set()
+            found += [
+                (node.lineno, name)
+                for alias in node.names
+                for name in {alias.name, alias.asname} - {None}
+                if name in PERMUTATION_NAMES and alias.name not in exempt
+            ]
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.arg):
+            names = [node.arg]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in PERMUTATION_NAMES]
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "permcore"], ids=lambda p: p.name
+)
+def test_only_permcore_names_permutations(path):
+    reexports = REEXPORTED if path.stem == "__init__" else frozenset()
+    assert permutation_names(ast.parse(path.read_text()), reexports) == []
+
+
+def test_permutation_name_rule_sees_its_targets():
+    source = (
+        "from .permcore import Permutation, compose, format_cycles\n"
+        "from .permcore import perm as p\nfrom .other import compose as c\n"
+        "def f(perm, x: Permutation):\n    return permcore.compose(x, x)\n"
+        "def compose(a, b):\n    pass\n"
+    )
+    tree = ast.parse(source)
+    assert permutation_names(tree, REEXPORTED) == [
+        (2, "perm"), (3, "compose"), (4, "Permutation"), (4, "perm"), (5, "compose"),
+        (6, "compose"),
+    ]
+    assert permutation_names(tree)[:2] == [(1, "Permutation"), (1, "compose")]

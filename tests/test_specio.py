@@ -110,6 +110,18 @@ class TestParseSpec:
         with pytest.raises(SpecError, match=r"\$\.n_action.*inconsistent action"):
             specio.parse_spec(json.dumps(doc))
 
+    def test_whitespace_between_cycles(self):
+        doc = reverse_conv_doc(
+            group=generators_group("(0 1) (2 3)", "(0 2)\t(1 3)", degree=4),
+            n_action={"size": 2, "generator_images": ["(0 1)", "()"]},
+            m_action={"size": 4, "generator_images": ["(0 1) (2 3)", "(0 2)(1 3)"]},
+            design="dense",
+        )
+        del doc["genset"]
+        spec = specio.parse_spec(json.dumps(doc))
+        assert spec.group.generators == ((1, 0, 3, 2), (2, 3, 0, 1))
+        assert spec.m_action._generator_rows.tolist() == [[1, 0, 3, 2], [2, 3, 0, 1]]
+
     def test_explicit_generator_group(self):
         doc = reverse_conv_doc(
             group={"kind": "generators", "degree": 6, "generators": ["(0 1 2 3 4 5)"]}
@@ -181,7 +193,14 @@ def generators_group(*generators, degree=3):
     return {"kind": "generators", "degree": degree, "generators": list(generators)}
 
 
+def with_repeat(text, field_text):
+    """JSON object text with ``field_text`` appended as its last field, repeating one before it."""
+    head, close = text.rstrip().rsplit("}", 1)
+    return f"{head}, {field_text}}}{close}"
+
+
 GROUP_KINDS = "['cyclic', 'dihedral', 'direct_product', 'generators', 'symmetric', 'wreath']"
+MASK_HEAD = '{"schema": "eqtie.mask/1", "n_size": 1, "m_size": 1, "grid": [0], '
 
 # (parser, document text, JSON path, message): each error the two parsers raise on bad input
 DOCUMENT_ERRORS = {
@@ -241,6 +260,37 @@ DOCUMENT_ERRORS = {
         specio.parse_mask,
         '{"schema": "eqtie.mask/1", "n_size": 3, "m_size": 6, "grid": [], "base_colors": []}',
         "$", "missing required field 'merged_to_base'",
+    ),
+    "malformed-parenthesis": (
+        specio.parse_spec, spec_text(group=generators_group("(0 1)", "((0 1 2))")),
+        "$.group.generators[1]", "malformed parenthesis in cycle notation '((0 1 2))'",
+    ),
+    # a repeated field would otherwise keep its last copy: sym5 read as a sparse design
+    "repeated-field": (specio.parse_spec,
+                       with_repeat((CORPUS / "sym5.json").read_text(), '"design": "sparse"'),
+                       "$", "repeated field 'design'"),
+    "repeated-group-field": (
+        specio.parse_spec, spec_text().replace('"n": 6', '"n": 6, "n": 6'),
+        "$.group", "repeated field 'n'",
+    ),
+    "repeated-factor-field": (
+        specio.parse_spec,
+        spec_text(group={"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 6}]})
+        .replace('"n": 6', '"kind": "cyclic", "n": 6'),
+        "$.group.factors[0]", "repeated field 'kind'",
+    ),
+    "repeated-outer-field-first": (
+        specio.parse_spec,
+        with_repeat(spec_text().replace('"n": 6', '"n": 6, "n": 6'), '"mode": "bipartite"')
+        .replace('"design": "sparse"', '"mode": "bipartite", "design": "sparse"'),
+        "$", "repeated field 'mode'",
+    ),
+    "mask-repeated-field": (specio.parse_mask, MASK_HEAD + '"grid": [0]}', "$",
+                            "repeated field 'grid'"),
+    "mask-repeated-nested-field": (
+        specio.parse_mask,
+        MASK_HEAD + '"merged_to_base": {}, "base_colors": [{}, {"color": 1, "color": 1}]}',
+        "$.base_colors[1]", "repeated field 'color'",
     ),
 }
 
