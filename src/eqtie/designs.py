@@ -5,15 +5,21 @@ index set N and the output index set M: a list of relations, each an edge set
 carrying one color. A relation's edges are one read-only (k, 2) intp array of
 distinct (n, m) rows in ascending lexicographic order; the ``Relation``
 constructor sorts and de-duplicates whatever pairs it is given, and every
-consumer reads that array. Cells may carry several colors (multi-edges);
-merging groups cells by their full color set and sums the tied parameters.
+consumer reads that array. The builders here and in ``layer`` make no
+``Relation`` one at a time: each builds one edge table and the row at which
+each relation starts, and ``_from_table`` checks the whole table at once,
+keeps it read-only as the structure's ``_stacked_edges`` and makes each
+relation's edges a slice of it. Cells may carry several colors
+(multi-edges); merging groups cells by their full color set and sums the
+tied parameters.
 
 Color ids are 1-based and dense. Dense-design colors are numbered by each
 orbit's first cell in the M x N grid read row-major (m outer, n inner); sparse
 colors follow (n-orbit, m-orbit, generator) order. A dense design labels the
 cell orbits from the two actions' generator columns alone, so it lists no
-group element; a sparse edge set is one gather of the actions' image tables,
-built on first use. No ``Permutation`` object is built. Merging codes each
+group element, and orders its table by one argsort of one key per cell; a
+sparse design's table is one gather of the actions' image tables, built on
+first use. No ``Permutation`` object is built. Merging codes each
 cell's color set as one row and numbers the distinct rows with one stable
 sort.
 """
@@ -21,6 +27,7 @@ sort.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -75,11 +82,7 @@ class SharingStructure:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        ends, _ = self._stacked_edges
-        outside = ((ends < 0) | (ends >= (self.n_size, self.m_size))).any(axis=1)
-        if outside.any():
-            n, m = ends[outside.argmax()].tolist()
-            raise DesignError(f"edge ({n}, {m}) outside {self.n_size} x {self.m_size}")
+        _check_bounds(*self._stacked_edges, self.n_size, self.m_size)
 
     @property
     def base_color_count(self) -> int:
@@ -87,7 +90,10 @@ class SharingStructure:
 
     @functools.cached_property
     def _stacked_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every relation's edge rows stacked in relation order, and each row's relation index."""
+        """Every relation's edge rows stacked in relation order, and each row's relation index.
+
+        A structure built from one edge table (``_from_table``) keeps that table here.
+        """
         ends = np.concatenate([np.empty((0, 2), dtype=np.intp)] + [r.edges for r in self.relations])
         owner = np.repeat(np.arange(len(self.relations)), [len(r.edges) for r in self.relations])
         return ends, owner
@@ -105,6 +111,77 @@ class SharingStructure:
     def color_matrix(self) -> ColorMatrix:
         """``merge_colors(self)``, merged on first use and kept with the structure."""
         return merge_colors(self)
+
+
+def _check_bounds(ends: np.ndarray, owner: np.ndarray, n_size: int, m_size: int) -> None:
+    """Raise on an edge row outside n_size x m_size, negative endpoints included.
+
+    The error names the first such row by (owner, n, m), which is the first
+    in the stacked order of sorted relations.
+    """
+    if len(ends) and (ends.min() < 0 or ends[:, 0].max() >= n_size or ends[:, 1].max() >= m_size):
+        outside = ((ends < 0) | (ends >= (n_size, m_size))).any(axis=1)
+        rows = ends[outside]
+        n, m = rows[np.lexsort((rows[:, 1], rows[:, 0], owner[outside]))[0]].tolist()
+        raise DesignError(f"edge ({n}, {m}) outside {n_size} x {m_size}")
+
+
+def _relation_starts(s: SharingStructure) -> np.ndarray:
+    """The row of ``s._stacked_edges`` at which each relation starts."""
+    return np.searchsorted(s._stacked_edges[1], np.arange(len(s.relations)))
+
+
+def _from_table(
+    n_size: int,
+    m_size: int,
+    edges,
+    starts,
+    provenances: Sequence[Mapping[str, object]],
+    warnings: Sequence[str] = (),
+) -> SharingStructure:
+    """The structure whose relation k + 1 has the edges ``edges[starts[k]:starts[k + 1]]``.
+
+    The path by which the design builders and the tied group convolution make
+    a structure. The whole (rows x 2) table is checked at once, with every
+    check that ``Relation`` and ``SharingStructure`` make for one relation:
+    the rows are (n, m) pairs of integers within bounds, and each slice is
+    sorted by (n, m) and de-duplicated where it needs it. In bounds, a row's
+    key (slice, n, m) is one integer, so that takes one argsort. The checked
+    table is a new read-only array, so writing to ``edges`` afterwards changes
+    no relation. It is kept as the structure's ``_stacked_edges``, and each
+    relation's edges are a read-only slice of it. ``provenances[k]`` is
+    relation k + 1's provenance.
+    """
+    table = np.array(edges, dtype=np.intp)
+    if table.size == 0:
+        table = np.empty((0, 2), dtype=np.intp)
+    if table.ndim != 2 or table.shape[1] != 2:
+        raise DesignError("edge table: edges must be (n, m) pairs")
+    starts = np.asarray(starts, dtype=np.intp)
+    owner = np.repeat(np.arange(len(starts)), np.append(starts[1:], len(table)) - starts)
+    _check_bounds(table, owner, n_size, m_size)
+    key = (owner * n_size + table[:, 0]) * m_size + table[:, 1]
+    # keys strictly increasing: every slice is sorted and distinct already
+    if (key[1:] <= key[:-1]).any():
+        order = np.argsort(key)
+        order = order[np.diff(key[order], prepend=-1) != 0]
+        table, owner = table[order], owner[order]
+        starts = np.searchsorted(owner, np.arange(len(starts)))
+    table.flags.writeable = False
+    owner.flags.writeable = False
+    bounds = [*starts.tolist(), len(table)]
+    # the table is checked already: set the fields without a second check or copy
+    relations = []
+    for k, provenance in enumerate(provenances):
+        relation = object.__new__(Relation)
+        relation.__dict__.update(
+            color_id=k + 1, edges=table[bounds[k]:bounds[k + 1]], provenance=provenance
+        )
+        relations.append(relation)
+    s = object.__new__(SharingStructure)
+    s.__dict__.update(n_size=n_size, m_size=m_size, relations=tuple(relations),
+                      warnings=tuple(warnings), _stacked_edges=(table, owner))
+    return s
 
 
 @dataclass(frozen=True)
@@ -125,6 +202,18 @@ class ColorMatrix:
     @property
     def merged_color_count(self) -> int:
         return len(self.merged_to_base)
+
+    @functools.cached_property
+    def _base_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The merged ids; their base color ids, each run headed by a 0, flat; each run's start.
+
+        ``layer.materialize`` reduces these runs; a 0 indexes the 0 it puts before theta.
+        """
+        runs = [(0, *base) for base in self.merged_to_base.values()]
+        lengths = np.array([len(run) for run in runs], dtype=np.intp)
+        flat = np.fromiter(itertools.chain.from_iterable(runs), dtype=np.intp, count=lengths.sum())
+        merged = np.fromiter(self.merged_to_base, dtype=np.intp, count=len(runs))
+        return merged, flat, np.cumsum(lengths) - lengths
 
 
 @dataclass(frozen=True)
@@ -147,11 +236,6 @@ def _channel_count(count) -> int:
     return count
 
 
-def _cell_orbit(joint: JointAction, n: int, m: int) -> np.ndarray:
-    """The cells (g.n, g.m) for every g in G, one row each: the orbit of (n, m) with repeats."""
-    return np.stack([joint.n_action._table[:, n], joint.m_action._table[:, m]], axis=1)
-
-
 def dense_design(joint: JointAction) -> SharingStructure:
     """One color per orbit of the joint action on the edge set N x M.
 
@@ -164,16 +248,20 @@ def dense_design(joint: JointAction) -> SharingStructure:
     n_gens, m_gens = joint.n_action._generator_rows, joint.m_action._generator_rows
     cell_moves = (m_gens[:, :, None] * n_size + n_gens[:, None, :]).reshape(len(n_gens), -1)
     first = permcore._orbit_minima(cell_moves)  # first[c]: the orbit's first cell
-    ms, ns = np.divmod(np.arange(len(first)), n_size)
-    cells = np.lexsort((ms, ns, first))  # by orbit, each orbit's edges sorted by (n, m)
-    starts = np.flatnonzero(np.diff(first[cells], prepend=-1))
-    ends = np.stack([ns[cells], ms[cells]], axis=1)
-    relations = []
-    for k, (lo, hi) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [len(cells)])):
-        rep_m, rep_n = divmod(int(first[cells[lo]]), n_size)
-        provenance = {"kind": "dense", "representative": (rep_n, rep_m)}
-        relations.append(Relation(k + 1, ends[lo:hi], provenance))
-    return SharingStructure(n_size, m_size, tuple(relations))
+    size = len(first)
+    cell = np.arange(size)
+    ms, ns = np.divmod(cell, n_size)
+    # by orbit, each orbit's edges sorted by (n, m): one key per cell, all distinct
+    cells = np.argsort(first * size + ns * m_size + ms)
+    reps = np.flatnonzero(first == cell)  # each orbit's first cell, in color order
+    starts = np.searchsorted(first[cells], reps)
+    rep_m, rep_n = np.divmod(reps, n_size)
+    provenances = [
+        {"kind": "dense", "representative": rep} for rep in zip(rep_n.tolist(), rep_m.tolist())
+    ]
+    return _from_table(
+        n_size, m_size, np.stack([ns[cells], ms[cells]], axis=1), starts, provenances
+    )
 
 
 def sparse_design(joint: JointAction, genset: Sequence[int]) -> SharingStructure:
@@ -197,27 +285,30 @@ def sparse_design(joint: JointAction, genset: Sequence[int]) -> SharingStructure
     if missing:
         raise DesignError(f"generating set is not symmetric: missing inverse element ids {missing}")
 
-    n_orbits = permcore.orbits(joint.n_action)
-    m_orbits = permcore.orbits(joint.m_action)
-    relations = []
-    for p, n_rep in enumerate(n_orbits.representatives):
-        for q, m_rep in enumerate(m_orbits.representatives):
-            for a in ids:
-                start = int(joint.n_action._table[a, n_rep])
-                relations.append(
-                    Relation(
-                        len(relations) + 1,
-                        _cell_orbit(joint, start, m_rep),
-                        {"kind": "sparse", "n_orbit": p, "m_orbit": q, "generator": a},
-                    )
-                )
+    n_reps = permcore.orbits(joint.n_action).representatives
+    m_reps = permcore.orbits(joint.m_action).representatives
+    n_table, m_table = joint.n_action._table, joint.m_action._table
+    # relation (p, q, a), in that order, is the orbit of the cell (a(n_p), m_q): the
+    # rows (g(a(n_p)), g(m_q)) over every g, one column of each image table
+    edges = np.empty((len(n_reps), len(m_reps), len(ids), len(n_table), 2), dtype=np.intp)
+    edges[..., 0] = n_table.T[n_table[np.ix_(ids, n_reps)].T][:, None]  # [p, a, g]: g(a(n_p))
+    edges[..., 1] = m_table.T[list(m_reps)][:, None, :]  # [q, g]: g(m_q)
+    starts = np.arange(len(n_reps) * len(m_reps) * len(ids)) * len(n_table)
+    provenances = [
+        {"kind": "sparse", "n_orbit": p, "m_orbit": q, "generator": a}
+        for p in range(len(n_reps))
+        for q in range(len(m_reps))
+        for a in ids
+    ]
 
     warnings = []
     if not permcore.classify_action(joint.n_action).semi_regular:
         warnings.append("input action is not semi-regular: uniqueness not guaranteed")
     if not permcore.classify_action(joint.m_action).semi_regular:
         warnings.append("output action is not semi-regular: uniqueness not guaranteed")
-    return SharingStructure(joint.n_size, joint.m_size, tuple(relations), tuple(warnings))
+    return _from_table(
+        joint.n_size, joint.m_size, edges.reshape(-1, 2), starts, provenances, warnings
+    )
 
 
 def merge_colors(s: SharingStructure) -> ColorMatrix:
@@ -263,24 +354,24 @@ def expand_channels(s: SharingStructure, ch: ChannelSpec) -> SharingStructure:
     """
     if ch.k_in == 1 and ch.k_out == 1:
         return s
-    relations = []
-    for ko in range(ch.k_out):
-        for ki in range(ch.k_in):
-            for rel in s.relations:
-                relations.append(
-                    Relation(
-                        len(relations) + 1,
-                        rel.edges + (ki * s.n_size, ko * s.m_size),
-                        {
-                            "kind": "channel",
-                            "base_color": rel.color_id,
-                            "in_channel": ki,
-                            "out_channel": ko,
-                        },
-                    )
-                )
-    return SharingStructure(
-        s.n_size * ch.k_in, s.m_size * ch.k_out, tuple(relations), s.warnings
+    ends, _ = s._stacked_edges
+    # copy (ko, ki) of the table, in that order, moved by (ki * n_size, ko * m_size)
+    out_channel, in_channel = np.divmod(np.arange(ch.k_out * ch.k_in), ch.k_in)
+    shifts = np.stack([in_channel * s.n_size, out_channel * s.m_size], axis=1)
+    starts = np.arange(len(shifts))[:, None] * len(ends) + _relation_starts(s)
+    provenances = [
+        {"kind": "channel", "base_color": rel.color_id, "in_channel": ki, "out_channel": ko}
+        for ko in range(ch.k_out)
+        for ki in range(ch.k_in)
+        for rel in s.relations
+    ]
+    return _from_table(
+        s.n_size * ch.k_in,
+        s.m_size * ch.k_out,
+        (ends + shifts[:, None, :]).reshape(-1, 2),
+        starts.ravel(),
+        provenances,
+        s.warnings,
     )
 
 
@@ -302,9 +393,13 @@ def with_identity_relation(s: SharingStructure) -> SharingStructure:
     """
     if s.n_size != s.m_size:
         raise DesignError(f"identity relation needs n_size == m_size, got {s.n_size} != {s.m_size}")
-    diag = Relation(
-        s.base_color_count + 1,
-        np.arange(s.n_size).repeat(2).reshape(-1, 2),
-        {"kind": "identity"},
+    ends, _ = s._stacked_edges
+    diagonal = np.arange(s.n_size).repeat(2).reshape(-1, 2)
+    return _from_table(
+        s.n_size,
+        s.m_size,
+        np.concatenate([ends, diagonal]),
+        np.append(_relation_starts(s), len(ends)),
+        [rel.provenance for rel in s.relations] + [{"kind": "identity"}],
+        s.warnings,
     )
-    return SharingStructure(s.n_size, s.m_size, s.relations + (diag,), s.warnings)

@@ -1,5 +1,11 @@
 """Tied neural layers: materialize weights, evaluate, and verify equivariance.
 
+``materialize`` sums each merged color's base parameters in one
+``np.add.reduceat`` over the color matrix's flat base-color runs, with the
+bits of one ``theta[base].sum()`` per merged color. The tied group
+convolution stacks the sparse design's edge table run by run and builds its
+structure through ``designs._from_table``, like the builders in ``designs``.
+
 Verification runs two routes, in one helper shared by ``check_equivariance``
 and ``compose_layers``. The float route evaluates the layer on random
 integer-valued inputs and compares output-side and input-side permutation, by
@@ -98,8 +104,12 @@ def materialize(cm: ColorMatrix, theta) -> np.ndarray:
             f"theta length {theta.shape} does not match base color count {cm.base_color_count}"
         )
     sums = np.zeros(cm.merged_color_count + 1, dtype=theta.dtype)
-    for mid, base in cm.merged_to_base.items():
-        sums[mid] = theta[[c - 1 for c in base]].sum()
+    merged, flat, starts = cm._base_runs
+    if len(merged):
+        # a run is a 0 and then theta of its base colors: reduceat adds the terms after a
+        # run's head to it pairwise, as theta[base].sum() adds them to 0, so the bits agree
+        padded = np.concatenate([np.zeros(1, dtype=theta.dtype), theta])
+        sums[merged] = np.add.reduceat(padded[flat], starts)
     return sums[cm.grid]
 
 
@@ -233,6 +243,9 @@ def _verify(
     m_size, n_size = w_exact.shape
     ids = joint._element_ids
     block = max(1, _FLOAT_BATCH_CELLS // (max(1, trials) * max(1, widest)))
+    # the scatter's and the take's offsets for a full block; a shorter last block reads their head
+    row_at = np.arange(min(block, len(ids)))
+    col_at = np.arange(len(row_at) * trials).reshape(len(row_at), trials, 1) * n_size
     rng = np.random.default_rng(seed)
     worst = 0.0
     if trials and overflows:
@@ -245,13 +258,13 @@ def _verify(
             x = rng.integers(-9, 10, size=(cols, n_size)).astype(float)
             # (g . x)[g(i)] = x[i]: one scatter into the flat cols x n rows
             gx = np.empty_like(x)
-            at = np.arange(cols).reshape(k, trials, 1) * n_size + n_table[g][:, None, :]
+            at = col_at[:k] + n_table[g][:, None, :]
             gx.ravel()[at.ravel()] = x.ravel()
             fx = apply(x.T)
             # f(x)[i] is compared with f(g . x)[g(i)]: one take of the m x k rows of
             # trials outputs, row g(i) * k + a for element g[a]
             fgx = apply(gx.T).reshape(m_size * k, trials)
-            diff = fgx.take(m_table[g].T * k + np.arange(k), axis=0).reshape(m_size, cols)
+            diff = fgx.take(m_table[g].T * k + row_at[:k], axis=0).reshape(m_size, cols)
             np.subtract(fx, diff, out=diff)
             np.abs(diff, out=diff)
             # np.maximum keeps NaN, Python max drops it
@@ -350,28 +363,28 @@ def group_conv_structure(
     s = designs.sparse_design(joint, genset)
     if not tie_across_orbits:
         return s
-    merged: dict[tuple[int, int], list[np.ndarray]] = {}
-    orbit_lists: dict[tuple[int, int], list[int]] = {}
-    for rel in s.relations:
-        key = (rel.provenance["m_orbit"], rel.provenance["generator"])
-        merged.setdefault(key, []).append(rel.edges)
-        orbit_lists.setdefault(key, []).append(rel.provenance["n_orbit"])
-    relations = []
-    for key in sorted(merged):
-        q, a = key
-        relations.append(
-            Relation(
-                len(relations) + 1,
-                np.concatenate(merged[key]),
-                {
-                    "kind": "sparse_tied",
-                    "m_orbit": q,
-                    "generator": a,
-                    "n_orbits": tuple(orbit_lists[key]),
-                },
-            )
-        )
-    return SharingStructure(s.n_size, s.m_size, tuple(relations), s.warnings)
+    # one run of relations per (output orbit, generator), each in input-orbit order
+    runs: dict[tuple[int, int], list[int]] = {}
+    for k, rel in enumerate(s.relations):
+        runs.setdefault((rel.provenance["m_orbit"], rel.provenance["generator"]), []).append(k)
+    keys = sorted(runs)
+    rank = np.empty(len(s.relations), dtype=np.intp)
+    for r, key in enumerate(keys):
+        rank[runs[key]] = r
+    ends, owner = s._stacked_edges
+    run = rank[owner]
+    rows = np.argsort(run)  # each run's rows together; ``_from_table`` sorts them
+    provenances = [
+        {
+            "kind": "sparse_tied",
+            "m_orbit": q,
+            "generator": a,
+            "n_orbits": tuple(s.relations[k].provenance["n_orbit"] for k in runs[q, a]),
+        }
+        for q, a in keys
+    ]
+    starts = np.searchsorted(run[rows], np.arange(len(keys)))
+    return designs._from_table(s.n_size, s.m_size, ends[rows], starts, provenances, s.warnings)
 
 
 def group_conv(

@@ -680,13 +680,13 @@ def direct_product_generators(*factors: ImageRows) -> list[tuple[int, ...]]:
     return gens
 
 
-# each family's constructor, called with the family's fields as keywords
+# each family's constructor, and the fields it is called with as keywords
 _FAMILIES = {
-    "cyclic": cyclic_generators,
-    "dihedral": dihedral_generators,
-    "symmetric": symmetric_generators,
-    "wreath": wreath_generators,
-    "direct_product": lambda factors: direct_product_generators(*factors),
+    "cyclic": (cyclic_generators, ("n",)),
+    "dihedral": (dihedral_generators, ("n",)),
+    "symmetric": (symmetric_generators, ("n",)),
+    "wreath": (wreath_generators, ("d", "blocks")),
+    "direct_product": (lambda factors: direct_product_generators(*factors), ("factors",)),
 }
 
 
@@ -694,11 +694,20 @@ def named_group(kind: str, **params) -> list[tuple[int, ...]]:
     """Dispatch on a family name; see the individual constructors for degrees.
 
     ``n`` for cyclic, dihedral and symmetric; ``d`` and ``blocks`` for
-    wreath; ``factors``, a list of generator lists, for direct_product.
+    wreath; ``factors``, a list of generator lists, for direct_product. A
+    missing or unexpected field raises ``GroupError`` naming it, missing
+    fields first and in that order.
     """
     if kind not in _FAMILIES:
         raise GroupError(f"unknown group kind {kind!r}")
-    return _FAMILIES[kind](**params)
+    build, fields = _FAMILIES[kind]
+    for field in fields:
+        if field not in params:
+            raise GroupError(f"{kind}: missing field {field!r}")
+    for field in sorted(params):
+        if field not in fields:
+            raise GroupError(f"{kind}: unexpected field {field!r}")
+    return build(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from eqtie.autsearch import SearchStats, color_refine
+from eqtie.designs import Relation, SharingStructure
 from eqtie.layer import LayerError, check_equivariance
 from eqtie.permcore import GroupError, format_cycles
 from eqtie.specio import _edge_color
@@ -606,6 +607,84 @@ def merge_colors_per_cell(s):
                 merged_to_base[merged_ids[key]] = key
             grid[m, n] = merged_ids[key]
     return grid, merged_to_base
+
+
+def structure_per_relation(n_size, m_size, colors, warnings=()):
+    """A ``SharingStructure`` built one ``Relation(c, rows, provenance)`` at a time.
+
+    The reference for the builders' one-table path: ``colors`` lists
+    (rows, provenance) per color, color ids count from 1, and each relation
+    sorts and de-duplicates its own rows.
+    """
+    relations = tuple(Relation(k + 1, rows, p) for k, (rows, p) in enumerate(colors))
+    return SharingStructure(n_size, m_size, relations, tuple(warnings))
+
+
+def assert_same_structure(built, reference):
+    """Colors, provenance, edges and the stacked table agree; ``built`` is slices of one table.
+
+    Every relation of ``built`` is a read-only slice of its read-only
+    ``_stacked_edges`` table.
+    """
+    assert (built.n_size, built.m_size, built.warnings) == (
+        reference.n_size, reference.m_size, reference.warnings
+    )
+    assert [r.color_id for r in built.relations] == [r.color_id for r in reference.relations]
+    assert [r.provenance for r in built.relations] == [r.provenance for r in reference.relations]
+    for got, want in zip(built._stacked_edges, reference._stacked_edges, strict=True):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    table = built._stacked_edges[0]
+    assert not table.flags.writeable
+    for rel, ref in zip(built.relations, reference.relations):
+        assert rel.edges.dtype == ref.edges.dtype and np.array_equal(rel.edges, ref.edges)
+        assert rel.edges.base is table and not rel.edges.flags.writeable
+        try:
+            rel.edges.flags.writeable = True
+        except ValueError:
+            pass  # a view of a read-only array cannot be made writable
+        else:
+            raise AssertionError(f"relation {rel.color_id}: edges could be made writable")
+
+
+def channel_colors_per_relation(s, k_in, k_out):
+    """(rows, provenance) per color of ``designs.expand_channels``, one relation copy at a time."""
+    return [
+        (
+            [(ki * s.n_size + n, ko * s.m_size + m) for n, m in rel.edges.tolist()],
+            {"kind": "channel", "base_color": rel.color_id, "in_channel": ki, "out_channel": ko},
+        )
+        for ko in range(k_out)
+        for ki in range(k_in)
+        for rel in s.relations
+    ]
+
+
+def tied_colors_per_relation(s):
+    """(rows, provenance) per color of the tied group convolution, by one dict of row lists.
+
+    The relations of the untied sparse structure ``s`` are grouped by
+    (output orbit, generator), in relation order, and each group's rows are
+    concatenated; the groups are ordered by their key.
+    """
+    rows, orbits = {}, {}
+    for rel in s.relations:
+        key = (rel.provenance["m_orbit"], rel.provenance["generator"])
+        rows.setdefault(key, []).extend(map(tuple, rel.edges.tolist()))
+        orbits.setdefault(key, []).append(rel.provenance["n_orbit"])
+    return [
+        (rows[key], {"kind": "sparse_tied", "m_orbit": key[0], "generator": key[1],
+                     "n_orbits": tuple(orbits[key])})
+        for key in sorted(rows)
+    ]
+
+
+def materialize_per_color(cm, theta):
+    """W of ``layer.materialize`` by one ``sum`` of a fancy-indexed theta per merged color."""
+    theta = np.asarray(theta)
+    sums = np.zeros(cm.merged_color_count + 1, dtype=theta.dtype)
+    for mid, base in cm.merged_to_base.items():
+        sums[mid] = theta[[c - 1 for c in base]].sum()
+    return sums[cm.grid]
 
 
 def dump_mask_reference(doc):

@@ -120,6 +120,64 @@ def test_sparse_design_matches_per_element(joint):
     assert colors(designs.sparse_design(joint, genset)) == expected
 
 
+def semi_regular_warnings(joint):
+    flags = [oracles.classify_per_image(oracles.image_rows(a))[2]
+             for a in (joint.n_action, joint.m_action)]
+    texts = ["input action is not semi-regular: uniqueness not guaranteed",
+             "output action is not semi-regular: uniqueness not guaranteed"]
+    return [text for text, flag in zip(texts, flags) if not flag]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_joints(), st.integers(1, 3), st.integers(1, 3))
+@example(z6_on_three_points(), 2, 3)
+def test_table_built_structures_match_per_relation_construction(joint, k_in, k_out):
+    """Dense, sparse, channel-expanded, identity-relation and tied structures, one table each."""
+    n_size, m_size = joint.n_size, joint.m_size
+    dense = designs.dense_design(joint)
+    expected = oracles.dense_design_per_element(distinct_pairs(joint), n_size, m_size)
+    oracles.assert_same_structure(dense, oracles.structure_per_relation(
+        n_size, m_size, [(list(edges), p) for edges, p in expected]
+    ))
+
+    genset = pc.symmetrize_genset(joint.group, joint.group.generator_ids)
+    sparse = designs.sparse_design(joint, genset)
+    expected = oracles.sparse_design_per_element(
+        oracles.image_rows(joint.n_action), oracles.image_rows(joint.m_action), genset
+    )
+    oracles.assert_same_structure(sparse, oracles.structure_per_relation(
+        n_size, m_size, [(list(edges), p) for edges, p in expected], semi_regular_warnings(joint)
+    ))
+
+    for s in (dense, sparse):
+        oracles.assert_same_structure(
+            designs.expand_channels(s, designs.ChannelSpec(k_in, k_out)),
+            oracles.structure_per_relation(
+                n_size * k_in, m_size * k_out,
+                oracles.channel_colors_per_relation(s, k_in, k_out), s.warnings,
+            ) if (k_in, k_out) != (1, 1) else s,
+        )
+
+    square = designs.dense_design(pc.joint_action(joint.n_action, joint.n_action))
+    diagonal = [(n, n) for n in range(n_size)]
+    oracles.assert_same_structure(
+        designs.with_identity_relation(square),
+        oracles.structure_per_relation(
+            n_size, n_size,
+            [(r.edges, r.provenance) for r in square.relations] + [(diagonal, {"kind": "identity"})],
+        ),
+    )
+
+    conv = pc.joint_action(joint.n_action, pc.regular_action(joint.group))
+    untied = layer.group_conv_structure(conv, genset)
+    oracles.assert_same_structure(
+        layer.group_conv_structure(conv, genset, tie_across_orbits=True),
+        oracles.structure_per_relation(
+            n_size, conv.m_size, oracles.tied_colors_per_relation(untied), untied.warnings
+        ),
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_joints(), st.booleans(), st.data())
 def test_exact_route_matches_all_pairs(joint, perturbed, data):

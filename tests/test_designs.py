@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from eqtie import autsearch, designs, layer, permcore as pc
@@ -112,6 +114,45 @@ class TestRelationEdges:
         assert not bare.grid.any() and bare.merged_to_base == {}
         ok = autsearch._preserves_structure(s, [[0, 1], [1, 0], [1, 0]], [[0, 1], [0, 1], [1, 0]])
         assert ok.tolist() == [True, False, True]
+
+
+@st.composite
+def edge_tables(draw):
+    """(n_size, m_size, rows of each slice): sorted or not, repeats, empty slices, maybe out of bounds."""
+    n_size, m_size = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    low, high = (0, (n_size - 1, m_size - 1)) if draw(st.booleans()) else (-1, (n_size, m_size))
+    rows = st.tuples(st.integers(low, high[0]), st.integers(low, high[1]))
+    return n_size, m_size, draw(st.lists(st.lists(rows, max_size=6), max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_tables())
+@example((2, 3, [[(1, 2), (0, 1), (1, 2)], [], [(0, 0), (0, 1)], [(1, 0), (0, 2)], []]))
+@example((2, 2, [[(0, 0)], [(1, 1), (2, 0)], [(-1, 0)]]))
+def test_one_table_matches_per_relation_construction(case):
+    """``_from_table`` makes the structure, or the error, of one ``Relation`` per slice."""
+    n_size, m_size, slices = case
+    provenances = [{"kind": "dense", "slice": k} for k in range(len(slices))]
+    source = np.array([row for rows in slices for row in rows], dtype=np.intp).reshape(-1, 2)
+    starts = np.cumsum([0] + [len(rows) for rows in slices])[:-1]
+    try:
+        reference = oracles.structure_per_relation(n_size, m_size, list(zip(slices, provenances)))
+    except DesignError as exc:
+        with pytest.raises(DesignError) as info:
+            designs._from_table(n_size, m_size, source, starts, provenances)
+        assert str(info.value) == str(exc)
+        return
+    built = designs._from_table(n_size, m_size, source, starts, provenances)
+    oracles.assert_same_structure(built, reference)
+    kept = [rel.edges.copy() for rel in built.relations]
+    source[:] = 0  # writing to the builder's inputs afterwards changes no relation
+    starts[:] = 0
+    assert all(np.array_equal(rel.edges, k) for rel, k in zip(built.relations, kept))
+
+
+def test_one_table_refuses_what_a_relation_refuses():
+    with pytest.raises(DesignError, match="edge table: edges must be"):
+        designs._from_table(2, 2, [(0, 1, 2)], [0], [{"kind": "dense"}])
 
 
 class TestSparseDesign:

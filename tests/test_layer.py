@@ -36,6 +36,45 @@ def reverse_stack_second(reverse_conv, nonlinearity=layer.IDENTITY):
     return swapped, second
 
 
+@st.composite
+def multi_colored(draw):
+    """A color matrix whose covered cells carry 1 to 12 of 12-14 base colors, and float theta.
+
+    Sums of 8 or more terms are the ones numpy adds pairwise rather than in order.
+    """
+    colors = draw(st.integers(12, 14))
+    n_size, m_size = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    color_sets = st.lists(st.integers(1, colors), min_size=1, max_size=12, unique=True)
+    cells = draw(st.lists(st.one_of(st.just([]), color_sets), min_size=n_size * m_size,
+                          max_size=n_size * m_size))
+    rows = [[divmod(k, m_size) for k, cell in enumerate(cells) if c in cell]
+            for c in range(1, colors + 1)]
+    s = SharingStructure(n_size, m_size, tuple(
+        Relation(c, rows[c - 1], {"kind": "extra"}) for c in range(1, colors + 1)
+    ))
+    theta = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=colors, max_size=colors))
+    return s.color_matrix, np.array(theta)
+
+
+# one cell of 12 colors whose sum depends on the order of its additions
+ORDERED_SUM = SharingStructure(1, 2, tuple(
+    Relation(c, [(0, 0)] + [(0, 1)] * (c <= 8), {"kind": "extra"}) for c in range(1, 13)
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_colored())
+@example((ORDERED_SUM.color_matrix, np.array([1e16, 1.0, -1e16, 1.0, 3.0, 1e-3, -7.5, 2.0] * 2)[:12]))
+def test_materialize_matches_the_per_color_sums_bit_for_bit(case):
+    cm, theta = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values in (theta, theta.astype(np.float32), np.rint(theta % 1000).astype(np.int64)):
+            w = layer.materialize(cm, values)
+            expected = oracles.materialize_per_color(cm, values)
+            assert w.dtype == expected.dtype and w.tobytes() == expected.tobytes()
+
+
 class TestMaterializeForward:
     def test_reference_weight_matrix(self, reverse_conv_structure):
         cm = designs.merge_colors(reverse_conv_structure)

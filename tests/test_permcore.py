@@ -251,10 +251,14 @@ class TestLibraryInputErrors:
          "generator image 0 is not an int sequence: a Permutation"),
         (lambda: pc.build_action(pc.close_generators([P(1, 0)]), [None], 2),
          "generator image 0 is not an int sequence: a NoneType"),
+        (lambda: pc.named_group("cyclic"), "cyclic: missing field 'n'"),
+        (lambda: pc.named_group("wreath", d=2), "wreath: missing field 'blocks'"),
+        (lambda: pc.named_group("cyclic", n=3, m=4), "cyclic: unexpected field 'm'"),
     ], ids=[
         "no-generators", "cap-0", "mixed-degrees", "dihedral-0", "symmetric-0", "wreath-d-0",
         "wreath-blocks-0", "no-factor", "empty-factor", "permutation-object", "int-row",
         "one-row-not-a-list", "action-permutation-object", "action-none-row",
+        "named-missing-field", "named-missing-second-field", "named-unexpected-field",
     ])
     def test_refused_with_its_message(self, call, message):
         with pytest.raises(GroupError) as info:

@@ -547,3 +547,43 @@ def test_permutation_name_rule_sees_its_targets():
         (6, "compose"),
     ]
     assert permutation_names(tree)[:2] == [(1, "Permutation"), (1, "compose")]
+
+
+# the structure builders check one edge table, not one Relation per color
+TABLE_BUILDERS = [
+    ("designs", "dense_design"), ("designs", "sparse_design"), ("designs", "expand_channels"),
+    ("layer", "group_conv_structure"),
+]
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def looped_calls(tree, function, name):
+    """Lines of every call of ``name``, bare or dotted, in a loop or comprehension of ``function``."""
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and func.name == function:
+            for loop in ast.walk(func):
+                if isinstance(loop, LOOPS):
+                    found.update(
+                        node.lineno for node in ast.walk(loop)
+                        if isinstance(node, ast.Call) and called_name(node) == name
+                    )
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module, function", TABLE_BUILDERS, ids=[f for _, f in TABLE_BUILDERS])
+def test_builders_make_no_relation_per_color(module, function):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert any(isinstance(f, ast.FunctionDef) and f.name == function for f in tree.body)
+    assert looped_calls(tree, function, "Relation") == []
+
+
+def test_relation_loop_rule_sees_loops_and_comprehensions():
+    source = (
+        "def dense_design(j):\n    one = Relation(1, e, p)\n"
+        "    for k in ks:\n        out.append(Relation(k, e, p))\n"
+        "    return [designs.Relation(k, e, p) for k in ks]\n"
+        "def other(j):\n    return [Relation(k, e, p) for k in ks]\n"
+    )
+    assert looped_calls(ast.parse(source), "dense_design", "Relation") == [4, 5]
