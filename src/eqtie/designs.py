@@ -17,18 +17,19 @@ Color ids are 1-based and dense. Dense-design colors are numbered by each
 orbit's first cell in the M x N grid read row-major (m outer, n inner); sparse
 colors follow (n-orbit, m-orbit, generator) order. A dense design labels the
 cell orbits from the two actions' generator columns alone, so it lists no
-group element, and orders its table by one argsort of one key per cell; a
-sparse design's table is one gather of the actions' image tables, built on
-first use. No ``Permutation`` object is built. Merging codes each
-cell's color set as one row and numbers the distinct rows with one stable
-sort.
+group element: ``permcore._orbit_minima`` runs on the cell moves
+(n, m) -> (g n, g m) and their inverses (g^-1 n, g^-1 m), both built from
+the actions' rows, so no sort runs over the cells to invert them. It orders
+its table by one argsort of one key per cell; a sparse design's table is
+one gather of the actions' image tables, built on first use. No
+``Permutation`` object is built. Merging codes each cell's color set as one
+row and numbers the distinct rows with one stable sort.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -228,12 +229,12 @@ class ChannelSpec:
 
 def _channel_count(count) -> int:
     """A channel count read as an integer (a bool is none), which must be positive."""
-    if isinstance(count, (bool, np.bool_)) or not hasattr(count, "__index__"):
+    value = permcore._as_int(count)
+    if value is None:
         raise DesignError(f"channel count {count!r} is not an integer")
-    count = operator.index(count)
-    if count < 1:
+    if value < 1:
         raise DesignError("channel counts must be positive")
-    return count
+    return value
 
 
 def dense_design(joint: JointAction) -> SharingStructure:
@@ -246,8 +247,13 @@ def dense_design(joint: JointAction) -> SharingStructure:
     """
     n_size, m_size = joint.n_size, joint.m_size
     n_gens, m_gens = joint.n_action._generator_rows, joint.m_action._generator_rows
-    cell_moves = (m_gens[:, :, None] * n_size + n_gens[:, None, :]).reshape(len(n_gens), -1)
-    first = permcore._orbit_minima(cell_moves)  # first[c]: the orbit's first cell
+
+    def cell_moves(n_rows, m_rows):
+        return (m_rows[:, :, None] * n_size + n_rows[:, None, :]).reshape(len(n_rows), -1)
+
+    # the inverse of (n, m) -> (g n, g m) is (g^-1 n, g^-1 m): no sort over the cells
+    inverses = cell_moves(np.argsort(n_gens, axis=1), np.argsort(m_gens, axis=1))
+    first = permcore._orbit_minima(cell_moves(n_gens, m_gens), inverses)  # the orbit's first cell
     size = len(first)
     cell = np.arange(size)
     ms, ns = np.divmod(cell, n_size)

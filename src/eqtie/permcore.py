@@ -25,23 +25,28 @@ images then define a homomorphism); the joint group of the pairs (s^N, s^M),
 whose order is ``JointAction.joint_order``; an action's image group, whose
 order gives the kernel (|G| / |image|); the subgroup a genset generates; and
 ``autsearch``'s Aut. ``orbits`` and ``classify_action`` read only the
-generator columns (semi-regular when every orbit has |G| points). Up to
-degree 256, the width of a ``bytes.translate`` table, a chain keeps each
-permutation as a ``bytes`` row: a product is one ``translate`` call, an
-inverse one ``bytes.maketrans`` table, and a level's transversal one
-``np.frombuffer``. Above 256 a level works on int arrays: its transversal is
-the same breadth-first walk, each new rep one gather into a preallocated
-table, and its Schreier generators are formed as one array per block. No
-element is listed for these answers.
+generator columns (semi-regular when every orbit has |G| points): each point
+is labelled with its orbit's smallest point (``_orbit_minima``), by rounds
+that pass labels along the generator rows and their inverses and, once eight
+plain rounds have not settled them, also hook each label's root to the best
+label its points found and jump labels to their roots, so the rounds grow
+with the log of the longest orbit. Up to degree 256, the width of a
+``bytes.translate`` table, a chain keeps each permutation as a ``bytes``
+row: a product is one ``translate`` call, an inverse one ``bytes.maketrans``
+table, and a level's transversal one ``np.frombuffer``. Above 256 a level
+works on int arrays: its transversal is the same breadth-first walk, each
+new rep taken straight into its row of a preallocated table, and its
+Schreier generators are formed as one array per block. No element is listed
+for these answers.
 
 A group answers everything else from its chain: membership is a sift
-(``in``), ``_products`` reads every element at chosen points, one gather per
-level, and the read-only (order x degree) table sorts those products by their
-images of the base points. The base points increase, so that is the order of
-the image arrays; ``_lex_walk`` yields the elements in the same order one at
-a time, listing none. An element's key reads its base images as the digits
-of one base-degree number (an int64 while degree^k < 2^63, a Python int
-past that), so one ``searchsorted`` over the sorted keys finds any
+(``in``), ``_products`` reads every element at chosen points, one ``take``
+per level, and the read-only (order x degree) table sorts those products by
+their images of the base points. The base points increase, so that is the
+order of the image arrays; ``_lex_walk`` yields the elements in the same
+order one at a time, listing none. An element's key reads its base images
+as the digits of one base-degree number (an int64 while degree^k < 2^63, a
+Python int past that), so one ``searchsorted`` over the sorted keys finds any
 element's id. An action's (|G| x target_size) table reads its graph's
 products at the target points and G's base points, and the same lookup puts
 each image at its element's id; the graph ``build_action`` checked is used
@@ -66,6 +71,7 @@ names it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -234,12 +240,12 @@ class PermutationGroup:
         """Every element's images of ``points``, one row each, unsorted.
 
         Row k is the product u_0 u_1 ... u_{k-1} of one transversal element
-        per level, u_0 varying slowest, read only at ``points``: one gather
-        per level.
+        per level, u_0 varying slowest, read only at ``points``: one ``take``
+        along the columns of each level's transversal.
         """
         rows = points[None, :]
         for reps in reversed(self._chain.transversals):
-            rows = reps[:, rows].reshape(-1, rows.shape[1])
+            rows = reps.take(rows, axis=1).reshape(-1, rows.shape[1])
         return rows
 
     @cached_property
@@ -287,16 +293,29 @@ class PermutationGroup:
         """Element ids of words in the generators, one per word; the empty word is the identity.
 
         Letter s names ``generators[s]``, and the word [s_0, ..., s_k] is the
-        product g_{s_0} ... g_{s_k}, g_{s_k} applied first. A word is applied
-        to the chain's base points alone, and all words are found in one lookup.
+        product g_{s_0} ... g_{s_k}, g_{s_k} applied first. A letter is read
+        as an integer (a bool is none) in 0..len(generators)-1; any other
+        letter, or a word that is no sequence, raises GroupError naming its
+        word and place. A word is applied to the chain's base points alone,
+        as Python int lists, and all words are found in one lookup.
         """
-        base = np.array(self._chain.base, dtype=np.intp)
-        images = np.empty((len(words), len(base)), dtype=np.intp)
+        gens = self._generator_rows.tolist()
+        count, base = len(gens), self._chain.base
+        images = []
         for k, word in enumerate(words):
-            points = base
-            for s in reversed(word):
-                points = self._generator_rows[s, points]
-            images[k] = points
+            if not isinstance(word, (Sequence, np.ndarray)):
+                raise GroupError(f"word {k} is not a sequence of generator indices: {word!r}")
+            letters = list(word)
+            if not all(type(s) is int and 0 <= s < count for s in letters):
+                letters = [_generator_letter(k, j, s, count) for j, s in enumerate(letters)]
+            path = [gens[s] for s in reversed(letters)]
+            row = []
+            for p in base:
+                for g in path:
+                    p = g[p]
+                row.append(p)
+            images.append(row)
+        images = np.array(images, dtype=np.intp).reshape(len(images), len(base))
         return tuple(self._ids(images).tolist())
 
     @cached_property
@@ -337,6 +356,26 @@ class PermutationGroup:
 
     def __repr__(self):
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
+
+
+def _as_int(value) -> int | None:
+    """``value`` read by ``operator.index``, or None for a bool or a value that is no integer."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return index(value)
+    except TypeError:
+        return None
+
+
+def _generator_letter(word: int, place: int, letter, count: int) -> int:
+    """Letter ``place`` of word ``word`` as a generator index in 0..count-1, or GroupError."""
+    s = _as_int(letter)
+    if s is None or not 0 <= s < count:
+        raise GroupError(
+            f"word {word} letter {place}: {letter!r} is not a generator index in 0..{count - 1}"
+        )
+    return s
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -411,9 +450,9 @@ def _transversal_rows(
     """``_transversal`` on int arrays: (slot, reps), reps[slot[x]] mapping ``point`` to x.
 
     slot[x] is -1 off the orbit. The walk is ``_transversal``'s, breadth
-    first from ``point`` in generator order: each new orbit point's rep is
-    one gather g[u] into a preallocated table. Past ``room`` + 1 reps the
-    walk stops, so a capped chain never holds more reps than that.
+    first from ``point`` in generator order: each new orbit point's rep g[u]
+    is taken straight into its row of a preallocated table. Past ``room`` + 1
+    reps the walk stops, so a capped chain never holds more reps than that.
     """
     degree = gens.shape[1]
     size = degree if room is None else min(degree, room + 1)
@@ -428,7 +467,9 @@ def _transversal_rows(
             q = images[p]
             if where[q] < 0:
                 where[q] = len(orbit)
-                reps[len(orbit)] = g[reps[k]]  # g(u(i))
+                # g(u(i)); u is a permutation, so "wrap" moves no index and skips
+                # the buffered copy the default mode makes for ``out``
+                g.take(reps[k], out=reps[len(orbit)], mode="wrap")
                 orbit.append(q)
                 if len(orbit) == size:
                     return np.array(where, dtype=np.intp), reps
@@ -882,18 +923,46 @@ def trivial_action(group: PermutationGroup, target_size: int) -> GroupAction:
     return GroupAction(group, target_size, rows)
 
 
-def _orbit_minima(gens: np.ndarray) -> np.ndarray:
+# Plain rounds of ``_orbit_minima`` before its rounds also hook. A hooking
+# round costs one more ``np.minimum.at`` and its jumps; every short-orbit
+# corpus spec settles within 2-8 plain rounds, while relabelled long cycles of
+# Z120 and Z240 took 14-108.
+_PLAIN_ROUNDS = 8
+
+
+def _orbit_minima(gens: np.ndarray, inverses: np.ndarray | None = None) -> np.ndarray:
     """low[x]: the smallest point in the orbit of x under the rows ``gens``.
 
-    Each round gives every point the smallest label among its images and
-    preimages, then jumps each label to its own label. Labels stay in the
-    orbit and only fall, and they are stable exactly when constant on orbits.
+    ``inverses`` holds the inverse rows in the same order, the argsort of
+    ``gens`` by default. Each round gives every point the smallest label
+    among its own and its images' and preimages'. For the first
+    ``_PLAIN_ROUNDS`` rounds each label then jumps once, to its own label.
+    That settles short orbits but carries a label only a few steps along a
+    long one: a randomly labelled dense Z120 (14,400 cells) took 26-49
+    rounds. Later rounds hook instead, as in Shiloach and Vishkin's
+    connectivity rounds (J. Algorithms 3, 1982): the point each label names
+    takes the smallest label found at any point carrying it (one
+    ``np.minimum.at``), and every label then jumps to its root until none
+    moves. A root so takes the best label of its whole tree in one round,
+    and the rounds grow with the log of the orbit length rather than the
+    length: the same dense Z120 settles in 10-11 rounds, and a dense Z480
+    (230,400 cells) in 12 instead of 89-175. Labels stay in the orbit and
+    only fall, and they are stable exactly when constant on orbits, so the
+    result is the orbit minima whichever rounds ran.
     """
     low = np.arange(gens.shape[1])
-    moves = np.concatenate([gens, np.argsort(gens, axis=1)])
-    while True:
+    if inverses is None:
+        inverses = np.argsort(gens, axis=1)
+    moves = np.concatenate([gens, inverses])
+    for rounds in itertools.count(1):
         nxt = np.minimum(low, low[moves].min(axis=0, initial=len(low)))
-        nxt = nxt[nxt]
+        if rounds <= _PLAIN_ROUNDS:
+            nxt = nxt[nxt]
+        else:
+            np.minimum.at(nxt, low, nxt.copy())  # low[x] takes the label x found
+            jumped = nxt[nxt]
+            while not np.array_equal(jumped, nxt):
+                nxt, jumped = jumped, jumped[jumped]
         if np.array_equal(nxt, low):
             return low
         low = nxt
@@ -1005,10 +1074,11 @@ def symmetrize_genset(group: PermutationGroup, element_ids: Iterable[int]) -> tu
     nothing of it is listed.
     """
     ids = set()
-    for i in element_ids:
-        if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
-            raise GroupError(f"element id {i!r} is not an integer")
-        ids.add(index(i))
+    for value in element_ids:
+        i = _as_int(value)
+        if i is None:
+            raise GroupError(f"element id {value!r} is not an integer")
+        ids.add(i)
     for i in ids:
         if not 0 <= i < group.order:
             raise GroupError(f"element id {i} out of range for a group of order {group.order}")

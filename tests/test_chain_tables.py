@@ -294,9 +294,9 @@ def test_orbits_are_computed_once_per_action(command, spec, expected, monkeypatc
     calls = []
     minima = pc._orbit_minima
 
-    def counted(gens):
+    def counted(gens, inverses=None):
         calls.append(gens.shape)
-        return minima(gens)
+        return minima(gens, inverses)
 
     monkeypatch.setattr(pc, "_orbit_minima", counted)
     assert run_cli(COMMANDS[command] + ["--spec", str(CORPUS / f"{spec}.json")]) == 0

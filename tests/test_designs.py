@@ -247,8 +247,9 @@ class TestLibraryElementIds:
         (True, "element id True is not an integer"),
         ("1", "element id '1' is not an integer"),
         (np.True_, "element id np.True_ is not an integer"),
+        (np.array(1.0), "element id array(1.) is not an integer"),
         (np.int64(6), "element id 6 out of range for a group of order 6"),
-    ], ids=["float-whole", "float", "bool", "str", "numpy-bool", "out-of-range"])
+    ], ids=["float-whole", "float", "bool", "str", "numpy-bool", "float-array", "out-of-range"])
     def test_bad_id_is_named(self, take, bad, message):
         with pytest.raises(pc.GroupError) as info:
             GENSET_TAKERS[take](cyclic_group_conv_joint(6), [bad, 5])
@@ -356,6 +357,7 @@ class TestChannels:
         "whole-float": (2.0, "channel count 2.0 is not an integer"),
         "bool": (True, "channel count True is not an integer"),
         "str": ("2", "channel count '2' is not an integer"),
+        "float-array": (np.array(2.0), "channel count array(2.) is not an integer"),
     }
 
     @pytest.mark.parametrize("side", ["in", "out"])
