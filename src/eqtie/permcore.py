@@ -27,17 +27,17 @@ order gives the kernel (|G| / |image|); the subgroup a genset generates; and
 ``autsearch``'s Aut. ``orbits`` and ``classify_action`` read only the
 generator columns (semi-regular when every orbit has |G| points): each point
 is labelled with its orbit's smallest point (``_orbit_minima``), by rounds
-that pass labels along the generator rows and their inverses and, once eight
-plain rounds have not settled them, also hook each label's root to the best
-label its points found and jump labels to their roots, so the rounds grow
-with the log of the longest orbit. Up to degree 256, the width of a
-``bytes.translate`` table, a chain keeps each permutation as a ``bytes``
-row: a product is one ``translate`` call, an inverse one ``bytes.maketrans``
-table, and a level's transversal one ``np.frombuffer``. Above 256 a level
-works on int arrays: its transversal is the same breadth-first walk, each
-new rep taken straight into its row of a preallocated table, and its
-Schreier generators are formed as one array per block. No element is listed
-for these answers.
+that pass labels along the generator rows and their inverses, hook the
+point each label names to the best label its carriers found, and jump each
+label once, so a relabelled orbit of 480 points settles in 8-9 rounds
+rather than the 89-175 that passing labels alone takes. Up to degree 256,
+the width of a ``bytes.translate`` table, a chain keeps each permutation as
+a ``bytes`` row: a product is one ``translate`` call, an inverse one
+``bytes.maketrans`` table, and a level's transversal one ``np.frombuffer``.
+Above 256 a level works on int arrays: its transversal is the same
+breadth-first walk, each new rep taken straight into its row of a
+preallocated table, and its Schreier generators are formed as one array per
+block. No element is listed for these answers.
 
 A group answers everything else from its chain: membership is a sift
 (``in``), ``_products`` reads every element at chosen points, one ``take``
@@ -71,7 +71,6 @@ names it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -303,7 +302,7 @@ class PermutationGroup:
         count, base = len(gens), self._chain.base
         images = []
         for k, word in enumerate(words):
-            if not isinstance(word, (Sequence, np.ndarray)):
+            if not (isinstance(word, Sequence) or isinstance(word, np.ndarray) and word.ndim):
                 raise GroupError(f"word {k} is not a sequence of generator indices: {word!r}")
             letters = list(word)
             if not all(type(s) is int and 0 <= s < count for s in letters):
@@ -923,49 +922,33 @@ def trivial_action(group: PermutationGroup, target_size: int) -> GroupAction:
     return GroupAction(group, target_size, rows)
 
 
-# Plain rounds of ``_orbit_minima`` before its rounds also hook. A hooking
-# round costs one more ``np.minimum.at`` and its jumps; every short-orbit
-# corpus spec settles within 2-8 plain rounds, while relabelled long cycles of
-# Z120 and Z240 took 14-108.
-_PLAIN_ROUNDS = 8
-
-
 def _orbit_minima(gens: np.ndarray, inverses: np.ndarray | None = None) -> np.ndarray:
     """low[x]: the smallest point in the orbit of x under the rows ``gens``.
 
     ``inverses`` holds the inverse rows in the same order, the argsort of
-    ``gens`` by default. Each round gives every point the smallest label
-    among its own and its images' and preimages'. For the first
-    ``_PLAIN_ROUNDS`` rounds each label then jumps once, to its own label.
-    That settles short orbits but carries a label only a few steps along a
-    long one: a randomly labelled dense Z120 (14,400 cells) took 26-49
-    rounds. Later rounds hook instead, as in Shiloach and Vishkin's
-    connectivity rounds (J. Algorithms 3, 1982): the point each label names
-    takes the smallest label found at any point carrying it (one
-    ``np.minimum.at``), and every label then jumps to its root until none
-    moves. A root so takes the best label of its whole tree in one round,
-    and the rounds grow with the log of the orbit length rather than the
-    length: the same dense Z120 settles in 10-11 rounds, and a dense Z480
-    (230,400 cells) in 12 instead of 89-175. Labels stay in the orbit and
-    only fall, and they are stable exactly when constant on orbits, so the
-    result is the orbit minima whichever rounds ran.
+    ``gens`` by default. Labels stay in the orbit, start at each point and
+    only fall. Each round finds, for every point, the smallest label among
+    its images' and preimages'. Once no point finds one smaller than its
+    own, labels are constant on orbits, so each is its orbit's smallest
+    point. Otherwise every point takes the smallest label it found and
+    hooks, as in Shiloach and Vishkin's connectivity rounds (J. Algorithms
+    3, 1982): the point its old label names takes that label too (one
+    ``np.minimum.at``). Then each label jumps once, to its own label. A
+    randomly labelled dense Z120 (14,400 cells) settles in 6-7 rounds, where
+    passing labels alone took 26-49, and a dense Z480 (230,400 cells) in 8-9
+    instead of 89-175.
     """
     low = np.arange(gens.shape[1])
     if inverses is None:
         inverses = np.argsort(gens, axis=1)
     moves = np.concatenate([gens, inverses])
-    for rounds in itertools.count(1):
-        nxt = np.minimum(low, low[moves].min(axis=0, initial=len(low)))
-        if rounds <= _PLAIN_ROUNDS:
-            nxt = nxt[nxt]
-        else:
-            np.minimum.at(nxt, low, nxt.copy())  # low[x] takes the label x found
-            jumped = nxt[nxt]
-            while not np.array_equal(jumped, nxt):
-                nxt, jumped = jumped, jumped[jumped]
-        if np.array_equal(nxt, low):
+    while True:
+        found = low[moves].min(axis=0, initial=len(low))
+        if not (found < low).any():
             return low
-        low = nxt
+        nxt = np.minimum(low, found)
+        np.minimum.at(nxt, low, found)  # low[x] takes the label x found
+        low = nxt[nxt]
 
 
 def orbits(action: GroupAction) -> OrbitPartition:

@@ -1,12 +1,11 @@
 """Orbit labels and generator words against independent references.
 
 ``permcore._orbit_minima`` labels each point with the smallest point of its
-orbit under some generator rows: plain propagation rounds first, then rounds
-that hook roots and jump to them. Its labels are compared with the smallest
-node of each ``networkx.connected_components`` of the generator graph, on
-random rows of up to 2,000 points (relabelled long cycles, fixed points,
-identity rows) with hooking from the first round, from ``_PLAIN_ROUNDS`` and
-never, and on the 230,400 cells of a dense Z480 design. ``word_ids`` is
+orbit under some generator rows, by rounds that propagate labels, hook the
+points that labels name and jump each label once. Its labels are compared with the smallest node of each
+``networkx.connected_components`` of the generator graph, on random rows of
+up to 2,000 points (relabelled long cycles, fixed points, identity rows), and
+on the 230,400 cells of a dense Z480 design. ``word_ids`` is
 compared with words composed one row at a time by ``oracles.compose``, on
 long words of Z240, a trivial group and random words of S3 wr S3; bad letters,
 and words that are no sequence, raise ``GroupError`` naming their word and place.
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import random
-from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -59,8 +57,6 @@ def generator_row(kind: str, rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.permutation(size)
 
 
-@pytest.mark.parametrize("plain_rounds", [0, pc._PLAIN_ROUNDS, 10**9],
-                         ids=["hook-at-once", "default", "never-hook"])
 @settings(max_examples=40, deadline=None)
 @given(
     size=st.integers(0, 2000),
@@ -71,19 +67,17 @@ def generator_row(kind: str, rng: np.random.Generator, size: int) -> np.ndarray:
     seed=st.integers(0, 2**32 - 1),
     pass_inverses=st.booleans(),
 )
-def test_orbit_minima_are_component_minima(plain_rounds, size, kinds, seed, pass_inverses):
+def test_orbit_minima_are_component_minima(size, kinds, seed, pass_inverses):
     rng = np.random.default_rng(seed)
     rows = np.array([generator_row(kind, rng, size) for kind in kinds]).reshape(len(kinds), size)
     inverses = np.argsort(rows, axis=1) if pass_inverses else None
-    with mock.patch.object(pc, "_PLAIN_ROUNDS", plain_rounds):
-        low = pc._orbit_minima(rows, inverses)
-    assert np.array_equal(low, component_minima(rows))
+    assert np.array_equal(pc._orbit_minima(rows, inverses), component_minima(rows))
 
 
 def test_dense_z480_colors_are_the_cell_components():
     """A relabelled 480-cycle on both sides: 230,400 cells in 480 diagonal orbits.
 
-    Its cell labels took 89-175 plain rounds when relabelled at random.
+    Passing labels without hooking took 89-175 rounds on such relabelled inputs.
     """
     row = conjugated_cycle(np.random.default_rng(480), 480, 480)
     natural = pc.natural_action(pc.close_generators([row.tolist()]))
@@ -150,9 +144,10 @@ class TestWordIds:
         ([[np.int64(5)]], "word 0 letter 0: np.int64(5) is not a generator index in 0..1"),
         ([[np.array([0, 1])]], "word 0 letter 0: array([0, 1]) is not a generator index in 0..1"),
         ([[0], 1], "word 1 is not a sequence of generator indices: 1"),
+        ([np.array(1)], "word 0 is not a sequence of generator indices: array(1)"),
     ], ids=[
         "negative", "past-the-end", "bool", "numpy-bool", "float", "none", "numpy-past-the-end",
-        "array-letter", "word-not-a-sequence",
+        "array-letter", "word-not-a-sequence", "word-a-0d-array",
     ])
     def test_bad_letters_are_refused(self, words, message):
         group = pc.close_generators(pc.dihedral_generators(5))
